@@ -28,7 +28,6 @@ from .codec import (
 )
 from .embedding import EmbeddingConfig, embed
 from .errors import DataError, NumericalError
-from .fitting import accuracy  # noqa: F401  (re-exported for pipeline scripts)
 from .lawforms import weights_to_roots, roots_to_weights
 from .signal_io import SynthSpec, read_wav, synthesize, write_wav
 from .spectral import correlation, eigendecompose, extract_law, extract_symmetric_law

@@ -59,6 +59,7 @@ from .errors import (
     ZeroRoot,
 )
 from .fitting import (
+    AmplitudeFit,
     accuracy,
     fit_amplitudes,
     fit_initial_conditions,
@@ -205,10 +206,8 @@ def _stored_weight_count(n: int, symmetric: bool) -> int:
 
 def _mirror_half(half: np.ndarray, n: int) -> np.ndarray:
     """Rebuild the full palindrome from its leading half, bit for bit."""
-    full = np.empty(n + 1, dtype=np.float32)
-    for i in range(n + 1):
-        full[i] = half[min(i, n - i)]
-    return full
+    lags = np.arange(n + 1)
+    return np.asarray(half, dtype=np.float32)[np.minimum(lags, n - lags)]
 
 
 def _law_from_stored(weights32: np.ndarray, params: CodecParams) -> LinearLaw:
@@ -274,6 +273,23 @@ def _block_law(segment: np.ndarray, params: CodecParams, rate: float) -> LinearL
     return extract_law(eigendecompose(c), cfg, params.eigen_index)
 
 
+def _encode_block(segment: np.ndarray, params: CodecParams, rate: float, quantize: bool):
+    """Extract one block's law and fit its payload.
+
+    Returns (law, fit): the extracted float64 law and an AmplitudeFit or
+    InitialConditionFit.  With ``quantize`` the fit is made against the
+    float32 weights a file stores, so the payload belongs to exactly
+    the law a decoder sees; a palindromic law stays palindromic under
+    that rounding.  Without it everything stays float64.
+    """
+    law = _block_law(segment, params, rate)
+    fit_law = _law_from_stored(law.weights.astype(np.float32), params) if quantize else law
+    kind, obj = _block_machinery(fit_law, params)
+    if kind == "amp":
+        return law, fit_amplitudes(obj, segment, dt=1.0 / rate)
+    return law, fit_initial_conditions(obj, segment)
+
+
 def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
     """Extract one law per block and fit its payload.
 
@@ -293,20 +309,13 @@ def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
     blocks = []
     for b in range(block_count):
         segment = y[b * params.block_size : (b + 1) * params.block_size]
-        law = _block_law(segment, params, series.sample_rate)
-        w32 = law.weights.astype(np.float32)
-        if params.symmetric:
-            w32 = _mirror_half(w32[: _stored_weight_count(n, True)], n)
-        stored_law = _law_from_stored(w32, params)
-        kind, obj = _block_machinery(stored_law, params)
-        if kind == "amp":
-            fit = fit_amplitudes(obj, segment, dt=1.0 / series.sample_rate)
-        else:
-            fit = fit_initial_conditions(obj, segment)
-        coef = fit.coefficients if kind == "amp" else fit.initial
+        law, fit = _encode_block(segment, params, series.sample_rate, quantize=True)
+        coef = fit.coefficients if isinstance(fit, AmplitudeFit) else fit.initial
         payload = np.zeros(n, dtype=np.float64)
         payload[: coef.size] = coef
-        blocks.append(CompressedBlock(weights=w32, payload=payload.astype(np.float32)))
+        blocks.append(
+            CompressedBlock(weights=law.weights.astype(np.float32), payload=payload)
+        )
     tail = y[block_count * params.block_size :].astype(np.float32)
     return CompressionArtifact(
         params=params, sample_rate=rate, blocks=tuple(blocks), tail=tail
@@ -434,17 +443,12 @@ def _measure_point(
     for b in range(block_count):
         segment = y[b * block : (b + 1) * block]
         energy = float(segment @ segment)
-        law = _block_law(segment, params, rate)
-        lambdas.append(law.eigenvalue)
         if energy == 0.0:
+            lambdas.append(0.0)  # a silent block's correlation matrix is zero
             continue
-        kind, obj = _block_machinery(law, params)
-        if kind == "amp":
-            fit = fit_amplitudes(obj, segment, dt=1.0 / rate)
-        else:
-            fit = fit_initial_conditions(obj, segment)
-        rebuilt = reconstruct(fit, block)
-        acc_sum += energy * accuracy(segment, rebuilt)
+        law, fit = _encode_block(segment, params, rate, quantize=False)
+        lambdas.append(law.eigenvalue)
+        acc_sum += energy * accuracy(segment, reconstruct(fit, block))
         weights_sum += energy
     if weights_sum == 0.0:
         raise ValueError("every full block is identically zero")

@@ -31,7 +31,7 @@ class InvalidMask(DataError):
 # -- spectral ----------------------------------------------------------------
 
 class NoConvergence(NumericalError):
-    """Jacobi sweeps exhausted before the off-diagonal norm dropped."""
+    """The symmetric eigensolver (LAPACK, via numpy) did not converge."""
 
 
 class DimensionMismatch(DataError):

@@ -62,23 +62,14 @@ def _samples_of(segment) -> np.ndarray:
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Cholesky solve; None when a pivot falls below 1e-12 of scale."""
-    m = gram.shape[0]
-    lower = np.zeros_like(gram)
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
     ceiling = max(float(np.max(np.diag(gram))), 1e-300)
-    for j in range(m):
-        d = gram[j, j] - lower[j, :j] @ lower[j, :j]
-        if not d > 1e-12 * ceiling:
-            return None
-        lower[j, j] = np.sqrt(d)
-        if j + 1 < m:
-            lower[j + 1 :, j] = (gram[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]) / lower[j, j]
-    z = np.zeros(m)
-    for i in range(m):
-        z[i] = (rhs[i] - lower[i, :i] @ z[:i]) / lower[i, i]
-    x = np.zeros(m)
-    for i in range(m - 1, -1, -1):
-        x[i] = (z[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x
+    if not np.all(np.diag(lower) ** 2 > 1e-12 * ceiling):
+        return None
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
 def _least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -81,14 +81,15 @@ def _weights_of(law) -> np.ndarray:
 def weights_to_roots(law) -> RootSet:
     """All complex roots of P(x) = sum_i w_i x^i.
 
-    Runs a Durand-Kerner simultaneous iteration from the classic
-    starting points (0.4 + 0.9i)^a.  Trailing zero weights only lower
-    the degree.  Accepts a LinearLaw or a bare coefficient vector.
+    The roots are the eigenvalues of the companion matrix of the monic
+    polynomial (``np.roots``), so conjugate pairs come out exactly
+    conjugate.  Trailing zero weights only lower the degree.  Accepts a
+    LinearLaw or a bare coefficient vector.
 
     Raises
     ------
     RootFindingDiverged
-        If steps have not shrunk below 1e-12 within 1000 iterations, or
+        If the eigenvalue solver fails or returns non-finite roots, or
         some |P(q)| exceeds 1e-8 of the larger of max |w| and the
         coefficient-magnitude bound sum_i |w_i| |q|^i at that root.
     """
@@ -96,37 +97,19 @@ def weights_to_roots(law) -> RootSet:
     scale = np.max(np.abs(w))
     if scale == 0.0:
         raise ValueError("weight vector is identically zero")
-    coeffs = w.astype(np.complex128)
-    degree = coeffs.size - 1
-    while degree > 0 and abs(coeffs[degree]) <= 1e-14 * scale:
+    degree = w.size - 1
+    while degree > 0 and abs(w[degree]) <= 1e-14 * scale:
         degree -= 1
     if degree < 1:
         raise ValueError("effective polynomial degree is zero; no roots exist")
-    coeffs = coeffs[: degree + 1]
-    monic = coeffs / coeffs[-1]
+    monic = w[: degree + 1] / w[degree]
 
-    z = (0.4 + 0.9j) ** np.arange(1, degree + 1)
-    # divergent iterates overflow to inf before the cap trips; that is the
-    # failure signal itself, so the fp warnings carry no extra information
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(1000):
-            acc = np.ones_like(z)
-            for k in range(degree - 1, -1, -1):
-                acc = acc * z + monic[k]
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            denom = diff.prod(axis=1)
-            tiny = np.abs(denom) < 1e-300
-            if np.any(tiny):
-                denom = np.where(tiny, 1e-300, denom)
-            step = acc / denom
-            z = z - step
-            if not np.all(np.isfinite(z)):
-                raise RootFindingDiverged("Durand-Kerner iterates overflowed")
-            if np.all(np.abs(step) < 1e-12 * (1.0 + np.abs(z))):
-                break
-        else:
-            raise RootFindingDiverged("Durand-Kerner hit the 1000-iteration cap")
+    try:
+        z = np.roots(monic[::-1]).astype(np.complex128)
+    except np.linalg.LinAlgError as exc:
+        raise RootFindingDiverged(f"companion eigenvalues failed: {exc}") from exc
+    if not np.all(np.isfinite(z)):
+        raise RootFindingDiverged("companion eigenvalues are not finite")
 
     residual = np.abs(np.polyval(w[: degree + 1][::-1], z))
     # Horner at q cannot beat eps * sum_i |w_i| |q|^i, so roots far from
@@ -228,12 +211,18 @@ def evaluate_model(model: ContinuousModel, t):
     """Evaluate y(t) = sum_a c_a exp(-alpha_a t); scalar in, scalar out.
 
     The conjugate structure guarantees a real value; the imaginary part
-    is asserted below 1e-9 * (1 + |y|) and dropped.
+    is checked below 1e-9 * (1 + |y|) and dropped.
+
+    Raises
+    ------
+    NonRealCoefficients
+        If the imaginary part exceeds that bound, as it does for a
+        model whose modes are not conjugate-paired.
     """
     tarr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     y = np.exp(-np.outer(tarr, model.exponents)) @ model.amplitudes
-    assert np.all(np.abs(y.imag) <= 1e-9 * (1.0 + np.abs(y.real))), \
-        "model evaluation drifted off the real axis"
+    if not np.all(np.abs(y.imag) <= 1e-9 * (1.0 + np.abs(y.real))):
+        raise NonRealCoefficients("model evaluation drifted off the real axis")
     out = y.real
     return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 

@@ -9,9 +9,16 @@ eigenvalue is the weight vector ``w`` of the best linear law: the mean
 square of the window residuals ``xi = Y w`` equals that eigenvalue, so
 a near-null direction is a near-exact linear relation among lags.
 
-Eigenproblems are solved with a cyclic Jacobi iteration.  Rotations are
-applied in fixed row-major order, so results are bit-reproducible for
-identical input; no external solver is involved.
+Eigenproblems are solved by numpy's LAPACK-backed ``eigh``, with each
+eigenvector sign-normalized.  Repeated runs on identical input agree
+bit for bit with one numpy/LAPACK build; another build may differ in
+the last bits.  When the smallest eigenvalue is degenerate (an
+over-ordered law has a null space of several dimensions), the law is
+the minimum-norm vector of that eigenspace with w_0 fixed, so it does
+not depend on the basis the solver happens to return.  The codec
+stores laws as float32 and fits payloads to the stored law, so a
+decode of a file stays bit-identical to a decode of the in-memory
+artifact.
 """
 
 from __future__ import annotations
@@ -33,9 +40,6 @@ __all__ = [
     "extract_symmetric_law",
     "law_residuals",
 ]
-
-_SWEEP_LIMIT = 100
-
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
@@ -117,59 +121,13 @@ def correlation(dataset: EmbeddedDataset) -> CorrelationMatrix:
     return CorrelationMatrix(entries=c, sample_count=k)
 
 
-def _jacobi(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Sweeps the strict upper triangle in row-major order until the
-    off-diagonal Frobenius norm falls below 1e-12 * (1 + ||A||_F),
-    capped at 100 sweeps.  Returns (eigenvalues, eigenvector columns),
-    unordered.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    m = a.shape[0]
-    v = np.eye(m)
-    if m == 1:
-        return np.array([a[0, 0]]), v
-    threshold = 1e-12 * (1.0 + np.linalg.norm(a))
-    skip = threshold / (2.0 * m)
-    for _ in range(_SWEEP_LIMIT):
-        off = np.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
-        if off < threshold:
-            return np.diag(a).copy(), v
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > 1.0e150:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0)) \
-                        if theta != 0.0 else 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                # two-sided rotation in the (p, q) plane
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    raise NoConvergence(
-        f"off-diagonal norm stayed above {threshold:.3e} after {_SWEEP_LIMIT} sweeps"
-    )
+def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and sign-normalized eigenvector columns."""
+    try:
+        vals, vecs = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
+    return vals, np.apply_along_axis(_normalize_sign, 0, vecs)
 
 
 def _normalize_sign(vec: np.ndarray) -> np.ndarray:
@@ -183,24 +141,24 @@ def _normalize_sign(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _ordered(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues; ties resolved lexicographically on the
-    sign-normalized vectors so output is deterministic."""
-    cols = [_normalize_sign(vecs[:, j]) for j in range(vecs.shape[1])]
-    tie = 1e-9 * (1.0 + float(np.max(np.abs(vals))) if vals.size else 1.0)
-    order = sorted(range(len(vals)), key=lambda j: (vals[j],))
-    i = 0
-    while i < len(order) - 1:
-        j = i
-        while j + 1 < len(order) and vals[order[j + 1]] - vals[order[i]] <= tie:
-            j += 1
-        if j > i:
-            order[i : j + 1] = sorted(order[i : j + 1], key=lambda idx: tuple(cols[idx]))
-        i = j + 1
-    return (
-        np.array([vals[j] for j in order]),
-        np.column_stack([cols[j] for j in order]),
-    )
+def _canonical_null_vector(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Minimum-norm law of the smallest-eigenvalue eigenspace.
+
+    Eigenvalues within 1e-9 * max|lambda| of the smallest one count as
+    one degenerate eigenspace, whose basis is arbitrary.  The law taken
+    from it is the unit-norm projection of the lag-0 axis onto that
+    span: the minimum-norm vector with w_0 fixed (Kumaresan & Tufts,
+    1983), which does not depend on the basis the solver returned.  If
+    the lag-0 axis is (nearly) orthogonal to the span, the first
+    eigenvector is kept.
+    """
+    tie = 1e-9 * float(np.max(np.abs(vals)))
+    span = vecs[:, vals - vals[0] <= tie]
+    if span.shape[1] == 1:
+        return vecs[:, 0]
+    w = span @ span[0, :]
+    norm = float(np.linalg.norm(w))
+    return w / norm if norm > 1e-8 else vecs[:, 0]
 
 
 def eigendecompose(c: CorrelationMatrix, mask: tuple[int, ...] | None = None) -> Spectrum:
@@ -221,31 +179,34 @@ def eigendecompose(c: CorrelationMatrix, mask: tuple[int, ...] | None = None) ->
             raise DimensionMismatch(f"mask of length {len(mask)} against a {m}x{m} matrix")
         active = [i for i, b in enumerate(mask) if b]
         sub = a[np.ix_(active, active)]
-        vals, vecs = _jacobi(sub)
+        vals, vecs = _eigh(sub)
         full = np.zeros((m, len(active)))
         full[active, :] = vecs
-        vals, full = _ordered(vals, full)
         return Spectrum(eigenvalues=vals, eigenvectors=full)
-    vals, vecs = _jacobi(a)
-    vals, vecs = _ordered(vals, vecs)
+    vals, vecs = _eigh(a)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def extract_law(spectrum: Spectrum, config: EmbeddingConfig, index: int = 0) -> LinearLaw:
     """Pick the eigenvector of ``index``-th smallest eigenvalue as a law.
 
-    ``index = 0`` is the best law; the top index is the dominant
+    ``index = 0`` is the best law; when the smallest eigenvalue is
+    degenerate it is the minimum-norm vector of that eigenspace (see
+    ``_canonical_null_vector``), so it does not depend on which basis of
+    the null space the spectrum holds.  The top index is the dominant
     principal direction instead.  The vector is sign-normalized (first
     non-negligible component positive).
     """
-    count = spectrum.eigenvalues.size
+    vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
+    count = vals.size
     if not 0 <= index < count:
         raise IndexError(f"eigenpair index {index} out of range ({count} pairs)")
-    w = _normalize_sign(spectrum.eigenvectors[:, index].copy())
+    w = _canonical_null_vector(vals, vecs) if index == 0 else vecs[:, index]
+    w = _normalize_sign(w)
     w = w / np.linalg.norm(w)
     return LinearLaw(
         weights=w,
-        eigenvalue=float(spectrum.eigenvalues[index]),
+        eigenvalue=float(vals[index]),
         stride=config.stride,
         mask=config.mask,
         symmetric_flag=False,
@@ -258,7 +219,9 @@ def extract_symmetric_law(c: CorrelationMatrix, config: EmbeddingConfig) -> Line
     The constraint realizes time-reversal symmetry exactly: the
     eigenproblem is restricted to an orthonormal palindromic basis
     (paired unit vectors scaled by 1/sqrt(2), plus the middle axis for
-    even ``n``) and the smallest reduced eigenpair is re-embedded.  The
+    even ``n``) and the smallest reduced eigenpair is re-embedded, with
+    the same minimum-norm rule as ``extract_law`` on a degenerate
+    reduced eigenspace (the first basis vector holds lag 0).  The
     reported eigenvalue is the Rayleigh quotient of the returned
     weights, hence >= the unconstrained minimum.
 
@@ -274,7 +237,6 @@ def extract_symmetric_law(c: CorrelationMatrix, config: EmbeddingConfig) -> Line
     if any(mask[i] != mask[n - i] for i in range(m)):
         raise InvalidMask("symmetric extraction needs a palindromic mask")
     half = 1.0 / np.sqrt(2.0)
-    columns: list[tuple[int, int]] = []
     basis = []
     for j in range((n + 1) // 2):
         if mask[j]:
@@ -282,21 +244,16 @@ def extract_symmetric_law(c: CorrelationMatrix, config: EmbeddingConfig) -> Line
             u[j] = half
             u[n - j] = half
             basis.append(u)
-            columns.append((j, n - j))
     if n % 2 == 0 and mask[n // 2]:
         u = np.zeros(m)
         u[n // 2] = 1.0
         basis.append(u)
-        columns.append((n // 2, n // 2))
     b = np.column_stack(basis)
     reduced = b.T @ a @ b
     reduced = (reduced + reduced.T) / 2.0
-    vals, vecs = _jacobi(reduced)
-    vals, vecs = _ordered(vals, vecs)
-    z = vecs[:, 0]
-    w = np.zeros(m)
-    for p, (i, j) in enumerate(columns):
-        w[i] = w[j] = z[p] * (half if i != j else 1.0)
+    vals, vecs = _eigh(reduced)
+    # each row of b holds one nonzero, so mirrored lags get the same float
+    w = b @ _canonical_null_vector(vals, vecs)
     w = w / np.linalg.norm(w)
     w = _normalize_sign(w)
     return LinearLaw(

@@ -118,6 +118,53 @@ def test_strided_compression_recovers_full_rate_signal():
         assert accuracy(series.samples, out.samples) > 0.99, mode
 
 
+def three_tone():
+    return synthesize(
+        SynthSpec(
+            kind="multi_sine",
+            length=4096,
+            sample_rate=8000.0,
+            amplitudes=(1.0, 0.6, 0.3),
+            frequencies=(440.0, 660.0, 1210.0),
+            phases=(0.2, 1.1, 2.0),
+        )
+    )
+
+
+def damped_300hz():
+    return synthesize(
+        SynthSpec(
+            kind="damped_sine", length=4096, sample_rate=8000.0, frequencies=(300.0,), decay=1.0
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "signal, params",
+    [
+        (three_tone, CodecParams(order_n=n, block_size=block, fit_mode=mode))
+        for n, block in ((8, 256), (16, 256), (32, 1024))
+        for mode in (AMPLITUDES, INITIAL_CONDITIONS)
+    ]
+    + [
+        (three_tone, CodecParams(order_n=n, block_size=256, fit_mode=INITIAL_CONDITIONS,
+                                 symmetric=True))
+        for n in (8, 16)
+    ]
+    + [(damped_300hz, CodecParams(order_n=6, block_size=256, fit_mode=INITIAL_CONDITIONS))],
+    ids=lambda v: v.__name__ if callable(v) else
+    f"n{v.order_n}-{v.fit_mode}{'-sym' if v.symmetric else ''}",
+)
+def test_over_ordered_round_trip_through_file(signal, params):
+    # more lags than modes leave a null space of several dimensions; the
+    # min-norm law keeps its extra roots harmless to both fit modes
+    series = signal()
+    art = compress(series, params)
+    out = decompress(deserialize(serialize(art)))
+    np.testing.assert_array_equal(out.samples, decompress(art).samples)
+    assert accuracy(series.samples, out.samples) >= 0.999
+
+
 def test_tail_ships_verbatim():
     series = two_tone(length=500)  # 3 blocks of 160 plus 20 spare samples
     art = compress(series, CodecParams(order_n=4, block_size=160))

@@ -5,6 +5,7 @@ import pytest
 
 from dynlaw.errors import NonRealCoefficients, UnstableOverflow, ZeroRoot
 from dynlaw.lawforms import (
+    ContinuousModel,
     companion_matrix,
     conjugate_pairs,
     evaluate_model,
@@ -159,6 +160,13 @@ def test_evaluate_model_examples():
 
     arr = evaluate_model(m, np.array([0.0, 1.0, 2.0]))
     np.testing.assert_allclose(arr, [1.0, 0.0, -1.0], atol=1e-12)
+
+
+def test_evaluate_model_rejects_unpaired_mode():
+    # a lone e^{i t / 2} has no conjugate partner, so its value is complex
+    model = ContinuousModel(exponents=[-0.5j], amplitudes=[1.0])
+    with pytest.raises(NonRealCoefficients):
+        evaluate_model(model, 1.0)
 
 
 def test_run_recursion_constant_law():

@@ -1,12 +1,15 @@
-"""Correlation matrix, Jacobi spectrum, and law extraction."""
+"""Correlation matrix, spectrum, and law extraction."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dynlaw.embedding import EmbeddingConfig, TimeSeries, embed
 from dynlaw.errors import DimensionMismatch, InvalidMask
 from dynlaw.spectral import (
     CorrelationMatrix,
+    Spectrum,
     correlation,
     eigendecompose,
     extract_law,
@@ -17,7 +20,8 @@ from dynlaw.spectral import (
 
 def charpoly_eigenvalues(a):
     """Independent oracle: Faddeev-LeVerrier characteristic polynomial,
-    then numpy's companion-matrix root solver.  No Jacobi involved."""
+    then numpy's companion-matrix root solver.  No symmetric eigensolver
+    involved."""
     m = a.shape[0]
     coeffs = np.zeros(m + 1)
     coeffs[0] = 1.0
@@ -277,6 +281,40 @@ def test_scaling_covariance():
     scaled = eigendecompose(correlation(embed(TimeSeries(1e3 * y), cfg)))
     np.testing.assert_allclose(scaled.eigenvalues, 1e6 * base.eigenvalues, rtol=1e-6)
     np.testing.assert_allclose(np.abs(scaled.eigenvectors), np.abs(base.eigenvectors), atol=1e-9)
+
+
+def test_tiny_scale_keeps_ascending_order_and_law():
+    # eigenvalue ties are relative to the spectrum's scale, so a quiet
+    # block is ordered by eigenvalue and yields the same law as a loud one
+    rng = np.random.default_rng(29)
+    cfg = EmbeddingConfig(n=3)
+    c = correlation(embed(TimeSeries(rng.uniform(-1, 1, 140)), cfg))
+    tiny = eigendecompose(CorrelationMatrix(1e-12 * c.entries, sample_count=c.sample_count))
+    assert np.all(np.diff(tiny.eigenvalues) >= 0.0)
+    np.testing.assert_allclose(
+        extract_law(tiny, cfg).weights, extract_law(eigendecompose(c), cfg).weights, atol=1e-9
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.data())
+def test_law_ignores_rotation_of_degenerate_null_basis(n, data):
+    # any orthonormal basis of a degenerate smallest eigenspace must give
+    # the same law: the min-norm vector of that span with w_0 fixed
+    m = n + 1
+    k = data.draw(st.integers(2, m - 1), label="null dimension")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    assume(np.linalg.norm(q[0, :k]) > 1e-3)
+    rot, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    rotated = q.copy()
+    rotated[:, :k] = q[:, :k] @ rot
+    # the null cluster spreads by far less than the relative tie
+    vals = np.r_[1e-13 * np.arange(k), np.sort(rng.uniform(0.1, 1.0, m - k))]
+    cfg = EmbeddingConfig(n=n)
+    base = extract_law(Spectrum(vals, q), cfg).weights
+    turned = extract_law(Spectrum(vals, rotated), cfg).weights
+    np.testing.assert_allclose(turned, base, atol=1e-9)
 
 
 def test_rank_deficiency_gives_null_mode():
