@@ -249,15 +249,23 @@ def _block_machinery(law: LinearLaw, params: CodecParams):
     Returns (kind, obj): ("amp", per-sample RootSet) for amplitude
     payloads, ("ic", per-sample LinearLaw) for seed payloads.  At
     stride 1 the law's own roots / the law itself are used directly.
+    A law with no weight past lag 0 beyond the trim of
+    ``weights_to_roots`` (an all-zero block gives one) states y = 0: it
+    has no modes in amplitude mode, and in IC mode its own recursion
+    yields zeros after the seeds at any stride.
     """
-    if params.fit_mode == AMPLITUDES:
-        roots = weights_to_roots(law)
-        if params.stride > 1:
-            roots = _per_sample_roots(roots, params.stride)
-        return "amp", roots
-    if params.stride == 1:
+    if params.fit_mode == INITIAL_CONDITIONS and params.stride == 1:
         return "ic", law
-    roots = _per_sample_roots(weights_to_roots(law), params.stride)
+    try:
+        roots = weights_to_roots(law)
+    except ValueError:  # no root: the law has no weight past lag 0
+        if params.fit_mode == AMPLITUDES:
+            return "amp", RootSet(roots=np.zeros(0))
+        return "ic", law
+    if params.stride > 1:
+        roots = _per_sample_roots(roots, params.stride)
+    if params.fit_mode == AMPLITUDES:
+        return "amp", roots
     w = roots_to_weights(roots, 1.0)
     w = w / np.linalg.norm(w)
     effective = LinearLaw(weights=w, eigenvalue=law.eigenvalue, stride=1)

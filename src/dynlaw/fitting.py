@@ -5,7 +5,8 @@ Two routes produce a reconstruction from the same law:
   * amplitude fit: solve for mode amplitudes c_a so that
     sum_a c_a q_a^{-k} tracks the segment;
   * initial-condition fit: solve for the n seed values whose recursion
-    output tracks the segment.
+    output tracks the segment.  Its basis is the recursion's impulse
+    responses, solved for all n seeds at once (``impulse_basis``).
 
 Both minimize the residual 2-norm over the whole segment.  Normal
 equations are solved by Cholesky factorization on norm-scaled columns;
@@ -21,8 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularNormalMatrix, UnstableBasis, UnstableOverflow, ZeroSignal
-from .lawforms import ContinuousModel, conjugate_pairs, roots_to_model, run_recursion
+from .errors import SingularNormalMatrix, UnstableBasis, ZeroSignal
+from .lawforms import (
+    ContinuousModel,
+    conjugate_pairs,
+    impulse_basis,
+    roots_to_model,
+    run_recursion,
+)
 from .spectral import LinearLaw
 
 __all__ = [
@@ -73,6 +80,8 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
 
 def _least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
+    if basis.shape[1] == 0:
+        return np.zeros(0)
     # two-stage column scaling: peak first so squaring cannot overflow
     peak = np.max(np.abs(basis), axis=0)
     peak[peak == 0.0] = 1.0
@@ -180,14 +189,15 @@ def fit_initial_conditions(law: LinearLaw, segment) -> InitialConditionFit:
     """Fit recursion seed values by least squares against a segment.
 
     The basis series are impulse responses: unit value at seed position
-    l, zero at the other seeds, run forward through the recursion.  The
-    fitted seeds are therefore directly the first n samples of the
+    l, zero at the other seeds, carried through the recursion by
+    ``impulse_basis``, one block solve for all n of them.  The fitted
+    seeds are therefore directly the first n samples of the
     reconstruction.
 
     Raises
     ------
     UnstableBasis
-        If a basis series overflows while being generated.
+        If some basis entry is beyond 1e100 in magnitude or not finite.
     SingularNormalMatrix
         If the normal equations cannot be solved even with the ridge.
     """
@@ -195,16 +205,9 @@ def fit_initial_conditions(law: LinearLaw, segment) -> InitialConditionFit:
     n = law.order
     if y.size < n:
         raise ValueError(f"segment of {y.size} samples cannot pin {n} seed values")
-    basis = np.empty((y.size, n))
-    for seed_pos in range(n):
-        impulse = np.zeros(n)
-        impulse[seed_pos] = 1.0
-        try:
-            basis[:, seed_pos] = run_recursion(law, impulse, y.size)
-        except UnstableOverflow as exc:
-            raise UnstableBasis(f"impulse response {seed_pos} overflowed") from exc
-    if not np.all(np.isfinite(basis)):
-        raise UnstableBasis("impulse-response basis is not finite")
+    basis = impulse_basis(law, y.size)
+    if not np.all(np.abs(basis) <= 1e100):
+        raise UnstableBasis("impulse-response basis overflowed")
     coef = _least_squares(basis, y)
     resid = y - basis @ coef
     rms = float(np.sqrt(np.mean(resid**2))) if y.size else 0.0

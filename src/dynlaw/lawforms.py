@@ -12,6 +12,12 @@ Sequences q^{-k} solve the recursion exactly when P(q) = 0, which ties
 the four forms together.  The principal logarithm means an angular
 frequency is only recovered modulo 2*pi/dt; content above the Nyquist
 frequency of the law's sampling grid aliases, as it must.
+
+The recursion is never stepped one sample at a time in Python.  Over
+``count`` samples it is a banded lower-triangular Toeplitz system,
+solved 32 rows per LAPACK call for all n unit seeds at once: the
+impulse-response basis of ``impulse_basis``.  Running the recursion from
+given seeds is that basis times the seeds.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ __all__ = [
     "roots_to_weights",
     "roots_to_model",
     "evaluate_model",
+    "impulse_basis",
     "run_recursion",
     "companion_matrix",
     "conjugate_pairs",
@@ -227,37 +234,98 @@ def evaluate_model(model: ContinuousModel, t):
     return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
-def run_recursion(law, initial, count: int) -> np.ndarray:
-    """Drive the recursion y_k = -(1/w_0) sum_{i=1..n} w_i y_{k-i}.
+_CHUNK = 32
+_CHUNK_BITS = 512
 
-    ``initial`` supplies the first n values, oldest first; the output
-    has length ``count`` and reproduces them verbatim before the
-    generated part starts.  Accepts a LinearLaw or bare weights.
 
-    Raises
-    ------
-    UnstableOverflow
-        As soon as any generated value exceeds 1e100 in magnitude.
+def _lower_toeplitz(column: np.ndarray, size: int) -> np.ndarray:
+    """(size, size) lower-triangular Toeplitz view with the given first
+    column, zero-padded or cut to ``size``."""
+    padded = np.zeros(2 * size - 1)
+    m = min(size, column.size)
+    padded[size - 1 : size - 1 + m] = column[:m]
+    # entry (i, j) reads padded[size - 1 + i - j]; the zeros pad i < j
+    step = padded.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        padded[size - 1 :], shape=(size, size), strides=(step, -step), writeable=False
+    )
+
+
+def impulse_basis(law, count: int) -> np.ndarray:
+    """Impulse responses of the recursion as a (count, n) basis B.
+
+    Column j is the output driven from the unit seed at position j
+    (oldest first), so row k expresses y_k in the seeds and ``B @ s`` is
+    the recursion run from seeds s.  Rows 0..n-1 are exactly the
+    identity.  Memory is O(count * n) floats.
+
+    Over ``count`` samples the recursion is the banded lower-triangular
+    Toeplitz system  sum_i (w_i / w_0) y_{k-i} = 0.  It is solved for
+    all n columns at once, 32 rows per LAPACK call, each chunk seeded by
+    the n rows before it.  Row j of a chunk is scaled by 2^(-p j), with
+    p the smallest integer making every scaled coefficient
+    |w_i / w_0| 2^(-p i) <= 1: the pivot search then always keeps the
+    unit diagonal, so each solve is forward substitution, the sequential
+    recursion itself up to summation order, and power-of-two scaling
+    changes no rounding.  (Doubling by products of earlier rows would
+    need no solves, but it compounds rounding errors by the condition of
+    the law's roots at every level.)  Values beyond float range come out
+    as inf or nan; callers test for them.
     """
     w = _weights_of(law)
     n = w.size - 1
     if abs(w[0]) <= 1e-12:
         raise ValueError("recursion needs |w_0| > 1e-12")
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    basis = np.eye(count, n)
+    if count <= n or n == 0:
+        return basis
+    v = w / w[0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p = int(np.ceil(np.max(np.log2(np.abs(v[1:])) / np.arange(1, n + 1), initial=0.0)))
+        # a chunk's scaled rows span 2^(p * chunk): keep that inside float range
+        chunk = min(_CHUNK, count - n, max(1, _CHUNK_BITS // max(p, 1)))
+        scale = np.ldexp(1.0, -p * np.arange(max(chunk, n + 1)))[:, None]
+        system = _lower_toeplitz(v * scale[: n + 1, 0], chunk)
+        # row r < n of a chunk also sees the n rows before it: -sum_{i>r} v_i y_{k+r-i}
+        coupling = _lower_toeplitz(-v[:0:-1], n).T * scale[:n]
+        for k in range(n, count, chunk):
+            rows = min(chunk, count - k)
+            rhs = np.zeros((rows, n))
+            rhs[: min(n, rows)] = coupling[:rows] @ basis[k - n : k]
+            basis[k : k + rows] = np.linalg.solve(system[:rows, :rows], rhs) / scale[:rows]
+    return basis
+
+
+def run_recursion(law, initial, count: int) -> np.ndarray:
+    """Drive the recursion y_k = -(1/w_0) sum_{i=1..n} w_i y_{k-i}.
+
+    ``initial`` supplies the first n values, oldest first; the output
+    has length ``count`` and reproduces them verbatim before the
+    generated part starts.  The output is ``impulse_basis(law, count) @
+    initial``, so a decoder regenerates exactly the model an
+    initial-condition fit solved for, not a re-rounded copy of it.
+    Accepts a LinearLaw or bare weights.
+
+    Raises
+    ------
+    UnstableOverflow
+        At the first generated value beyond 1e100 in magnitude or not
+        finite.
+    """
+    w = _weights_of(law)
+    n = w.size - 1
     init = np.asarray(initial, dtype=np.float64)
     if init.size != n:
         raise ValueError(f"need {n} initial values, got {init.size}")
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    out = np.empty(count, dtype=np.float64)
-    head = min(n, count)
-    out[:head] = init[:head]
-    w_rev = w[1:][::-1]
-    w0 = w[0]
-    for k in range(n, count):
-        val = -(out[k - n : k] @ w_rev) / w0
-        if abs(val) > 1e100:
-            raise UnstableOverflow(f"recursion exceeded 1e100 at step {k}")
-        out[k] = val
+    basis = impulse_basis(w, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = basis @ init
+    out[: min(n, count)] = init[:count]
+    bad = ~(np.abs(out[n:]) <= 1e100)
+    if bad.any():
+        raise UnstableOverflow(f"recursion exceeded 1e100 at step {n + int(bad.argmax())}")
     return out
 
 

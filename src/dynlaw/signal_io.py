@@ -34,13 +34,24 @@ _LCG_MASK = (1 << 64) - 1
 
 
 def lcg_uniform(seed: int, count: int) -> np.ndarray:
-    """Deterministic uniform samples in [-1, 1) from the 64-bit LCG."""
-    state = seed & _LCG_MASK
-    out = np.empty(count, dtype=np.float64)
-    for i in range(count):
-        state = (_LCG_MULT * state + _LCG_INC) & _LCG_MASK
-        out[i] = state / 2.0**63 - 1.0
-    return out
+    """Deterministic uniform samples in [-1, 1) from the 64-bit LCG.
+
+    The states are filled by jump-ahead in uint64 arithmetic, which
+    wraps mod 2^64 exactly like the integer recurrence: with k states
+    known, s_{j+k} = a_k s_j + c_k for the next k, where (a_k, c_k)
+    compose k steps and are squared in Python ints at each doubling.
+    """
+    states = np.empty(count, dtype=np.uint64)
+    if count:
+        states[0] = (_LCG_MULT * (seed & _LCG_MASK) + _LCG_INC) & _LCG_MASK
+    mult, inc = _LCG_MULT, _LCG_INC
+    known = 1
+    while known < count:
+        step = min(known, count - known)
+        states[known : known + step] = states[:step] * np.uint64(mult) + np.uint64(inc)
+        mult, inc = (mult * mult) & _LCG_MASK, (mult * inc + inc) & _LCG_MASK
+        known += step
+    return states / 2.0**63 - 1.0
 
 
 @dataclass(frozen=True)

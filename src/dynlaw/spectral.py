@@ -127,18 +127,18 @@ def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vals, vecs = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
-    return vals, np.apply_along_axis(_normalize_sign, 0, vecs)
+    return vals, _normalize_sign(vecs)
 
 
-def _normalize_sign(vec: np.ndarray) -> np.ndarray:
-    """Flip sign so the first non-negligible component is positive."""
-    scale = np.max(np.abs(vec))
-    if scale == 0.0:
-        return vec
-    for x in vec:
-        if abs(x) > 1e-12 * scale:
-            return -vec if x < 0.0 else vec
-    return vec
+def _normalize_sign(vecs: np.ndarray) -> np.ndarray:
+    """Flip the sign of a vector, or of each column of a matrix, so that
+    its first component above 1e-12 of its largest magnitude is
+    positive.  An all-zero column is left as it is."""
+    mags = np.abs(vecs)
+    big = mags > 1e-12 * mags.max(axis=0)
+    first = big.argmax(axis=0)
+    lead = vecs[first, np.arange(vecs.shape[1])] if vecs.ndim == 2 else vecs[first]
+    return np.where(big.any(axis=0) & (lead < 0.0), -vecs, vecs)
 
 
 def _canonical_null_vector(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ from dynlaw.codec import (
     CompressionArtifact,
     serialize,
 )
+from dynlaw.embedding import TimeSeries
 from dynlaw.fitting import accuracy
-from dynlaw.signal_io import read_wav
+from dynlaw.signal_io import read_wav, write_wav
 
 
 def synth_sine(tmp_path, name="sine.wav", length=300):
@@ -104,6 +105,22 @@ def test_compress_decompress_round_trip(tmp_path):
     rebuilt = read_wav(back.read_bytes())
     assert rebuilt.samples.size == original.samples.size
     assert accuracy(original.samples, rebuilt.samples) > 0.999
+
+
+@pytest.mark.parametrize("mode", ["amp", "ic"])
+@pytest.mark.parametrize("stride", ["1", "2"])
+def test_silent_block_compresses(tmp_path, mode, stride):
+    t = np.arange(1024) / 8000.0
+    y = np.sin(2 * np.pi * 440.0 * t)
+    y[256:512] = 0.0
+    wav = tmp_path / "gap.wav"
+    wav.write_bytes(write_wav(TimeSeries(samples=y, sample_rate=8000.0)))
+    art = tmp_path / "gap.dlaw"
+    back = tmp_path / "back.wav"
+    assert run(["compress", "--input", str(wav), "--output", str(art), "--n", "2",
+                "--block", "256", "--mode", mode, "--stride", stride]) == 0
+    assert run(["decompress", "--input", str(art), "--output", str(back)]) == 0
+    assert np.all(read_wav(back.read_bytes()).samples[256:512] == 0.0)
 
 
 def test_sweep_csv_is_deterministic(tmp_path, capsys):

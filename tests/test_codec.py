@@ -165,6 +165,27 @@ def test_over_ordered_round_trip_through_file(signal, params):
     assert accuracy(series.samples, out.samples) >= 0.999
 
 
+def sine_with_silent_block():
+    t = np.arange(1024) / 8000.0
+    y = np.sin(2 * np.pi * 440.0 * t)
+    y[256:512] = 0.0
+    return TimeSeries(samples=y, sample_rate=8000.0)
+
+
+@pytest.mark.parametrize("mode", [AMPLITUDES, INITIAL_CONDITIONS])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_all_zero_block_decodes_to_zeros(mode, stride):
+    # a silent block's law has no weight past lag 0: no modes to fit in
+    # amplitude mode, zeros after zero seeds in IC mode
+    series = sine_with_silent_block()
+    art = compress(series, CodecParams(order_n=2, block_size=256, stride=stride, fit_mode=mode))
+    direct = decompress(art).samples
+    from_file = decompress(deserialize(serialize(art))).samples
+    assert direct.tobytes() == from_file.tobytes()
+    assert np.all(from_file[256:512] == 0.0)
+    assert accuracy(series.samples, from_file) > 0.999
+
+
 def test_tail_ships_verbatim():
     series = two_tone(length=500)  # 3 blocks of 160 plus 20 spare samples
     art = compress(series, CodecParams(order_n=4, block_size=160))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dynlaw.errors import NonRealCoefficients, UnstableOverflow, ZeroRoot
 from dynlaw.lawforms import (
@@ -9,11 +11,23 @@ from dynlaw.lawforms import (
     companion_matrix,
     conjugate_pairs,
     evaluate_model,
+    impulse_basis,
     roots_to_model,
     roots_to_weights,
     run_recursion,
     weights_to_roots,
 )
+
+
+def reference_recursion(w, initial, count):
+    """The recursion stepped one sample at a time, as its definition reads."""
+    w = np.asarray(w, dtype=float)
+    n = w.size - 1
+    out = np.zeros(count)
+    out[: min(n, count)] = np.asarray(initial, dtype=float)[: min(n, count)]
+    for k in range(n, count):
+        out[k] = -(out[k - n : k] @ w[1:][::-1]) / w[0]
+    return out
 
 
 def assert_same_roots(got, expected, atol=1e-10):
@@ -190,8 +204,81 @@ def test_run_recursion_guards():
         run_recursion([1e-13, 1.0], [1.0], 5)  # w_0 effectively zero
     with pytest.raises(ValueError):
         run_recursion([1.0, -1.0, -1.0], [1.0], 5)  # wrong seed count
-    with pytest.raises(UnstableOverflow):
-        run_recursion(np.array([1.0, -2.0]) / np.sqrt(5.0), [1.0], 400)  # y_k = 2 y_{k-1}
+    # y_k = 2 y_{k-1}: 2^333 is the first power of two beyond 1e100
+    with pytest.raises(UnstableOverflow, match="step 333"):
+        run_recursion(np.array([1.0, -2.0]) / np.sqrt(5.0), [1.0], 400)
+
+
+@pytest.mark.parametrize("count", [0, 2, 3, 4])
+def test_impulse_basis_edge_counts(count):
+    # n = 3: fewer rows than seeds, exactly the seeds, one generated row
+    w = np.array([1.0, -0.5, 0.25, 0.125])
+    basis = impulse_basis(w, count)
+    assert basis.shape == (count, 3)
+    np.testing.assert_array_equal(basis[: min(count, 3)], np.eye(3)[: min(count, 3)])
+    if count == 4:
+        np.testing.assert_array_equal(basis[3], -w[:0:-1] / w[0])
+    seeds = np.array([0.3, -1.2, 2.0])
+    np.testing.assert_array_equal(run_recursion(w, seeds, count),
+                                  reference_recursion(w, seeds, count))
+    # a bare lag-0 weight has no seeds and drives every output to zero
+    np.testing.assert_array_equal(run_recursion([2.0], [], count), np.zeros(count))
+
+
+def test_impulse_basis_head_is_identity_and_drives_run_recursion():
+    rng = np.random.default_rng(7)
+    q = np.exp(1j * rng.uniform(0.1, 3.0, 5)) * rng.uniform(0.95, 1.02, 5)
+    w = roots_to_weights(np.concatenate([q, np.conj(q)]), 1.0)
+    w = w / np.linalg.norm(w)
+    seeds = rng.standard_normal(10)
+    basis = impulse_basis(w, 700)
+    np.testing.assert_array_equal(basis[:10], np.eye(10))
+    np.testing.assert_array_equal(run_recursion(w, seeds, 700), basis @ seeds)
+
+
+def test_steep_law_runs_in_short_chunks():
+    # |w_1 / w_0| = 5e5 forces 2^-19 per-row scaling, so a chunk holds 26
+    # rows instead of 32; every column is still the recursion's, row by row
+    w = np.array([1e-6, 0.5, -3.0, 0.2])
+    basis = impulse_basis(w, 40)
+    assert 1e150 < np.max(np.abs(basis)) < 1e300
+    for j, seed in enumerate(np.eye(3)):
+        ref = reference_recursion(w, seed, 40)
+        np.testing.assert_allclose(basis[:, j], ref, rtol=1e-12, atol=0.0)
+
+
+def _root_condition(q):
+    """Condition number of the column-normalized Vandermonde matrix of the
+    growth factors 1/q: the eigenvector basis of the recursion step."""
+    g = 1.0 / np.asarray(q)
+    v = g[None, :] ** np.arange(g.size)[:, None]
+    return float(np.linalg.cond(v / np.linalg.norm(v, axis=0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(st.floats(0.9, 1.05), st.floats(0.0, np.pi)), max_size=5),
+    reals=st.lists(st.tuples(st.floats(0.9, 1.05), st.booleans()), max_size=2),
+    count=st.integers(0, 2048),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_recursion_matches_sequential_loop(pairs, reals, count, seed):
+    q = [r * np.exp(1j * a) for r, a in pairs]
+    q = np.array(q + [np.conj(x) for x in q] + [(-r if neg else r) for r, neg in reals],
+                 dtype=complex)
+    assume(q.size > 0)
+    w = roots_to_weights(q, 1.0)
+    w = w / np.linalg.norm(w)
+    seeds = np.random.default_rng(seed).standard_normal(q.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = reference_recursion(w, seeds, count)
+    scale = float(np.max(np.abs(ref), initial=0.0))
+    assume(scale < 1e90)  # far from the 1e100 overflow guard
+    got = run_recursion(w, seeds, count)
+    # rounding error in either computation grows with the condition of the
+    # roots; up to 100 the bound is a flat 1e-9
+    bound = 1e-9 * max(1.0, _root_condition(q) / 100.0)
+    assert np.max(np.abs(got - ref), initial=0.0) <= bound * max(scale, 1e-300)
 
 
 def test_unit_circle_roots_stay_bounded():

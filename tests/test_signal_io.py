@@ -115,6 +115,18 @@ def test_lcg_matches_integer_recurrence():
     np.testing.assert_array_equal(lcg_uniform(42, 5), expected)
 
 
+@pytest.mark.parametrize("seed", [0, 42, 2**63 + 5, -7, 2**64 - 1])
+def test_lcg_jump_ahead_matches_integer_recurrence(seed):
+    state = seed % 2**64
+    expected = []
+    for _ in range(20_000):
+        state = (6364136223846793005 * state + 1442695040888963407) % 2**64
+        expected.append(state / 2.0**63 - 1.0)
+    expected = np.array(expected)
+    for count in (0, 1, 2, 3, 1000, 20_000):
+        assert lcg_uniform(seed, count).tobytes() == expected[:count].tobytes()
+
+
 def test_noise_is_seed_deterministic():
     a = synthesize(SynthSpec(kind="uniform_noise", length=64, seed=42))
     b = synthesize(SynthSpec(kind="uniform_noise", length=64, seed=42))

@@ -16,6 +16,7 @@ from dynlaw.spectral import (
     extract_symmetric_law,
     law_residuals,
 )
+from dynlaw.spectral import _normalize_sign
 
 
 def charpoly_eigenvalues(a):
@@ -315,6 +316,39 @@ def test_law_ignores_rotation_of_degenerate_null_basis(n, data):
     base = extract_law(Spectrum(vals, q), cfg).weights
     turned = extract_law(Spectrum(vals, rotated), cfg).weights
     np.testing.assert_allclose(turned, base, atol=1e-9)
+
+
+def per_column_sign_rule(vec):
+    """The sign rule stated one column at a time."""
+    scale = np.max(np.abs(vec))
+    if scale == 0.0:
+        return vec
+    for x in vec:
+        if abs(x) > 1e-12 * scale:
+            return -vec if x < 0.0 else vec
+    return vec
+
+
+def test_vectorized_sign_rule_is_bit_identical_to_per_column_rule():
+    rng = np.random.default_rng(53)
+    cases = []
+    for m in (1, 2, 3, 5, 8):
+        a = rng.standard_normal((m, m))
+        cases.append(np.linalg.eigh(a + a.T)[1])
+    zero_col = cases[-1].copy()
+    zero_col[:, 2] = 0.0
+    cases.append(zero_col)
+    tiny_lead = cases[-2].copy()
+    tiny_lead[0, :] = [1e-14, -1e-14, 0.0, -0.0, 1e-13, -1e-13, 2e-16, -5e-16]
+    cases.append(tiny_lead)
+    degenerate = np.linalg.eigh(np.diag([1.0, 1.0, 1.0, 2.0]))[1]  # repeated eigenvalue
+    cases.append(degenerate)
+    cases.append(-degenerate)
+    for vecs in cases:
+        columns = [per_column_sign_rule(col) for col in vecs.T]
+        assert _normalize_sign(vecs).tobytes() == np.column_stack(columns).tobytes()
+        for col, expected in zip(vecs.T, columns):
+            assert _normalize_sign(col).tobytes() == expected.tobytes()
 
 
 def test_rank_deficiency_gives_null_mode():
