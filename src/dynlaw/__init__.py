@@ -43,7 +43,6 @@ from .codec import (
     AMPLITUDES,
     INITIAL_CONDITIONS,
     CodecParams,
-    CompressedBlock,
     CompressionArtifact,
     SweepReport,
     SweepRow,
@@ -70,7 +69,7 @@ __all__ = [
     "conjugate_pairs",
     "AmplitudeFit", "InitialConditionFit", "fit_amplitudes",
     "fit_initial_conditions", "mode_basis", "reconstruct", "accuracy",
-    "CodecParams", "CompressedBlock", "CompressionArtifact",
+    "CodecParams", "CompressionArtifact",
     "SweepRow", "SweepReport", "compress", "decompress",
     "serialize", "deserialize", "sweep", "random_baseline", "rate_accuracy_slope",
     "AMPLITUDES", "INITIAL_CONDITIONS",

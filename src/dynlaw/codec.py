@@ -2,7 +2,12 @@
 
 Each full block of ``block_size`` samples is reduced to one extracted
 law (n + 1 weights, or the half vector when palindromic) plus n payload
-reals: either mode-amplitude coefficients or recursion seed values.
+reals.  The law fixes a per-sample basis of the block and the payload
+holds the block's coefficients in it, ``block = basis @ payload``: the
+basis is the law's exponential modes in amplitude mode and its
+recursion's impulse responses in initial-condition mode, where the
+payload is the n seed values.  An artifact keeps all blocks as two
+arrays, ``weights`` (blocks x (n + 1)) and ``payload`` (blocks x n).
 The leftover tail ships verbatim.  The nominal rate of this scheme is
 
     R = block_size / (2 n),
@@ -24,9 +29,9 @@ Binary layout (DLAW, version 1, little-endian)::
     20      4     block_count, u32
     24      4     tail_length, u32
     28      4     reserved, u32 = 0
-    32      ...   per block: weights as f32 (n + 1 values, or
-                  ceil((n+1)/2) leading values when symmetric),
-                  then n payload f32
+    32      ...   block_count rows of f32: the weights (n + 1
+                  values, or ceil((n+1)/2) leading values when
+                  symmetric), then the n payload values
     ...     ...   tail samples as f32
 
 All stored reals are f32; compression quantizes before fitting, so a
@@ -54,31 +59,20 @@ from .errors import (
     InvariantViolation,
     NumericalError,
     SeriesTooShort,
+    SingularNormalMatrix,
     TruncatedPayload,
+    UnstableBasis,
+    UnstableOverflow,
     UnsupportedVersion,
     ZeroRoot,
 )
-from .fitting import (
-    AmplitudeFit,
-    accuracy,
-    fit_amplitudes,
-    fit_initial_conditions,
-    mode_basis,
-    reconstruct,
-)
-from .lawforms import RootSet, conjugate_pairs, roots_to_weights, run_recursion, weights_to_roots
+from .fitting import accuracy, least_squares, mode_basis
+from .lawforms import conjugate_pairs, impulse_basis, roots_to_weights, weights_to_roots
 from .signal_io import SynthSpec, synthesize
-from .spectral import (
-    LinearLaw,
-    correlation,
-    eigendecompose,
-    extract_law,
-    extract_symmetric_law,
-)
+from .spectral import LinearLaw, correlation, eigendecompose, extract_law, extract_symmetric_law
 
 __all__ = [
     "CodecParams",
-    "CompressedBlock",
     "CompressionArtifact",
     "SweepRow",
     "SweepReport",
@@ -136,42 +130,38 @@ class CodecParams:
 
 
 @dataclass(frozen=True)
-class CompressedBlock:
-    """Stored weights (float32, full palindrome when symmetric) and the
-    n float32 payload values of one block."""
-
-    weights: np.ndarray
-    payload: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.float32))
-        object.__setattr__(self, "payload", np.asarray(self.payload, dtype=np.float32))
-
-
-@dataclass(frozen=True)
 class CompressionArtifact:
-    """Everything a decoder needs: params, stored blocks, raw tail."""
+    """Everything a decoder needs: params, stored blocks, raw tail.
+
+    Block b is stored as ``weights[b]``, its law (n + 1 float32 values,
+    the full palindrome when symmetric), and ``payload[b]``, its n
+    float32 coefficients.  Omitted arrays mean no blocks.
+    """
 
     params: CodecParams
     sample_rate: int
-    blocks: tuple[CompressedBlock, ...] = ()
-    tail: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.float32))
+    weights: np.ndarray | None = None
+    payload: np.ndarray | None = None
+    tail: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        object.__setattr__(self, "tail", np.asarray(self.tail, dtype=np.float32))
+        n = self.params.order_n
+        for name, empty in (("weights", (0, n + 1)), ("payload", (0, n)), ("tail", 0)):
+            value = getattr(self, name)
+            value = np.zeros(empty) if value is None else value
+            object.__setattr__(self, name, np.asarray(value, dtype=np.float32))
         if self.sample_rate < 1:
             raise ValueError("sample_rate must be >= 1")
-        n = self.params.order_n
-        for blk in self.blocks:
-            if blk.weights.size != n + 1:
-                raise ValueError("block weights must hold n + 1 values")
-            if blk.payload.size != n:
-                raise ValueError("block payload must hold n values")
+        if self.weights.ndim != 2 or self.weights.shape[1] != n + 1:
+            raise ValueError("weights must hold n + 1 values per block")
+        if self.payload.shape != (len(self.weights), n):
+            raise ValueError("payload must hold n values per block")
+        if self.params.symmetric and not np.array_equal(self.weights, self.weights[:, ::-1]):
+            raise ValueError("symmetric weights must be exact palindromes")
 
     @property
     def decompressed_length(self) -> int:
-        return len(self.blocks) * self.params.block_size + int(self.tail.size)
+        return len(self.weights) * self.params.block_size + int(self.tail.size)
 
 
 @dataclass(frozen=True)
@@ -204,31 +194,19 @@ def _stored_weight_count(n: int, symmetric: bool) -> int:
     return (n + 2) // 2 if symmetric else n + 1
 
 
-def _mirror_half(half: np.ndarray, n: int) -> np.ndarray:
-    """Rebuild the full palindrome from its leading half, bit for bit."""
-    lags = np.arange(n + 1)
-    return np.asarray(half, dtype=np.float32)[np.minimum(lags, n - lags)]
-
-
-def _law_from_stored(weights32: np.ndarray, params: CodecParams) -> LinearLaw:
+def _unit(weights32: np.ndarray) -> np.ndarray:
+    """A stored law as the float64 unit vector both coder ends use."""
     w = weights32.astype(np.float64)
-    w = w / np.linalg.norm(w)
-    return LinearLaw(
-        weights=w,
-        eigenvalue=0.0,
-        stride=params.stride,
-        symmetric_flag=bool(params.symmetric),
-    )
+    return w / np.linalg.norm(w)
 
 
-def _per_sample_roots(roots: RootSet, stride: int) -> RootSet:
+def _per_sample_roots(q: np.ndarray, stride: int) -> np.ndarray:
     """Map lattice roots q to per-sample roots q^{1/stride}.
 
     Principal branch for conjugate pairs (alias-free below the lattice
     Nyquist); real roots keep their sign, matching the odd-stride exact
     root and documented as the convention otherwise.
     """
-    q = roots.roots
     if np.any(np.abs(q) < 1e-300):
         raise ZeroRoot("cannot take a fractional power of a zero root")
     p = np.empty_like(q)
@@ -239,37 +217,46 @@ def _per_sample_roots(roots: RootSet, stride: int) -> RootSet:
     for i in reals:
         x = q[i].real
         p[i] = np.sign(x) * abs(x) ** (1.0 / stride)
-    p = p[np.lexsort((p.imag, p.real))]
-    return RootSet(roots=p, residual_bound=roots.residual_bound)
+    return p[np.lexsort((p.imag, p.real))]
 
 
-def _block_machinery(law: LinearLaw, params: CodecParams):
-    """Derive the fit machinery a block needs from its law.
+def _block_basis(weights: np.ndarray, params: CodecParams, count: int) -> np.ndarray:
+    """Per-sample basis of a block from its law's float64 unit weights.
 
-    Returns (kind, obj): ("amp", per-sample RootSet) for amplitude
-    payloads, ("ic", per-sample LinearLaw) for seed payloads.  At
-    stride 1 the law's own roots / the law itself are used directly.
-    A law with no weight past lag 0 beyond the trim of
-    ``weights_to_roots`` (an all-zero block gives one) states y = 0: it
-    has no modes in amplitude mode, and in IC mode its own recursion
-    yields zeros after the seeds at any stride.
+    Amplitude mode gives the modes of the per-sample roots
+    (``mode_basis``), initial-condition mode the impulse responses of
+    the per-sample law (``impulse_basis``); at stride 1 that law is the
+    stored one.  Either way the block is ``basis @ payload``, with one
+    column per root, so a law whose degree trims below n uses only the
+    leading payload values.  A law with no weight past lag 0 beyond
+    the trim of ``weights_to_roots`` (an all-zero block gives one)
+    states y = 0: it has no modes in amplitude mode, and in IC mode its
+    own recursion yields zeros after the seeds at any stride.
     """
     if params.fit_mode == INITIAL_CONDITIONS and params.stride == 1:
-        return "ic", law
+        return impulse_basis(weights, count)
     try:
-        roots = weights_to_roots(law)
+        roots = weights_to_roots(weights)
     except ValueError:  # no root: the law has no weight past lag 0
         if params.fit_mode == AMPLITUDES:
-            return "amp", RootSet(roots=np.zeros(0))
-        return "ic", law
+            return np.zeros((count, 0))
+        return impulse_basis(weights, count)
     if params.stride > 1:
-        roots = _per_sample_roots(roots, params.stride)
+        roots = _per_sample_roots(roots.roots, params.stride)
     if params.fit_mode == AMPLITUDES:
-        return "amp", roots
+        return mode_basis(roots, count)
     w = roots_to_weights(roots, 1.0)
-    w = w / np.linalg.norm(w)
-    effective = LinearLaw(weights=w, eigenvalue=law.eigenvalue, stride=1)
-    return "ic", effective
+    return impulse_basis(w / np.linalg.norm(w), count)
+
+
+def _generate(basis: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Samples ``basis @ coef``, refused beyond 1e100 or when not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = basis @ coef
+    bad = ~(np.abs(y) <= 1e100)
+    if bad.any():
+        raise UnstableOverflow(f"generated sample beyond 1e100 at step {int(bad.argmax())}")
+    return y
 
 
 def _block_law(segment: np.ndarray, params: CodecParams, rate: float) -> LinearLaw:
@@ -282,20 +269,24 @@ def _block_law(segment: np.ndarray, params: CodecParams, rate: float) -> LinearL
 
 
 def _encode_block(segment: np.ndarray, params: CodecParams, rate: float, quantize: bool):
-    """Extract one block's law and fit its payload.
+    """Extract one block's law and fit its coefficients.
 
-    Returns (law, fit): the extracted float64 law and an AmplitudeFit or
-    InitialConditionFit.  With ``quantize`` the fit is made against the
-    float32 weights a file stores, so the payload belongs to exactly
-    the law a decoder sees; a palindromic law stays palindromic under
-    that rounding.  Without it everything stays float64.
+    Returns (law, basis, coef): the extracted float64 law, the block's
+    basis and its least-squares coefficients.  With ``quantize`` the
+    basis is built from the float32 weights a file stores, so the
+    payload belongs to exactly the law a decoder sees; a palindromic
+    law stays palindromic under that rounding.  Without it everything
+    stays float64.
     """
     law = _block_law(segment, params, rate)
-    fit_law = _law_from_stored(law.weights.astype(np.float32), params) if quantize else law
-    kind, obj = _block_machinery(fit_law, params)
-    if kind == "amp":
-        return law, fit_amplitudes(obj, segment, dt=1.0 / rate)
-    return law, fit_initial_conditions(obj, segment)
+    weights = _unit(law.weights.astype(np.float32)) if quantize else law.weights
+    basis = _block_basis(weights, params, segment.size)
+    if params.fit_mode == AMPLITUDES:
+        if not np.all(np.isfinite(basis)):
+            raise SingularNormalMatrix("mode basis overflowed; roots too far from the unit circle")
+    elif not np.all(np.abs(basis) <= 1e100):
+        raise UnstableBasis("impulse-response basis overflowed")
+    return law, basis, least_squares(basis, segment)
 
 
 def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
@@ -305,48 +296,47 @@ def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
     stored coefficients belong to exactly the law a decoder will see.
     """
     y = series.samples
-    if y.size < params.block_size:
+    block = params.block_size
+    if y.size < block:
         raise SeriesTooShort(
-            f"series of {y.size} samples is shorter than one block ({params.block_size})"
+            f"series of {y.size} samples is shorter than one block ({block})"
         )
     rate = int(round(series.sample_rate))
     if rate < 1:
         raise ValueError("sample rate rounds below 1")
-    n = params.order_n
-    block_count = y.size // params.block_size
-    blocks = []
+    block_count = y.size // block
+    weights = np.empty((block_count, params.order_n + 1), dtype=np.float32)
+    payload = np.zeros((block_count, params.order_n), dtype=np.float32)
     for b in range(block_count):
-        segment = y[b * params.block_size : (b + 1) * params.block_size]
-        law, fit = _encode_block(segment, params, series.sample_rate, quantize=True)
-        coef = fit.coefficients if isinstance(fit, AmplitudeFit) else fit.initial
-        payload = np.zeros(n, dtype=np.float64)
-        payload[: coef.size] = coef
-        blocks.append(
-            CompressedBlock(weights=law.weights.astype(np.float32), payload=payload)
+        law, _, coef = _encode_block(
+            y[b * block : (b + 1) * block], params, series.sample_rate, quantize=True
         )
-    tail = y[block_count * params.block_size :].astype(np.float32)
+        weights[b] = law.weights
+        payload[b, : coef.size] = coef
     return CompressionArtifact(
-        params=params, sample_rate=rate, blocks=tuple(blocks), tail=tail
+        params=params,
+        sample_rate=rate,
+        weights=weights,
+        payload=payload,
+        tail=y[block_count * block :],
     )
 
 
 def decompress(artifact: CompressionArtifact) -> TimeSeries:
-    """Regenerate every block from its stored law and payload, then
-    append the verbatim tail."""
+    """Regenerate every block as its basis times its payload, then
+    append the verbatim tail.
+
+    Raises UnstableOverflow when a generated sample is beyond 1e100 or
+    not finite.
+    """
     params = artifact.params
     block = params.block_size
     out = np.empty(artifact.decompressed_length, dtype=np.float64)
-    for b, blk in enumerate(artifact.blocks):
-        law = _law_from_stored(blk.weights, params)
-        kind, obj = _block_machinery(law, params)
-        payload = blk.payload.astype(np.float64)
-        if kind == "amp":
-            basis = mode_basis(obj, block)
-            y = basis @ payload[: basis.shape[1]]
-        else:
-            y = run_recursion(obj, payload[: obj.order], block)
-        out[b * block : (b + 1) * block] = y
-    out[len(artifact.blocks) * block :] = artifact.tail.astype(np.float64)
+    for b, (weights, payload) in enumerate(zip(artifact.weights, artifact.payload)):
+        basis = _block_basis(_unit(weights), params, block)
+        coef = payload[: basis.shape[1]].astype(np.float64)
+        out[b * block : (b + 1) * block] = _generate(basis, coef)
+    out[len(artifact.weights) * block :] = artifact.tail
     return TimeSeries(samples=out, sample_rate=float(artifact.sample_rate))
 
 
@@ -365,17 +355,13 @@ def serialize(artifact: CompressionArtifact) -> bytes:
         params.block_size,
         params.order_n,
         params.stride,
-        len(artifact.blocks),
+        len(artifact.weights),
         int(artifact.tail.size),
         0,
     )
     count = _stored_weight_count(params.order_n, params.symmetric)
-    parts = [head]
-    for blk in artifact.blocks:
-        parts.append(blk.weights[:count].astype("<f4").tobytes())
-        parts.append(blk.payload.astype("<f4").tobytes())
-    parts.append(artifact.tail.astype("<f4").tobytes())
-    return b"".join(parts)
+    rows = np.hstack([artifact.weights[:, :count], artifact.payload])
+    return head + rows.astype("<f4").tobytes() + artifact.tail.astype("<f4").tobytes()
 
 
 def deserialize(data: bytes) -> CompressionArtifact:
@@ -416,25 +402,23 @@ def deserialize(data: bytes) -> CompressionArtifact:
         fit_mode=fit_mode,
         symmetric=symmetric,
     )
-    pos = _HEADER_SIZE
-    blocks = []
-    for _ in range(block_count):
-        stored = np.frombuffer(data, dtype="<f4", count=count, offset=pos).copy()
-        pos += 4 * count
-        payload = np.frombuffer(data, dtype="<f4", count=n, offset=pos).copy()
-        pos += 4 * n
-        weights = _mirror_half(stored, n) if symmetric else stored
-        if not np.all(np.isfinite(weights)) or not np.all(np.isfinite(payload)):
-            raise InvariantViolation("non-finite stored values")
-        norm = float(np.linalg.norm(weights.astype(np.float64)))
-        if abs(norm - 1.0) > 1e-3:
-            raise InvariantViolation(f"stored weights have norm {norm:.6f}, not 1")
-        blocks.append(CompressedBlock(weights=weights, payload=payload))
-    tail = np.frombuffer(data, dtype="<f4", count=tail_len, offset=pos).copy()
-    if tail.size and not np.all(np.isfinite(tail)):
-        raise InvariantViolation("non-finite tail values")
+    values = np.frombuffer(data, dtype="<f4", offset=_HEADER_SIZE).astype(np.float32)
+    if not np.all(np.isfinite(values)):
+        raise InvariantViolation("non-finite stored values")
+    rows = values[: block_count * (count + n)].reshape(block_count, count + n)
+    weights = rows[:, :count]
+    if symmetric:
+        lags = np.arange(n + 1)
+        weights = weights[:, np.minimum(lags, n - lags)]
+    off = np.abs(np.linalg.norm(weights.astype(np.float64), axis=1) - 1.0)
+    if np.any(off > 1e-3):
+        raise InvariantViolation(f"stored weights have a norm off 1 by {off.max():.6f}")
     return CompressionArtifact(
-        params=params, sample_rate=rate, blocks=tuple(blocks), tail=tail
+        params=params,
+        sample_rate=rate,
+        weights=weights,
+        payload=rows[:, count:],
+        tail=values[block_count * (count + n) :],
     )
 
 
@@ -454,9 +438,9 @@ def _measure_point(
         if energy == 0.0:
             lambdas.append(0.0)  # a silent block's correlation matrix is zero
             continue
-        law, fit = _encode_block(segment, params, rate, quantize=False)
+        law, basis, coef = _encode_block(segment, params, rate, quantize=False)
         lambdas.append(law.eigenvalue)
-        acc_sum += energy * accuracy(segment, reconstruct(fit, block))
+        acc_sum += energy * accuracy(segment, _generate(basis, coef))
         weights_sum += energy
     if weights_sum == 0.0:
         raise ValueError("every full block is identically zero")

@@ -41,7 +41,7 @@ class DimensionMismatch(DataError):
 # -- law representations -----------------------------------------------------
 
 class RootFindingDiverged(NumericalError):
-    """Root iteration hit the cap or left a residual above tolerance."""
+    """Companion eigenvalues failed, were not finite, or missed the residual bound."""
 
 
 class NonRealCoefficients(NumericalError):

@@ -35,6 +35,7 @@ from .spectral import LinearLaw
 __all__ = [
     "AmplitudeFit",
     "InitialConditionFit",
+    "least_squares",
     "mode_basis",
     "fit_amplitudes",
     "fit_initial_conditions",
@@ -79,7 +80,10 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
-def _least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
+def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients minimizing ||y - basis @ coef||_2 by the scaled
+    Cholesky solve of the module docstring; raises SingularNormalMatrix
+    when even the ridge retry fails."""
     if basis.shape[1] == 0:
         return np.zeros(0)
     # two-stage column scaling: peak first so squaring cannot overflow
@@ -114,9 +118,9 @@ def mode_basis(roots, count: int) -> np.ndarray:
     k = np.arange(count, dtype=np.float64)
     pairs, reals = conjugate_pairs(q)
     entries: list[tuple[int, np.ndarray]] = []
-    # overflow to inf is expected for roots deep inside the unit circle;
-    # callers test finiteness and reject such bases
-    with np.errstate(over="ignore", invalid="ignore"):
+    # overflow to inf is expected for roots deep inside the unit circle
+    # or at the origin; callers test finiteness and reject such bases
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for i, j in pairs:
             rho = abs(q[i])
             theta = np.angle(q[i])
@@ -156,7 +160,7 @@ def fit_amplitudes(roots, segment, dt: float = 1.0) -> AmplitudeFit:
     basis = mode_basis(q, y.size)
     if not np.all(np.isfinite(basis)):
         raise SingularNormalMatrix("mode basis overflowed; roots too far from the unit circle")
-    coef = _least_squares(basis, y)
+    coef = least_squares(basis, y)
     amplitudes = _amplitudes_from_coefficients(q, coef)
     model = roots_to_model(q, amplitudes, dt)
     resid = y - basis @ coef
@@ -208,7 +212,7 @@ def fit_initial_conditions(law: LinearLaw, segment) -> InitialConditionFit:
     basis = impulse_basis(law, y.size)
     if not np.all(np.abs(basis) <= 1e100):
         raise UnstableBasis("impulse-response basis overflowed")
-    coef = _least_squares(basis, y)
+    coef = least_squares(basis, y)
     resid = y - basis @ coef
     rms = float(np.sqrt(np.mean(resid**2))) if y.size else 0.0
     return InitialConditionFit(law=law, initial=coef, rms_error=rms)

@@ -15,7 +15,6 @@ import pytest
 from dynlaw.codec import (
     AMPLITUDES,
     CodecParams,
-    CompressedBlock,
     CompressionArtifact,
     deserialize,
     random_baseline,
@@ -398,22 +397,21 @@ def _random_artifact(rng) -> CompressionArtifact:
     mode = AMPLITUDES if rng.integers(0, 2) else "initial_conditions"
     params = CodecParams(order_n=n, block_size=block, stride=stride,
                          fit_mode=mode, symmetric=symmetric)
-    blocks = []
+    weights, payload = [], []
     for _ in range(int(rng.integers(0, 4))):
         if symmetric:
             half = rng.standard_normal(n // 2 + 1)
             w = np.array([half[min(i, n - i)] for i in range(n + 1)])
         else:
             w = rng.standard_normal(n + 1)
-        w = w / np.linalg.norm(w)
-        blocks.append(
-            CompressedBlock(weights=w, payload=rng.standard_normal(n))
-        )
+        weights.append(w / np.linalg.norm(w))
+        payload.append(rng.standard_normal(n))
     tail = rng.standard_normal(int(rng.integers(0, 6)))
     return CompressionArtifact(
         params=params,
         sample_rate=int(rng.integers(1, 50000)),
-        blocks=tuple(blocks),
+        weights=np.reshape(weights, (-1, n + 1)),
+        payload=np.reshape(payload, (-1, n)),
         tail=tail,
     )
 
@@ -428,12 +426,9 @@ def test_criterion_12_artifact_format():
         same = (
             back.params == art.params
             and back.sample_rate == art.sample_rate
-            and len(back.blocks) == len(art.blocks)
-            and all(
-                np.array_equal(a.weights, b.weights)
-                and np.array_equal(a.payload, b.payload)
-                for a, b in zip(art.blocks, back.blocks)
-            )
+            and len(back.weights) == len(art.weights)
+            and np.array_equal(back.weights, art.weights)
+            and np.array_equal(back.payload, art.payload)
             and np.array_equal(back.tail, art.tail)
         )
         if not same or serialize(back) != data:

@@ -7,9 +7,9 @@ import pytest
 
 from dynlaw.cli import run
 from dynlaw.codec import (
+    AMPLITUDES,
     INITIAL_CONDITIONS,
     CodecParams,
-    CompressedBlock,
     CompressionArtifact,
     serialize,
 )
@@ -186,14 +186,19 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_numerical_failure_exits_3(tmp_path, capsys):
-    # a stored law y_k = 2 y_{k-1} explodes long before 512 samples, so
-    # decoding must stop with the overflow guard rather than emit junk
-    w = np.array([1.0, -2.0]) / np.sqrt(5.0)
+@pytest.mark.parametrize("mode", [AMPLITUDES, INITIAL_CONDITIONS])
+@pytest.mark.parametrize("growth, block", [(2.0, 512), (10.0, 300), (50.0, 512)],
+                         ids=["grow2-block512", "grow10-block300", "grow50-block512"])
+def test_numerical_failure_exits_3(tmp_path, capsys, growth, block, mode):
+    # a stored law y_k = growth * y_{k-1} passes 1e100 or float range long
+    # before the block ends, so decoding must stop with the overflow guard
+    # in either fit mode rather than emit clipped or non-finite junk
+    w = np.array([1.0, -growth]) / np.hypot(1.0, growth)
     art = CompressionArtifact(
-        params=CodecParams(order_n=1, block_size=512, fit_mode=INITIAL_CONDITIONS),
+        params=CodecParams(order_n=1, block_size=block, fit_mode=mode),
         sample_rate=8000,
-        blocks=(CompressedBlock(weights=w, payload=np.array([1.0])),),
+        weights=w[None, :],
+        payload=np.array([[1.0]]),
     )
     path = tmp_path / "explosive.dlaw"
     path.write_bytes(serialize(art))

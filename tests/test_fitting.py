@@ -208,6 +208,10 @@ def test_deep_interior_root_overflows_basis():
 
     with pytest.raises(SingularNormalMatrix):
         fit_amplitudes(np.array([1e-3 + 0j]), np.ones(120))
+    # a root at the origin divides by zero at k = 1: the same rejection,
+    # with no numpy warning on the way
+    with pytest.raises(SingularNormalMatrix):
+        fit_amplitudes(np.array([0j]), np.ones(120))
 
 
 def test_exploding_law_rejected_for_ic_fit():
