@@ -1,0 +1,73 @@
+"""Bookkeeping for stacked, whole-file computations.
+
+The codec runs all blocks of a file through each stage as one stack of
+arrays.  A block that fails a stage drops out of the later ones, and its
+first failure is kept; the file then raises the failure of its
+lowest-index failed block, which is what a pass over the blocks one by
+one raises.  Stacked kernels report failures as ``{position: exception}``
+and return outputs for the other rows only, in order.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+class Failures:
+    """Per-block failure status of a whole-file pass: the first
+    exception of each failed block, by block index."""
+
+    def __init__(self):
+        self.first: dict[int, Exception] = {}
+
+    def record(self, rows: np.ndarray, errors: dict) -> np.ndarray:
+        """Record ``errors`` keyed by position in ``rows`` (block
+        indices); return the mask of the positions that did not fail."""
+        for pos, exc in errors.items():
+            self.first.setdefault(int(rows[pos]), exc)
+        return survivors(len(rows), errors)
+
+    def raise_first(self) -> None:
+        if self.first:
+            raise self.first[min(self.first)]
+
+
+def survivors(count: int, errors: dict) -> np.ndarray:
+    """Mask of the positions 0 .. count-1 that are not keys of ``errors``."""
+    ok = np.ones(count, dtype=bool)
+    ok[list(errors)] = False
+    return ok
+
+
+def lapack_rows(call, stack: np.ndarray):
+    """``call``, a stacked numpy.linalg routine returning a tuple, on a
+    stack of matrices.
+
+    numpy raises LinAlgError for a whole stack when one matrix fails, so
+    the failing matrices are found by halving the stack: each one gets
+    the error it raises on its own.  Returns the outputs of the other
+    matrices, in order, and ``{position: LinAlgError}``.
+    """
+    try:
+        return call(stack), {}
+    except np.linalg.LinAlgError as exc:
+        if len(stack) == 1:
+            return call(stack[:0]), {0: exc}
+    half = len(stack) // 2
+    head, errors = lapack_rows(call, stack[:half])
+    tail, tail_errors = lapack_rows(call, stack[half:])
+    errors.update({half + pos: exc for pos, exc in tail_errors.items()})
+    return tuple(np.concatenate(parts) for parts in zip(head, tail)), errors
+
+
+def norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, rounded as ``np.linalg.norm`` rounds a
+    contiguous vector (a BLAS dot product, then the square root); BLAS
+    sums strided rows in another order."""
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt((rows[..., None, :] @ rows[..., :, None])[..., 0, 0])
+
+
+def with_cause(error: Exception, cause: Exception) -> Exception:
+    error.__cause__ = cause
+    return error

@@ -14,6 +14,15 @@ The leftover tail ships verbatim.  The nominal rate of this scheme is
 
 counting 2n stored reals per block against block_size original ones.
 
+``compress``, ``decompress`` and each ``sweep`` point make one pass over
+all blocks of a file: the windows of every block form one stacked
+array, and correlations, eigensolves, companion roots, bases and
+least-squares solves run as stacked numpy/LAPACK calls, grouped where
+blocks need different shapes (a trimmed degree, the zero law).  A
+block that fails drops out of the later stages with its first error
+kept (``_stack.Failures``), and the file raises the error of its
+lowest-index failed block, as a pass block by block would.
+
 Binary layout (DLAW, version 1, little-endian)::
 
     offset  size  field
@@ -53,7 +62,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingConfig, TimeSeries, embed
+from ._stack import Failures, norms
+from .embedding import TimeSeries, _delay_windows
 from .errors import (
     BadMagic,
     InvariantViolation,
@@ -66,10 +76,11 @@ from .errors import (
     UnsupportedVersion,
     ZeroRoot,
 )
-from .fitting import accuracy, least_squares, mode_basis
-from .lawforms import conjugate_pairs, impulse_basis, roots_to_weights, weights_to_roots
+from .fitting import _least_squares, _mode_bases
+from .lawforms import _degrees, _expand, _impulse_bases, _pairs, _roots
 from .signal_io import SynthSpec, synthesize
-from .spectral import LinearLaw, correlation, eigendecompose, extract_law, extract_symmetric_law
+# eigendecompose is unused here; perfbench's tracer test reads dynlaw.codec.eigendecompose
+from .spectral import _block_laws, _correlations, eigendecompose  # noqa: F401
 
 __all__ = [
     "CodecParams",
@@ -195,33 +206,43 @@ def _stored_weight_count(n: int, symmetric: bool) -> int:
 
 
 def _unit(weights32: np.ndarray) -> np.ndarray:
-    """A stored law as the float64 unit vector both coder ends use."""
+    """Stored laws (blocks x (n + 1)) as the float64 unit vectors both
+    coder ends use."""
     w = weights32.astype(np.float64)
-    return w / np.linalg.norm(w)
+    return w / norms(w)[:, None]
 
 
-def _per_sample_roots(q: np.ndarray, stride: int) -> np.ndarray:
-    """Map lattice roots q to per-sample roots q^{1/stride}.
+def _per_sample_roots(q: np.ndarray, stride: int):
+    """Map the lattice roots q of each block (g, d) to per-sample roots
+    q^{1/stride}.
 
     Principal branch for conjugate pairs (alias-free below the lattice
     Nyquist); real roots keep their sign, matching the odd-stride exact
-    root and documented as the convention otherwise.
+    root and documented as the convention otherwise.  Returns the
+    sorted roots of the blocks that map, plus ``{position: error}``.
     """
-    if np.any(np.abs(q) < 1e-300):
-        raise ZeroRoot("cannot take a fractional power of a zero root")
+    fail = Failures()
+    pos = np.arange(len(q))
+    ok = fail.record(pos, {int(i): ZeroRoot("cannot take a fractional power of a zero root")
+                           for i in np.flatnonzero(np.any(np.abs(q) < 1e-300, axis=-1))})
+    pos, q = pos[ok], q[ok]
+    partner, lead, errors = _pairs(q)
+    q = q[fail.record(pos, errors)]
+    real = partner == np.arange(q.shape[1])
     p = np.empty_like(q)
-    pairs, reals = conjugate_pairs(q)
-    for i, j in pairs:
-        p[i] = np.exp(np.log(q[i]) / stride)
-        p[j] = np.conj(p[i])
-    for i in reals:
-        x = q[i].real
-        p[i] = np.sign(x) * abs(x) ** (1.0 / stride)
-    return p[np.lexsort((p.imag, p.real))]
+    first = lead & ~real
+    p[first] = np.exp(np.log(q[first]) / stride)
+    p[~lead] = np.conj(np.take_along_axis(p, partner, axis=-1)[~lead])
+    x = q.real[real]
+    # float_power rounds as C pow, like x ** y on one float; np.power on
+    # an array can take a vector path that differs in the last bit
+    p[real] = np.sign(x) * np.float_power(np.abs(x), 1.0 / stride)
+    return np.take_along_axis(p, np.lexsort((p.imag, p.real), axis=-1), axis=-1), fail.first
 
 
-def _block_basis(weights: np.ndarray, params: CodecParams, count: int) -> np.ndarray:
-    """Per-sample basis of a block from its law's float64 unit weights.
+def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
+    """Per-sample basis of each block from its law's float64 unit
+    weights (blocks x (n + 1)).
 
     Amplitude mode gives the modes of the per-sample roots
     (``mode_basis``), initial-condition mode the impulse responses of
@@ -232,68 +253,100 @@ def _block_basis(weights: np.ndarray, params: CodecParams, count: int) -> np.nda
     the trim of ``weights_to_roots`` (an all-zero block gives one)
     states y = 0: it has no modes in amplitude mode, and in IC mode its
     own recursion yields zeros after the seeds at any stride.
+
+    Returns ``[(positions, bases)]``, one entry per group of blocks
+    whose bases were built together (same degree), plus
+    ``{position: error}`` for the blocks that have no basis.
     """
+    fail = Failures()
+    pos = np.arange(len(weights))
     if params.fit_mode == INITIAL_CONDITIONS and params.stride == 1:
-        return impulse_basis(weights, count)
-    try:
-        roots = weights_to_roots(weights)
-    except ValueError:  # no root: the law has no weight past lag 0
+        basis, errors = _impulse_bases(weights, count)
+        return [(pos[fail.record(pos, errors)], basis)], fail.first
+    degrees = _degrees(weights)
+    groups = []
+    at = pos[degrees < 1]
+    if at.size and params.fit_mode == AMPLITUDES:
+        groups.append((at, np.zeros((at.size, count, 0))))
+    elif at.size:
+        basis, errors = _impulse_bases(weights[at], count)
+        groups.append((at[fail.record(at, errors)], basis))
+    for d in np.unique(degrees[degrees >= 1]).tolist():
+        at = pos[degrees == d]
+        roots, _, errors = _roots(weights[at, : d + 1])
+        at = at[fail.record(at, errors)]
+        if params.stride > 1:
+            roots, errors = _per_sample_roots(roots, params.stride)
+            at = at[fail.record(at, errors)]
         if params.fit_mode == AMPLITUDES:
-            return np.zeros((count, 0))
-        return impulse_basis(weights, count)
-    if params.stride > 1:
-        roots = _per_sample_roots(roots.roots, params.stride)
-    if params.fit_mode == AMPLITUDES:
-        return mode_basis(roots, count)
-    w = roots_to_weights(roots, 1.0)
-    return impulse_basis(w / np.linalg.norm(w), count)
+            basis, errors = _mode_bases(roots, count)
+        else:
+            w, errors = _expand(roots, 1.0)
+            at = at[fail.record(at, errors)]
+            basis, errors = _impulse_bases(w / norms(w)[:, None], count)
+        groups.append((at[fail.record(at, errors)], basis))
+    return groups, fail.first
 
 
-def _generate(basis: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Samples ``basis @ coef``, refused beyond 1e100 or when not finite."""
+def _generate(basis: np.ndarray, coef: np.ndarray):
+    """Samples ``basis @ coef`` of each block of a stack, for the blocks
+    whose samples all stay within 1e100 and finite, plus
+    ``{position: UnstableOverflow}`` for the others."""
     with np.errstate(over="ignore", invalid="ignore"):
-        y = basis @ coef
+        y = (basis @ coef[..., None])[..., 0]
     bad = ~(np.abs(y) <= 1e100)
-    if bad.any():
-        raise UnstableOverflow(f"generated sample beyond 1e100 at step {int(bad.argmax())}")
-    return y
+    failed = np.flatnonzero(bad.any(axis=-1))
+    errors = {
+        int(i): UnstableOverflow(f"generated sample beyond 1e100 at step {int(bad[i].argmax())}")
+        for i in failed
+    }
+    return (np.delete(y, failed, axis=0) if failed.size else y), errors
 
 
-def _block_law(segment: np.ndarray, params: CodecParams, rate: float) -> LinearLaw:
-    ts = TimeSeries(samples=segment, sample_rate=rate)
-    cfg = EmbeddingConfig(n=params.order_n, stride=params.stride)
-    c = correlation(embed(ts, cfg))
-    if params.symmetric:
-        return extract_symmetric_law(c, cfg)
-    return extract_law(eigendecompose(c), cfg, params.eigen_index)
+def _encode(blocks: np.ndarray, params: CodecParams, quantize: bool):
+    """Extract the law of every block of a stack and fit its coefficients.
 
-
-def _encode_block(segment: np.ndarray, params: CodecParams, rate: float, quantize: bool):
-    """Extract one block's law and fit its coefficients.
-
-    Returns (law, basis, coef): the extracted float64 law, the block's
-    basis and its least-squares coefficients.  With ``quantize`` the
-    basis is built from the float32 weights a file stores, so the
-    payload belongs to exactly the law a decoder sees; a palindromic
-    law stays palindromic under that rounding.  Without it everything
-    stays float64.
+    Returns (laws, eigenvalues, fits, failures): the float64 laws and
+    their eigenvalues of the blocks that have one, in block order;
+    ``[(blocks, bases, coefs)]`` for the blocks fitted, one entry per
+    group of equal degree; and the per-block failure status.  With
+    ``quantize`` the bases are built from the float32 weights a file
+    stores, so the payload belongs to exactly the law a decoder sees; a
+    palindromic law stays palindromic under that rounding.  Without it
+    everything stays float64.
     """
-    law = _block_law(segment, params, rate)
-    weights = _unit(law.weights.astype(np.float32)) if quantize else law.weights
-    basis = _block_basis(weights, params, segment.size)
-    if params.fit_mode == AMPLITUDES:
-        if not np.all(np.isfinite(basis)):
-            raise SingularNormalMatrix("mode basis overflowed; roots too far from the unit circle")
-    elif not np.all(np.abs(basis) <= 1e100):
-        raise UnstableBasis("impulse-response basis overflowed")
-    return law, basis, least_squares(basis, segment)
+    fail = Failures()
+    c = _correlations(_delay_windows(blocks, params.order_n, params.stride))
+    laws, lam, errors = _block_laws(c, params.symmetric, params.eigen_index)
+    pos = np.flatnonzero(fail.record(np.arange(len(blocks)), errors))
+    fitted = _unit(laws.astype(np.float32)) if quantize else laws
+    groups, errors = _block_bases(fitted, params, blocks.shape[1])
+    fail.record(pos, errors)
+    fits = []
+    for at, basis in groups:
+        rows = pos[at]
+        if params.fit_mode == AMPLITUDES:
+            errors = {int(i): SingularNormalMatrix(
+                "mode basis overflowed; roots too far from the unit circle"
+            ) for i in np.flatnonzero(~np.all(np.isfinite(basis), axis=(1, 2)))}
+        else:
+            errors = {int(i): UnstableBasis("impulse-response basis overflowed")
+                      for i in np.flatnonzero(~np.all(np.abs(basis) <= 1e100, axis=(1, 2)))}
+        if errors:
+            ok = fail.record(rows, errors)
+            rows, basis = rows[ok], basis[ok]
+        coef, errors = _least_squares(basis, blocks[rows])
+        ok = fail.record(rows, errors)
+        fits.append((rows[ok], basis[ok] if errors else basis, coef))
+    return laws, lam, fits, fail
 
 
 def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
-    """Extract one law per block and fit its payload.
+    """Extract one law per block and fit its payload, all blocks at once.
 
     Weights are quantized to float32 before the payload fit, so the
     stored coefficients belong to exactly the law a decoder will see.
+    When blocks fail, the error of the lowest-index one is raised.
     """
     y = series.samples
     block = params.block_size
@@ -305,38 +358,43 @@ def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
     if rate < 1:
         raise ValueError("sample rate rounds below 1")
     block_count = y.size // block
-    weights = np.empty((block_count, params.order_n + 1), dtype=np.float32)
+    laws, _, fits, fail = _encode(
+        y[: block_count * block].reshape(block_count, block), params, quantize=True
+    )
+    fail.raise_first()
     payload = np.zeros((block_count, params.order_n), dtype=np.float32)
-    for b in range(block_count):
-        law, _, coef = _encode_block(
-            y[b * block : (b + 1) * block], params, series.sample_rate, quantize=True
-        )
-        weights[b] = law.weights
-        payload[b, : coef.size] = coef
+    for rows, _, coef in fits:
+        payload[rows, : coef.shape[1]] = coef
     return CompressionArtifact(
         params=params,
         sample_rate=rate,
-        weights=weights,
+        weights=laws.astype(np.float32),
         payload=payload,
         tail=y[block_count * block :],
     )
 
 
 def decompress(artifact: CompressionArtifact) -> TimeSeries:
-    """Regenerate every block as its basis times its payload, then
-    append the verbatim tail.
+    """Regenerate every block as its basis times its payload, all blocks
+    at once, then append the verbatim tail.
 
     Raises UnstableOverflow when a generated sample is beyond 1e100 or
-    not finite.
+    not finite; when blocks fail, the error of the lowest-index one.
     """
     params = artifact.params
     block = params.block_size
+    block_count = len(artifact.weights)
     out = np.empty(artifact.decompressed_length, dtype=np.float64)
-    for b, (weights, payload) in enumerate(zip(artifact.weights, artifact.payload)):
-        basis = _block_basis(_unit(weights), params, block)
-        coef = payload[: basis.shape[1]].astype(np.float64)
-        out[b * block : (b + 1) * block] = _generate(basis, coef)
-    out[len(artifact.weights) * block :] = artifact.tail
+    blocks = out[: block_count * block].reshape(block_count, block)
+    groups, errors = _block_bases(_unit(artifact.weights), params, block)
+    fail = Failures()
+    fail.record(np.arange(block_count), errors)
+    for rows, basis in groups:
+        coef = artifact.payload[rows, : basis.shape[-1]].astype(np.float64)
+        y, errors = _generate(basis, coef)
+        blocks[rows[fail.record(rows, errors)]] = y
+    fail.raise_first()
+    out[block_count * block :] = artifact.tail
     return TimeSeries(samples=out, sample_rate=float(artifact.sample_rate))
 
 
@@ -422,29 +480,29 @@ def deserialize(data: bytes) -> CompressionArtifact:
     )
 
 
-def _measure_point(
-    y: np.ndarray, rate: float, params: CodecParams
-) -> tuple[float, float]:
+def _measure_point(y: np.ndarray, params: CodecParams) -> tuple[float, float]:
     """Energy-weighted accuracy and mean smallest eigenvalue over all
-    full blocks, in float64 end to end."""
+    full blocks, in float64 end to end, all blocks at once."""
     block = params.block_size
     block_count = y.size // block
-    weights_sum = 0.0
-    acc_sum = 0.0
-    lambdas = []
-    for b in range(block_count):
-        segment = y[b * block : (b + 1) * block]
-        energy = float(segment @ segment)
-        if energy == 0.0:
-            lambdas.append(0.0)  # a silent block's correlation matrix is zero
-            continue
-        law, basis, coef = _encode_block(segment, params, rate, quantize=False)
-        lambdas.append(law.eigenvalue)
-        acc_sum += energy * accuracy(segment, _generate(basis, coef))
-        weights_sum += energy
-    if weights_sum == 0.0:
+    blocks = y[: block_count * block].reshape(block_count, block)
+    energy = (blocks[:, None, :] @ blocks[:, :, None])[:, 0, 0]
+    live = np.flatnonzero(energy != 0.0)  # a silent block's correlation matrix is zero
+    _, lam, fits, fail = _encode(blocks[live], params, quantize=False)
+    acc = np.empty(live.size)
+    for rows, basis, coef in fits:
+        simulated, errors = _generate(basis, coef)
+        rows = rows[fail.record(rows, errors)]
+        segment = blocks[live[rows]]
+        acc[rows] = 1.0 - norms(segment - simulated) / norms(segment)
+    fail.raise_first()
+    if live.size == 0:
         raise ValueError("every full block is identically zero")
-    return acc_sum / weights_sum, float(np.mean(lambdas))
+    lambdas = np.zeros(block_count)
+    lambdas[live] = lam
+    # block by block in order, as a running Python sum adds them
+    weighted = np.add.accumulate(energy[live] * acc)[-1]
+    return float(weighted / np.add.accumulate(energy[live])[-1]), float(np.mean(lambdas))
 
 
 def sweep(
@@ -490,7 +548,7 @@ def sweep(
                 eigen_index=eigen_index,
             )
             try:
-                acc, lam = _measure_point(y, series.sample_rate, params)
+                acc, lam = _measure_point(y, params)
             except NumericalError as exc:
                 skipped.append((n, s, f"{type(exc).__name__}: {exc}"))
                 continue

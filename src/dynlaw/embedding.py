@@ -119,8 +119,14 @@ def embed(series: TimeSeries, config: EmbeddingConfig) -> EmbeddedDataset:
             f"need {need} samples for one window (n={n}, stride={s}, "
             f"start_offset={off}), got {len(y)}"
         )
-    count = (len(y) - 1 - off - s * n) // s + 1
-    anchors = off + s * (n + np.arange(count))
-    idx = anchors[:, None] - s * np.arange(n + 1)[None, :]
-    rows = y[idx] * np.asarray(config.mask, dtype=np.float64)
+    rows = _delay_windows(y[off:], n, s) * np.asarray(config.mask, dtype=np.float64)
     return EmbeddedDataset(rows=rows, config=config, sample_rate=series.sample_rate)
+
+
+def _delay_windows(blocks: np.ndarray, n: int, stride: int) -> np.ndarray:
+    """Unmasked windows of every row of ``blocks`` as one C-ordered
+    array of shape (..., K, n + 1), with ``[..., k, i] = row[stride *
+    (n + k - i)]``; each row must hold at least ``stride * n + 1``
+    samples."""
+    view = np.lib.stride_tricks.sliding_window_view(blocks, stride * n + 1, axis=-1)
+    return np.ascontiguousarray(view[..., ::stride, ::-stride])

@@ -14,6 +14,11 @@ a pivot below 1e-12 of the diagonal scale triggers one retry with a
 diagonal ridge of 1e-10 * trace, after which failure is final.  Column
 scaling is plain diagonal preconditioning, so the returned coefficients
 solve the raw normal equations.
+
+Mode bases and the least-squares solve also run on a stack of blocks
+(``_mode_bases``, ``_least_squares``), with the ridge retry only for
+the blocks whose first solve fails; ``mode_basis`` and
+``least_squares`` call them with one row.
 """
 
 from __future__ import annotations
@@ -22,9 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._stack import lapack_rows, survivors
 from .errors import SingularNormalMatrix, UnstableBasis, ZeroSignal
 from .lawforms import (
     ContinuousModel,
+    _pairs,
     conjugate_pairs,
     impulse_basis,
     roots_to_model,
@@ -68,42 +75,65 @@ def _samples_of(segment) -> np.ndarray:
     return np.asarray(getattr(segment, "samples", segment), dtype=np.float64)
 
 
-def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """Cholesky solve; None when a pivot falls below 1e-12 of scale."""
-    try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return None
-    ceiling = max(float(np.max(np.diag(gram))), 1e-300)
-    if not np.all(np.diag(lower) ** 2 > 1e-12 * ceiling):
-        return None
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky solve of each system of a stack, (g, d, d) by (g, d).
+
+    Returns the solutions of the systems that pass, in order, and the
+    mask of those: a system fails when Cholesky fails or a pivot falls
+    below 1e-12 of the largest diagonal entry."""
+    (lower,), failed = lapack_rows(lambda a: (np.linalg.cholesky(a),), gram)
+    ok = survivors(len(gram), failed)
+    ceiling = np.maximum(np.max(np.diagonal(gram[ok], axis1=-2, axis2=-1), axis=-1), 1e-300)
+    pivots = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
+    kept = np.all(pivots > 1e-12 * ceiling[:, None], axis=-1)
+    ok[ok] = kept
+    lower = lower[kept]
+    x = np.linalg.solve(np.swapaxes(lower, -1, -2), np.linalg.solve(lower, rhs[ok][..., None]))
+    return x[..., 0], ok
 
 
 def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients minimizing ||y - basis @ coef||_2 by the scaled
     Cholesky solve of the module docstring; raises SingularNormalMatrix
     when even the ridge retry fails."""
-    if basis.shape[1] == 0:
-        return np.zeros(0)
+    coef, errors = _least_squares(basis[None], np.asarray(y)[None])
+    if errors:
+        raise errors[0]
+    return coef[0]
+
+
+def _least_squares(basis: np.ndarray, y: np.ndarray):
+    """``least_squares`` of each basis (g, N, d) against its samples
+    (g, N): the coefficients of the fits that solve, in order, plus
+    ``{position: SingularNormalMatrix}`` for the others.  Only the
+    systems that fail the first solve get the ridge retry."""
+    if basis.shape[-1] == 0:
+        return np.zeros(basis.shape[:1] + (0,)), {}
     # two-stage column scaling: peak first so squaring cannot overflow
-    peak = np.max(np.abs(basis), axis=0)
+    peak = np.max(np.abs(basis), axis=-2)
     peak[peak == 0.0] = 1.0
-    scaled = basis / peak
-    norm = np.sqrt(np.sum(scaled * scaled, axis=0))
+    scaled = basis / peak[:, None, :]
+    norm = np.sqrt(np.sum(scaled * scaled, axis=-2))
     norm[norm == 0.0] = 1.0
     scale = peak * norm
-    scaled = scaled / norm
-    gram = scaled.T @ scaled
-    gram = (gram + gram.T) / 2.0
-    rhs = scaled.T @ y
-    x = _solve_spd(gram, rhs)
-    if x is None:
-        ridge = 1e-10 * float(np.trace(gram))
-        x = _solve_spd(gram + ridge * np.eye(gram.shape[0]), rhs)
-    if x is None:
-        raise SingularNormalMatrix("normal equations singular even after ridge retry")
-    return x / scale
+    scaled = scaled / norm[:, None, :]
+    gram = np.swapaxes(scaled, -1, -2) @ scaled
+    gram = (gram + np.swapaxes(gram, -1, -2)) / 2.0
+    rhs = (np.swapaxes(scaled, -1, -2) @ y[..., None])[..., 0]
+    x = np.empty(rhs.shape)
+    solved, ok = _solve_spd(gram, rhs)
+    x[ok] = solved
+    retry = np.flatnonzero(~ok)
+    errors = {}
+    if retry.size:
+        ridge = 1e-10 * np.trace(gram[retry], axis1=-2, axis2=-1)
+        ridged = gram[retry] + ridge[:, None, None] * np.eye(gram.shape[-1])
+        solved, ok = _solve_spd(ridged, rhs[retry])
+        x[retry[ok]] = solved
+        errors = {int(i): SingularNormalMatrix("normal equations singular even after ridge retry")
+                  for i in retry[~ok]}
+    kept = survivors(len(x), errors)
+    return x[kept] / scale[kept], errors
 
 
 def mode_basis(roots, count: int) -> np.ndarray:
@@ -115,23 +145,42 @@ def mode_basis(roots, count: int) -> np.ndarray:
     which makes the layout reproducible from the roots alone.
     """
     q = np.asarray(getattr(roots, "roots", roots), dtype=np.complex128)
+    basis, errors = _mode_bases(q[None], count)
+    if errors:
+        raise errors[0]
+    return basis[0]
+
+
+def _mode_bases(q: np.ndarray, count: int):
+    """``mode_basis`` of each root set of a stack (g, d): the (count, d)
+    bases of the sets that pair up, plus ``{position: error}`` for the
+    others.  A pair takes its cosine and sine columns at the place of
+    its earlier root, from the root ``conjugate_pairs`` lists first."""
+    partner, lead, errors = _pairs(q)
+    q = q[survivors(len(q), errors)]
+    index = np.arange(q.shape[1])
+    real = partner == index
+    cosine = ~real & (index < partner)
+    width = np.where(real, 1, np.where(cosine, 2, 0))
+    start = np.cumsum(width, axis=-1) - width
+    column = np.where(real | cosine, start, np.take_along_axis(start, partner, axis=-1) + 1)
+    # per column: the root it comes from and what it takes from that root
+    order = np.argsort(column, axis=-1)
+    source = np.take_along_axis(np.take_along_axis(q, np.where(lead, index, partner), -1), order, -1)
+    real, cosine = np.take_along_axis(real, order, -1), np.take_along_axis(cosine, order, -1)
     k = np.arange(count, dtype=np.float64)
-    pairs, reals = conjugate_pairs(q)
-    entries: list[tuple[int, np.ndarray]] = []
     # overflow to inf is expected for roots deep inside the unit circle
     # or at the origin; callers test finiteness and reject such bases
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, j in pairs:
-            rho = abs(q[i])
-            theta = np.angle(q[i])
-            damp = rho ** (-k)
-            entries.append((min(i, j), np.column_stack([damp * np.cos(theta * k),
-                                                        damp * np.sin(theta * k)])))
-        for i in reals:
-            entries.append((i, (q[i].real ** (-np.arange(count)))[:, None]))
-    entries.sort(key=lambda item: item[0])
-    basis = np.hstack([cols for _, cols in entries]) if entries else np.zeros((count, 0))
-    return basis
+        # hypot rounds as abs() of one complex value; np.abs of a complex
+        # array can differ in the last bit
+        base = np.where(real, source.real, np.hypot(source.real, source.imag))
+        cols = base[..., None] ** -k
+        wave = np.angle(source)[..., None] * k
+        np.cos(wave, out=wave, where=cosine[..., None])
+        np.sin(wave, out=wave, where=(~real & ~cosine)[..., None])
+        np.multiply(cols, wave, out=cols, where=~real[..., None])
+    return np.ascontiguousarray(np.swapaxes(cols, -1, -2)), errors
 
 
 def fit_amplitudes(roots, segment, dt: float = 1.0) -> AmplitudeFit:

@@ -18,6 +18,11 @@ The recursion is never stepped one sample at a time in Python.  Over
 solved 32 rows per LAPACK call for all n unit seeds at once: the
 impulse-response basis of ``impulse_basis``.  Running the recursion from
 given seeds is that basis times the seeds.
+
+Roots, conjugate pairing, expansion and impulse bases are computed for
+a stack of laws at once (``_roots``, ``_pairs``, ``_expand``,
+``_impulse_bases``), which is how the codec runs all blocks of a file;
+the single-law functions call the same kernels with one row.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._stack import Failures, lapack_rows, survivors, with_cause
 from .errors import (
     NonRealCoefficients,
     RootFindingDiverged,
@@ -89,9 +95,9 @@ def weights_to_roots(law) -> RootSet:
     """All complex roots of P(x) = sum_i w_i x^i.
 
     The roots are the eigenvalues of the companion matrix of the monic
-    polynomial (``np.roots``), so conjugate pairs come out exactly
-    conjugate.  Trailing zero weights only lower the degree.  Accepts a
-    LinearLaw or a bare coefficient vector.
+    polynomial (the one ``np.roots`` builds), so conjugate pairs come
+    out exactly conjugate.  Trailing zero weights only lower the
+    degree.  Accepts a LinearLaw or a bare coefficient vector.
 
     Raises
     ------
@@ -101,34 +107,81 @@ def weights_to_roots(law) -> RootSet:
         coefficient-magnitude bound sum_i |w_i| |q|^i at that root.
     """
     w = _weights_of(law)
-    scale = np.max(np.abs(w))
-    if scale == 0.0:
+    if np.max(np.abs(w)) == 0.0:
         raise ValueError("weight vector is identically zero")
-    degree = w.size - 1
-    while degree > 0 and abs(w[degree]) <= 1e-14 * scale:
-        degree -= 1
+    degree = int(_degrees(w))
     if degree < 1:
         raise ValueError("effective polynomial degree is zero; no roots exist")
-    monic = w[: degree + 1] / w[degree]
+    roots, worst, errors = _roots(w[None, : degree + 1])
+    if errors:
+        raise errors[0]
+    return RootSet(roots=roots[0], residual_bound=float(worst[0]))
 
-    try:
-        z = np.roots(monic[::-1]).astype(np.complex128)
-    except np.linalg.LinAlgError as exc:
-        raise RootFindingDiverged(f"companion eigenvalues failed: {exc}") from exc
-    if not np.all(np.isfinite(z)):
-        raise RootFindingDiverged("companion eigenvalues are not finite")
 
-    residual = np.abs(np.polyval(w[: degree + 1][::-1], z))
+def _degrees(w: np.ndarray) -> np.ndarray:
+    """Degree of each law of a stack once the trailing weights at or
+    below 1e-14 of its largest magnitude are trimmed (0 if none is left)."""
+    scale = np.max(np.abs(w), axis=-1, keepdims=True)
+    kept = ~(np.abs(w[..., 1:]) <= 1e-14 * scale)
+    return np.where(kept.any(axis=-1), w.shape[-1] - 1 - kept[..., ::-1].argmax(axis=-1), 0)
+
+
+def _roots(w: np.ndarray):
+    """Roots of each law of a stack (g, d + 1) whose weight d survives
+    the trim of ``_degrees``, by the rule of ``weights_to_roots``.
+
+    Returns the sorted roots and the largest residual |P(q)| of the laws
+    that pass, plus ``{position: error}`` for the others.  As in
+    ``np.roots``, zero low-order weights give roots at 0 and shrink the
+    companion matrix, so the eigensolves are grouped by its size.
+    """
+    g, d = w.shape[0], w.shape[1] - 1
+    fail = Failures()
+    monic = w / w[:, -1:]
+    p = monic[:, ::-1]  # highest power first, as np.roots takes it
+    size = d - np.argmax(monic != 0, axis=-1)
+    z = np.zeros((g, d), dtype=np.complex128)
+    for k in np.unique(size[size > 0]).tolist():
+        at = np.flatnonzero(size == k)
+        companion = np.zeros((at.size, k, k))
+        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        companion[:, 0, :] = -p[at, 1 : k + 1] / p[at, :1]
+        (eig,), failed = lapack_rows(lambda a: (np.linalg.eigvals(a),), companion)
+        kept = fail.record(at, {
+            pos: with_cause(RootFindingDiverged(f"companion eigenvalues failed: {exc}"), exc)
+            for pos, exc in failed.items()
+        })
+        z[at[kept], :k] = eig
+    alive = survivors(g, fail.first)
+    pos, w, z = np.flatnonzero(alive), w[alive], z[alive]
+    ok = fail.record(pos, {int(i): RootFindingDiverged("companion eigenvalues are not finite")
+                           for i in np.flatnonzero(~np.all(np.isfinite(z), axis=-1))})
+    pos, w, z = pos[ok], w[ok], z[ok]
+
+    residual = np.abs(_polyval(w, z))
     # Horner at q cannot beat eps * sum_i |w_i| |q|^i, so roots far from
     # the unit circle are gated against that floor instead of max |w|.
-    floor = np.polyval(np.abs(w[: degree + 1])[::-1], np.abs(z))
-    worst = float(residual.max())
-    if np.any(residual >= 1e-8 * np.maximum(scale, floor)):
-        raise RootFindingDiverged(
-            f"accepted roots leave residual {worst:.3e} against scale {scale:.3e}"
+    floor = _polyval(np.abs(w), np.abs(z))
+    scale = np.max(np.abs(w), axis=-1)
+    worst = residual.max(axis=-1)
+    bad = np.any(residual >= 1e-8 * np.maximum(scale[:, None], floor), axis=-1)
+    ok = fail.record(pos, {
+        int(i): RootFindingDiverged(
+            f"accepted roots leave residual {float(worst[i]):.3e} against scale {scale[i]:.3e}"
         )
-    z = z[np.lexsort((z.imag, z.real))]
-    return RootSet(roots=z, residual_bound=worst)
+        for i in np.flatnonzero(bad)
+    })
+    z = z[ok]
+    return np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1), worst[ok], fail.first
+
+
+def _polyval(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P(x) of each law of a stack (weights lowest power first) at its
+    own points, by the Horner steps of ``np.polyval``."""
+    y = np.zeros_like(x)
+    for coefficient in w[:, ::-1].T:
+        y = y * x + coefficient[:, None]
+    return y
 
 
 def roots_to_weights(roots, scale: float = 1.0) -> np.ndarray:
@@ -139,20 +192,34 @@ def roots_to_weights(roots, scale: float = 1.0) -> np.ndarray:
     (relative to the coefficient scale) raises NonRealCoefficients.
     """
     q = np.asarray(getattr(roots, "roots", roots), dtype=np.complex128)
-    coeffs = np.array([1.0 + 0.0j])
-    for root in q:
-        nxt = np.zeros(coeffs.size + 1, dtype=np.complex128)
-        nxt[1:] = coeffs
-        nxt[:-1] -= root * coeffs
+    coeffs, errors = _expand(q[None], scale)
+    if errors:
+        raise errors[0]
+    return coeffs[0]
+
+
+def _expand(q: np.ndarray, scale: float = 1.0):
+    """Real coefficients of each root set of a stack (g, d), by the rule
+    of ``roots_to_weights``; those of the sets that pass, plus
+    ``{position: error}`` for the others."""
+    coeffs = np.ones((q.shape[0], 1), dtype=np.complex128)
+    for j in range(q.shape[1]):
+        nxt = np.zeros((q.shape[0], j + 2), dtype=np.complex128)
+        nxt[:, 1:] = coeffs
+        nxt[:, :-1] -= q[:, j : j + 1] * coeffs
         coeffs = nxt
     coeffs = coeffs * scale
-    bound = max(1.0, float(np.max(np.abs(coeffs))))
-    residue = float(np.max(np.abs(coeffs.imag)))
-    if residue > 1e-6 * bound:
-        raise NonRealCoefficients(
-            f"imaginary residue {residue:.3e} after expansion; roots are not conjugate-closed"
+    largest = np.max(np.abs(coeffs), axis=-1)
+    bound = np.where(largest > 1.0, largest, 1.0)
+    residue = np.max(np.abs(coeffs.imag), axis=-1)
+    bad = residue > 1e-6 * bound
+    errors = {
+        int(i): NonRealCoefficients(
+            f"imaginary residue {residue[i]:.3e} after expansion; roots are not conjugate-closed"
         )
-    return coeffs.real.copy()
+        for i in np.flatnonzero(bad)
+    }
+    return coeffs.real[~bad], errors
 
 
 def conjugate_pairs(roots, tol: float = 1e-8) -> tuple[list[tuple[int, int]], list[int]]:
@@ -164,28 +231,62 @@ def conjugate_pairs(roots, tol: float = 1e-8) -> tuple[list[tuple[int, int]], li
     within tolerance.
     """
     q = np.asarray(getattr(roots, "roots", roots), dtype=np.complex128)
-    unused = list(range(q.size))
-    pairs: list[tuple[int, int]] = []
-    reals: list[int] = []
-    while unused:
-        i = unused.pop(0)
-        qi = q[i]
-        if abs(qi.imag) <= tol * (1.0 + abs(qi)):
-            reals.append(i)
-            continue
-        target = np.conj(qi)
-        best, best_err = -1, np.inf
-        for j in unused:
-            err = abs(q[j] - target)
-            if err < best_err:
-                best, best_err = j, err
-        if best < 0 or best_err > tol * (1.0 + abs(qi)):
-            raise NonRealCoefficients(
-                f"root {qi} has no conjugate partner within {tol:g}"
-            )
-        unused.remove(best)
-        pairs.append((i, best) if qi.imag > 0 else (best, i))
+    partner, lead, errors = _pairs(q[None], tol)
+    if errors:
+        raise errors[0]
+    pairs = [(i, j) if lead[0, i] else (j, i) for i, j in enumerate(partner[0].tolist()) if i < j]
+    reals = [i for i, j in enumerate(partner[0].tolist()) if i == j]
     return pairs, reals
+
+
+def _pairs(q: np.ndarray, tol: float = 1e-8):
+    """Conjugate pairing of each root set of a stack (g, d).
+
+    Root i is near-real when |Im q_i| <= tol * (1 + |q_i|).  In index
+    order, each root not yet taken as a partner that is not near-real
+    takes the nearest later such root (near-real or not) to its
+    conjugate, the first one on ties, which must lie within that same
+    tolerance.  Returns ``partner`` (g, d), the index each
+    root is paired with (its own for a real root), and ``lead`` (g, d),
+    true for real roots and for the root of each pair that
+    ``conjugate_pairs`` lists first: the earlier one when its imaginary
+    part is positive, else the later one.  Sets that fail are left
+    out, with ``{position: error}``.
+    """
+    g, d = q.shape
+    fail = Failures()
+    # hypot rounds as abs() of one complex value; np.abs of a complex
+    # array can differ in the last bit
+    limit = tol * (1.0 + np.hypot(q.real, q.imag))
+    real = np.abs(q.imag) <= limit
+    partner = np.tile(np.arange(d), (g, 1))
+    lead = real.copy()
+    taken = np.zeros((g, d), dtype=bool)
+    for i in range(d):
+        at = np.flatnonzero(~taken[:, i])
+        taken[at, i] = True
+        at = at[~real[at, i]]
+        if at.size == 0:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = q[at] - np.conj(q[at, i])[:, None]
+            err = np.hypot(diff.real, diff.imag)
+        err[taken[at] | np.isnan(err)] = np.inf
+        best = np.argmin(err, axis=-1)
+        bad = ~(err[np.arange(at.size), best] <= limit[at, i])
+        fail.record(at, {
+            int(r): NonRealCoefficients(f"root {q[at[r], i]} has no conjugate partner within {tol:g}")
+            for r in np.flatnonzero(bad)
+        })
+        taken[at[bad]] = True
+        at, best = at[~bad], best[~bad]
+        partner[at, i] = best
+        partner[at, best] = i
+        taken[at, best] = True
+        lead[at, i] = q[at, i].imag > 0
+        lead[at, best] = ~lead[at, i]
+    ok = survivors(g, fail.first)
+    return partner[ok], lead[ok], fail.first
 
 
 def roots_to_model(roots, amplitudes, dt: float) -> ContinuousModel:
@@ -239,15 +340,18 @@ _CHUNK_BITS = 512
 
 
 def _lower_toeplitz(column: np.ndarray, size: int) -> np.ndarray:
-    """(size, size) lower-triangular Toeplitz view with the given first
-    column, zero-padded or cut to ``size``."""
-    padded = np.zeros(2 * size - 1)
-    m = min(size, column.size)
-    padded[size - 1 : size - 1 + m] = column[:m]
+    """(..., size, size) lower-triangular Toeplitz view with the given
+    first column (..., c), zero-padded or cut to ``size``."""
+    padded = np.zeros(column.shape[:-1] + (2 * size - 1,))
+    m = min(size, column.shape[-1])
+    padded[..., size - 1 : size - 1 + m] = column[..., :m]
     # entry (i, j) reads padded[size - 1 + i - j]; the zeros pad i < j
-    step = padded.strides[0]
+    step = padded.strides[-1]
     return np.lib.stride_tricks.as_strided(
-        padded[size - 1 :], shape=(size, size), strides=(step, -step), writeable=False
+        padded[..., size - 1 :],
+        shape=column.shape[:-1] + (size, size),
+        strides=padded.strides[:-1] + (step, -step),
+        writeable=False,
     )
 
 
@@ -273,29 +377,59 @@ def impulse_basis(law, count: int) -> np.ndarray:
     as inf or nan; callers test for them.
     """
     w = _weights_of(law)
-    n = w.size - 1
     if abs(w[0]) <= 1e-12:
         raise ValueError("recursion needs |w_0| > 1e-12")
     if count < 0:
         raise ValueError("count must be >= 0")
-    basis = np.eye(count, n)
+    basis, errors = _impulse_bases(w[None], count)
+    if errors:
+        raise errors[0]
+    return basis[0]
+
+
+def _impulse_bases(w: np.ndarray, count: int):
+    """``impulse_basis`` of each law of a stack (g, n + 1): the bases of
+    the laws that have one, plus ``{position: ValueError}`` for laws
+    with |w_0| <= 1e-12 or a non-finite weight.  Laws are solved
+    together when they share the scaling exponent p, which sets the
+    chunk length."""
+    n = w.shape[1] - 1
+    fail = Failures()
+    pos = np.arange(w.shape[0])
+    ok = fail.record(pos, {int(i): ValueError("recursion needs |w_0| > 1e-12")
+                           for i in np.flatnonzero(np.abs(w[:, 0]) <= 1e-12)})
+    pos, w = pos[ok], w[ok]
+    ok = fail.record(pos, {int(i): ValueError("recursion needs finite weights")
+                           for i in np.flatnonzero(~np.all(np.isfinite(w), axis=-1))})
+    w = w[ok]
+    basis = np.zeros((w.shape[0], count, n))
+    head = np.arange(min(count, n))
+    basis[:, head, head] = 1.0
     if count <= n or n == 0:
-        return basis
-    v = w / w[0]
+        return basis, fail.first
+    v = w / w[:, :1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p = int(np.ceil(np.max(np.log2(np.abs(v[1:])) / np.arange(1, n + 1), initial=0.0)))
-        # a chunk's scaled rows span 2^(p * chunk): keep that inside float range
-        chunk = min(_CHUNK, count - n, max(1, _CHUNK_BITS // max(p, 1)))
-        scale = np.ldexp(1.0, -p * np.arange(max(chunk, n + 1)))[:, None]
-        system = _lower_toeplitz(v * scale[: n + 1, 0], chunk)
-        # row r < n of a chunk also sees the n rows before it: -sum_{i>r} v_i y_{k+r-i}
-        coupling = _lower_toeplitz(-v[:0:-1], n).T * scale[:n]
-        for k in range(n, count, chunk):
-            rows = min(chunk, count - k)
-            rhs = np.zeros((rows, n))
-            rhs[: min(n, rows)] = coupling[:rows] @ basis[k - n : k]
-            basis[k : k + rows] = np.linalg.solve(system[:rows, :rows], rhs) / scale[:rows]
-    return basis
+        exponent = np.log2(np.abs(v[:, 1:])) / np.arange(1, n + 1)
+        shifts = np.ceil(np.max(exponent, axis=-1, initial=0.0)).astype(int)
+        for p in np.unique(shifts).tolist():
+            at = np.flatnonzero(shifts == p)
+            # a chunk's scaled rows span 2^(p * chunk): keep that inside float range
+            chunk = min(_CHUNK, count - n, max(1, _CHUNK_BITS // max(p, 1)))
+            scale = np.ldexp(1.0, -p * np.arange(max(chunk, n + 1)))[:, None]
+            system = _lower_toeplitz(v[at] * scale[: n + 1, 0], chunk)
+            # row r < n of a chunk also sees the n rows before it: -sum_{i>r} v_i y_{k+r-i}
+            coupling = np.ascontiguousarray(
+                np.swapaxes(_lower_toeplitz(-v[at, :0:-1], n), -1, -2) * scale[:n]
+            )
+            part = basis if at.size == len(basis) else basis[at]
+            for k in range(n, count, chunk):
+                rows = min(chunk, count - k)
+                rhs = np.zeros((at.size, rows, n))
+                rhs[:, : min(n, rows)] = coupling[:, :rows] @ part[:, k - n : k]
+                part[:, k : k + rows] = np.linalg.solve(system[:, :rows, :rows], rhs) / scale[:rows]
+            if part is not basis:
+                basis[at] = part
+    return basis, fail.first
 
 
 def run_recursion(law, initial, count: int) -> np.ndarray:

@@ -19,6 +19,10 @@ not depend on the basis the solver happens to return.  The codec
 stores laws as float32 and fits payloads to the stored law, so a
 decode of a file stays bit-identical to a decode of the in-memory
 artifact.
+
+Correlations, eigensolves and law extraction also run on a stack of
+blocks (``_block_laws``), one stacked ``eigh`` for all of them; the
+single-matrix functions call the same kernels with one row.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._stack import Failures, lapack_rows, norms, with_cause
 from .embedding import EmbeddedDataset, EmbeddingConfig
 from .errors import DimensionMismatch, InvalidMask, NoConvergence
 
@@ -115,34 +120,61 @@ class LinearLaw:
 def correlation(dataset: EmbeddedDataset) -> CorrelationMatrix:
     """Uncentered second-moment matrix C = Y^T Y / K, symmetrized."""
     rows = dataset.rows
-    k = rows.shape[0]
-    c = rows.T @ rows / k
-    c = (c + c.T) / 2.0
-    return CorrelationMatrix(entries=c, sample_count=k)
+    return CorrelationMatrix(entries=_correlations(rows), sample_count=rows.shape[0])
 
 
-def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and sign-normalized eigenvector columns."""
-    try:
-        vals, vecs = np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"symmetric eigensolver failed: {exc}") from exc
-    return vals, _normalize_sign(vecs)
+def _correlations(rows: np.ndarray) -> np.ndarray:
+    """C = Y^T Y / K, symmetrized, of each window matrix of a stack."""
+    c = np.swapaxes(rows, -1, -2) @ rows / rows.shape[-2]
+    return (c + np.swapaxes(c, -1, -2)) / 2.0
+
+
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack equals its transpose within
+    ``atol = 1e-9 * (1 + max|a|)`` and ``rtol = 1e-5``: exactly what
+    ``np.allclose(a, a.T, atol=atol)`` accepts, NaN rejected."""
+    at = np.swapaxes(a, -1, -2)
+    mag = np.abs(at)
+    atol = 1e-9 * (1.0 + mag.max(axis=(-2, -1), keepdims=True, initial=0.0))
+    with np.errstate(invalid="ignore"):
+        close = (np.abs(a - at) <= atol + 1e-5 * mag) & np.isfinite(at) | (a == at)
+    return close.all(axis=(-2, -1))
+
+
+def _eigh(matrices: np.ndarray):
+    """Ascending eigenvalues and sign-normalized eigenvector columns of
+    each matrix of a stack, for the matrices LAPACK solves, plus
+    NoConvergence for the others (see ``_stack``)."""
+    (vals, vecs), failed = lapack_rows(lambda a: tuple(np.linalg.eigh(a)), matrices)
+    errors = {
+        pos: with_cause(NoConvergence(f"symmetric eigensolver failed: {exc}"), exc)
+        for pos, exc in failed.items()
+    }
+    return vals, _normalize_sign(vecs), errors
+
+
+def _eigh_one(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    vals, vecs, errors = _eigh(matrix[None])
+    if errors:
+        raise errors[0]
+    return vals[0], vecs[0]
 
 
 def _normalize_sign(vecs: np.ndarray) -> np.ndarray:
-    """Flip the sign of a vector, or of each column of a matrix, so that
-    its first component above 1e-12 of its largest magnitude is
-    positive.  An all-zero column is left as it is."""
+    """Flip the sign of a vector, or of each column of a matrix or of a
+    stack of matrices, so that its first component above 1e-12 of its
+    largest magnitude is positive.  An all-zero column is left as it is."""
+    if vecs.ndim == 1:
+        return _normalize_sign(vecs[:, None])[:, 0]
     mags = np.abs(vecs)
-    big = mags > 1e-12 * mags.max(axis=0)
-    first = big.argmax(axis=0)
-    lead = vecs[first, np.arange(vecs.shape[1])] if vecs.ndim == 2 else vecs[first]
-    return np.where(big.any(axis=0) & (lead < 0.0), -vecs, vecs)
+    big = mags > 1e-12 * mags.max(axis=-2, keepdims=True)
+    lead = np.take_along_axis(vecs, big.argmax(axis=-2)[..., None, :], axis=-2)
+    return np.where(big.any(axis=-2, keepdims=True) & (lead < 0.0), -vecs, vecs)
 
 
 def _canonical_null_vector(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Minimum-norm law of the smallest-eigenvalue eigenspace.
+    """Minimum-norm law of the smallest-eigenvalue eigenspace of each
+    spectrum of a stack: ``vals`` (g, k) ascending, ``vecs`` (g, m, k).
 
     Eigenvalues within 1e-9 * max|lambda| of the smallest one count as
     one degenerate eigenspace, whose basis is arbitrary.  The law taken
@@ -152,13 +184,85 @@ def _canonical_null_vector(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     the lag-0 axis is (nearly) orthogonal to the span, the first
     eigenvector is kept.
     """
-    tie = 1e-9 * float(np.max(np.abs(vals)))
-    span = vecs[:, vals - vals[0] <= tie]
-    if span.shape[1] == 1:
-        return vecs[:, 0]
-    w = span @ span[0, :]
-    norm = float(np.linalg.norm(w))
-    return w / norm if norm > 1e-8 else vecs[:, 0]
+    tie = 1e-9 * np.max(np.abs(vals), axis=-1, keepdims=True)
+    # ascending eigenvalues: the tied ones are the leading columns
+    size = np.sum(vals - vals[:, :1] <= tie, axis=-1)
+    w = vecs[:, :, 0].copy()
+    for d in np.unique(size[size > 1]):
+        at = np.flatnonzero(size == d)
+        # each span column-major, as selecting columns of one matrix lays
+        # it out: the layout sets the order gemv sums in, and stored laws
+        # must not move in the last bit
+        span = np.swapaxes(np.swapaxes(vecs[at, :, :d], -1, -2).copy(), -1, -2)
+        projection = (span @ span[:, 0, :, None])[..., 0]
+        norm = norms(projection)
+        kept = norm > 1e-8
+        w[at[kept]] = projection[kept] / norm[kept, None]
+    return w
+
+
+def _pick_laws(vals: np.ndarray, vecs: np.ndarray, index: int):
+    """Unit law and eigenvalue of pair ``index`` of each spectrum of a
+    stack, by the rule of ``extract_law``."""
+    w = _canonical_null_vector(vals, vecs) if index == 0 else vecs[:, :, index]
+    w = _normalize_sign(w[..., None])[..., 0]
+    return w / norms(w)[:, None], vals[:, index]
+
+
+def _palindromic_basis(mask: tuple[int, ...]) -> np.ndarray:
+    """Orthonormal basis of the palindromic lag vectors allowed by a
+    palindromic mask, one column each; the first one holds lag 0."""
+    m = len(mask)
+    n = m - 1
+    half = 1.0 / np.sqrt(2.0)
+    basis = []
+    for j in range((n + 1) // 2):
+        if mask[j]:
+            u = np.zeros(m)
+            u[j] = half
+            u[n - j] = half
+            basis.append(u)
+    if n % 2 == 0 and mask[n // 2]:
+        u = np.zeros(m)
+        u[n // 2] = 1.0
+        basis.append(u)
+    return np.column_stack(basis)
+
+
+def _symmetric_laws(c: np.ndarray, basis: np.ndarray):
+    """Palindromic law and reduced eigenvalue of each correlation matrix
+    of a stack, by the rule of ``extract_symmetric_law``; returns them
+    for the matrices that give one, plus the errors of the others."""
+    reduced = basis.T @ c @ basis
+    reduced = (reduced + np.swapaxes(reduced, -1, -2)) / 2.0
+    fail = Failures()
+    pos = np.arange(len(c))
+    vals, vecs, errors = _eigh(reduced)
+    pos = pos[fail.record(pos, errors)]
+    # each row of the basis holds one nonzero, so mirrored lags get the same float
+    w = (basis @ _canonical_null_vector(vals, vecs)[..., None])[..., 0]
+    w = _normalize_sign((w / norms(w)[:, None])[..., None])[..., 0]
+    ok = fail.record(pos, {int(i): ValueError("symmetric law must be exactly palindromic")
+                           for i in np.flatnonzero(~np.all(w == w[:, ::-1], axis=-1))})
+    return w[ok], vals[ok, 0], fail.first
+
+
+def _block_laws(c: np.ndarray, symmetric: bool, index: int):
+    """The law of each correlation matrix of a stack, as the codec takes
+    it: ``extract_symmetric_law``, or ``extract_law`` of
+    ``eigendecompose`` at ``index``.  Returns the unit weights and
+    eigenvalues of the matrices that give a law, in order, plus
+    ``{position: error}`` for the others."""
+    if symmetric:
+        return _symmetric_laws(c, _palindromic_basis((1,) * c.shape[-1]))
+    fail = Failures()
+    pos = np.arange(len(c))
+    ok = fail.record(pos, {int(p): ValueError("correlation matrix must be symmetric")
+                           for p in np.flatnonzero(~_symmetric(c))})
+    vals, vecs, errors = _eigh(c[ok])
+    fail.record(pos[ok], errors)
+    w, lam = _pick_laws(vals, vecs, index)
+    return w, lam, fail.first
 
 
 def eigendecompose(c: CorrelationMatrix, mask: tuple[int, ...] | None = None) -> Spectrum:
@@ -171,19 +275,18 @@ def eigendecompose(c: CorrelationMatrix, mask: tuple[int, ...] | None = None) ->
     """
     a = c.entries if isinstance(c, CorrelationMatrix) else np.asarray(c, dtype=np.float64)
     m = a.shape[0]
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if not np.allclose(a, a.T, atol=1e-9 * (1.0 + scale)):
+    if not _symmetric(a):
         raise ValueError("correlation matrix must be symmetric")
     if mask is not None and any(b == 0 for b in mask):
         if len(mask) != m:
             raise DimensionMismatch(f"mask of length {len(mask)} against a {m}x{m} matrix")
         active = [i for i, b in enumerate(mask) if b]
         sub = a[np.ix_(active, active)]
-        vals, vecs = _eigh(sub)
+        vals, vecs = _eigh_one(sub)
         full = np.zeros((m, len(active)))
         full[active, :] = vecs
         return Spectrum(eigenvalues=vals, eigenvectors=full)
-    vals, vecs = _eigh(a)
+    vals, vecs = _eigh_one(a)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
@@ -201,12 +304,10 @@ def extract_law(spectrum: Spectrum, config: EmbeddingConfig, index: int = 0) -> 
     count = vals.size
     if not 0 <= index < count:
         raise IndexError(f"eigenpair index {index} out of range ({count} pairs)")
-    w = _canonical_null_vector(vals, vecs) if index == 0 else vecs[:, index]
-    w = _normalize_sign(w)
-    w = w / np.linalg.norm(w)
+    w, lam = _pick_laws(vals[None], vecs[None], index)
     return LinearLaw(
-        weights=w,
-        eigenvalue=float(vals[index]),
+        weights=w[0],
+        eigenvalue=float(lam[0]),
         stride=config.stride,
         mask=config.mask,
         symmetric_flag=False,
@@ -236,29 +337,12 @@ def extract_symmetric_law(c: CorrelationMatrix, config: EmbeddingConfig) -> Line
     mask = config.mask
     if any(mask[i] != mask[n - i] for i in range(m)):
         raise InvalidMask("symmetric extraction needs a palindromic mask")
-    half = 1.0 / np.sqrt(2.0)
-    basis = []
-    for j in range((n + 1) // 2):
-        if mask[j]:
-            u = np.zeros(m)
-            u[j] = half
-            u[n - j] = half
-            basis.append(u)
-    if n % 2 == 0 and mask[n // 2]:
-        u = np.zeros(m)
-        u[n // 2] = 1.0
-        basis.append(u)
-    b = np.column_stack(basis)
-    reduced = b.T @ a @ b
-    reduced = (reduced + reduced.T) / 2.0
-    vals, vecs = _eigh(reduced)
-    # each row of b holds one nonzero, so mirrored lags get the same float
-    w = b @ _canonical_null_vector(vals, vecs)
-    w = w / np.linalg.norm(w)
-    w = _normalize_sign(w)
+    w, lam, errors = _symmetric_laws(a[None], _palindromic_basis(mask))
+    if errors:
+        raise errors[0]
     return LinearLaw(
-        weights=w,
-        eigenvalue=float(vals[0]),
+        weights=w[0],
+        eigenvalue=float(lam[0]),
         stride=config.stride,
         mask=config.mask,
         symmetric_flag=True,

@@ -26,12 +26,17 @@ from dynlaw.errors import (
     BadMagic,
     CorruptArtifact,
     InvariantViolation,
+    NumericalError,
     SeriesTooShort,
     TruncatedPayload,
+    UnstableOverflow,
     UnsupportedVersion,
+    ZeroRoot,
 )
 from dynlaw.fitting import accuracy
 from dynlaw.signal_io import SynthSpec, synthesize
+
+import reference_codec
 
 
 def two_tone(length=480, rate=100.0):
@@ -368,6 +373,95 @@ def test_mutated_files_raise_corrupt_or_round_trip(mode, symmetric, stride, muta
     except CorruptArtifact:
         return
     assert serialize(art) == data
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the property compares failures by class and message
+        return type(exc), str(exc)
+
+
+@st.composite
+def _codec_case(draw):
+    n = draw(st.integers(1, 6))
+    block = draw(st.integers(2 * n, 48))
+    stride = draw(st.integers(1, 3).filter(lambda s: s * n < block))
+    symmetric = draw(st.booleans())
+    params = CodecParams(
+        order_n=n,
+        block_size=block,
+        stride=stride,
+        fit_mode=draw(st.sampled_from([AMPLITUDES, INITIAL_CONDITIONS])),
+        symmetric=symmetric,
+        eigen_index=0 if symmetric else draw(st.integers(0, n)),
+    )
+    kinds = draw(st.lists(st.sampled_from(["tone", "zero", "noise"]), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for kind in kinds + ["tail"]:
+        size = block if kind != "tail" else draw(st.integers(0, block - 1))
+        k = np.arange(size)
+        if kind == "tone":
+            part = np.exp(-rng.uniform(0.0, 0.05) * k) * np.sin(rng.uniform(0.05, 3.0) * k + 1.0)
+        elif kind == "zero":
+            part = np.zeros(size)
+        else:
+            part = rng.uniform(-1.0, 1.0, size)
+        parts.append(part)
+    # 16-bit steps, as audio brings them
+    return TimeSeries(np.round(np.concatenate(parts) * 32767.0) / 32767.0, 8000.0), params
+
+
+@settings(max_examples=200, deadline=None)
+@given(_codec_case())
+def test_batched_codec_matches_block_by_block_reference(case):
+    series, params = case
+    data = _outcome(lambda: serialize(compress(series, params)))
+    expected = _outcome(lambda: serialize(reference_codec.compress(series, params)))
+    assert data == expected
+    if isinstance(data, bytes):
+        art = deserialize(data)
+        decoded = _outcome(lambda: decompress(art).samples)
+        reference = _outcome(lambda: reference_codec.decompress(art))
+        if isinstance(reference, np.ndarray):
+            assert decoded.tobytes() == reference.tobytes()
+        else:
+            assert decoded == reference
+    if not series.samples.any():
+        return
+    report = _outcome(lambda: sweep(series, (params.order_n,), (params.stride,), params.block_size,
+                                    params.fit_mode, params.symmetric, params.eigen_index))
+    point = _outcome(lambda: reference_codec.measure_point(series.samples, params))
+    if isinstance(point, tuple) and isinstance(point[0], type):
+        if issubclass(point[0], NumericalError):
+            assert report.skipped == ((params.order_n, params.stride, f"{point[0].__name__}: {point[1]}"),)
+        else:
+            assert report == point
+    else:
+        assert [(row.A, row.lambda_min) for row in report.rows] == [point]
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_lowest_failing_block_sets_the_error(swap):
+    # amplitude mode, n = 1, stride 2: 1 - 10 x has the root 0.1, whose
+    # per-sample mode 0.1^(-k/2) passes 1e100 at step 200; x has a root
+    # at 0, which has no fractional power.  A pass stage by stage would
+    # meet the zero root first in both orders.
+    grow = np.array([1.0, -10.0]) / np.linalg.norm([1.0, -10.0])
+    laws = [[0.0, 1.0], grow] if swap else [grow, [0.0, 1.0]]
+    art = CompressionArtifact(
+        params=CodecParams(order_n=1, block_size=300, stride=2),
+        sample_rate=8000,
+        weights=np.array(laws),
+        payload=np.ones((2, 1)),
+    )
+    if swap:
+        with pytest.raises(ZeroRoot):
+            decompress(art)
+    else:
+        with pytest.raises(UnstableOverflow, match="at step 200"):
+            decompress(art)
 
 
 def _tiny_artifact():

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from dynlaw._stack import lapack_rows
 from dynlaw.errors import ZeroSignal
 from dynlaw.fitting import (
+    _least_squares,
     AmplitudeFit,
     InitialConditionFit,
     accuracy,
     fit_amplitudes,
     fit_initial_conditions,
+    least_squares,
     mode_basis,
     reconstruct,
 )
@@ -229,3 +232,21 @@ def test_segment_shorter_than_mode_count_rejected():
     law = LinearLaw(weights=unit([1.0, -1.0, 1.0]), eigenvalue=0.0)
     with pytest.raises(ValueError):
         fit_initial_conditions(law, np.array([1.0]))
+
+
+def test_stacked_solve_isolates_failing_systems_and_retries_only_them():
+    rng = np.random.default_rng(17)
+    good = rng.standard_normal((64, 3))
+    twin = good.copy()
+    twin[:, 2] = twin[:, 1]  # singular normal matrix: only the ridge retry solves it
+    bases = np.stack([good, twin, good * 1e3])
+    ys = rng.standard_normal((3, 64))
+    coef, errors = _least_squares(bases, ys)
+    assert errors == {}
+    for basis, y, got in zip(bases, ys, coef):
+        assert got.tobytes() == least_squares(basis, y).tobytes()
+    grams = np.stack([np.eye(2), -np.eye(2), 2.0 * np.eye(2), -np.eye(2)])
+    (lower,), failed = lapack_rows(lambda a: (np.linalg.cholesky(a),), grams)
+    assert sorted(failed) == [1, 3]
+    assert all(isinstance(exc, np.linalg.LinAlgError) for exc in failed.values())
+    np.testing.assert_array_equal(lower, [np.eye(2), np.sqrt(2.0) * np.eye(2)])

@@ -120,6 +120,46 @@ def test_conjugate_pairs_layout():
     assert q[i].imag > 0 and np.isclose(q[j].conjugate(), q[i])
 
 
+def reference_conjugate_pairs(q, tol=1e-8):
+    """The pairing rule one root at a time: each root in index order is
+    near-real or takes the nearest still-unused root to its conjugate."""
+    unused = list(range(q.size))
+    pairs, reals = [], []
+    while unused:
+        i = unused.pop(0)
+        if abs(q[i].imag) <= tol * (1.0 + abs(q[i])):
+            reals.append(i)
+            continue
+        best, best_err = -1, np.inf
+        for j in unused:
+            err = abs(q[j] - np.conj(q[i]))
+            if err < best_err:
+                best, best_err = j, err
+        if best < 0 or best_err > tol * (1.0 + abs(q[i])):
+            raise NonRealCoefficients(f"root {q[i]} has no conjugate partner within {tol:g}")
+        unused.remove(best)
+        pairs.append((i, best) if q[i].imag > 0 else (best, i))
+    return pairs, reals
+
+
+# imaginary parts on both sides of the near-real tolerance, about 2e-8 here
+_NEAR_REAL = st.sampled_from([0.0, 1e-9, -1e-9, 1.9e-8, -1.9e-8, 2.1e-8, -2.1e-8, 2.5e-8, -2.5e-8, 0.3, -0.3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.5, 0.9, -0.3]), _NEAR_REAL), min_size=1, max_size=7))
+def test_conjugate_pairs_follows_the_greedy_rule(roots):
+    q = np.array([complex(re, im) for re, im in roots])
+
+    def outcome(pairing):
+        try:
+            return pairing(q)
+        except NonRealCoefficients as exc:
+            return str(exc)
+
+    assert outcome(conjugate_pairs) == outcome(reference_conjugate_pairs)
+
+
 def test_palindromic_round_trip_degree_up_to_8():
     rng = np.random.default_rng(101)
     for _ in range(100):

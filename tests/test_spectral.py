@@ -16,7 +16,7 @@ from dynlaw.spectral import (
     extract_symmetric_law,
     law_residuals,
 )
-from dynlaw.spectral import _normalize_sign
+from dynlaw.spectral import _normalize_sign, _symmetric
 
 
 def charpoly_eigenvalues(a):
@@ -364,3 +364,35 @@ def test_spectrum_shape_on_multi_tone():
     c = correlation(embed(two_sine_series(), EmbeddingConfig(n=6)))
     vals = eigendecompose(c).eigenvalues
     assert np.sum(vals < 1e-8 * c.trace) >= 3
+
+
+@pytest.mark.parametrize("gap, symmetric", [(5.0019e-6, True), (5.0021e-6, False)])
+def test_symmetry_check_edge_of_tolerance(gap, symmetric):
+    # |a01 - a10| is held to atol + 1e-5 * |a10| and |a10 - a01| to
+    # atol + 1e-5 * |a01|, with atol = 1e-9 * (1 + max|a|) = 2e-9: the
+    # second bound, 5.002e-6, lies between the two gaps
+    a = np.array([[1.0, 0.5], [0.5 + gap, 1.0]])
+    if symmetric:
+        assert eigendecompose(a).eigenvalues.size == 2
+    else:
+        with pytest.raises(ValueError, match="symmetric"):
+            eigendecompose(a)
+
+
+def test_symmetry_check_accepts_exactly_what_allclose_accepts():
+    rng = np.random.default_rng(29)
+    for _ in range(500):
+        m = int(rng.integers(1, 6))
+        a = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-6, 7)
+        a = a + a.T
+        i, j = rng.integers(0, m, 2)
+        atol = 1e-9 * (1.0 + np.max(np.abs(a)))
+        # land near the edge of the tolerance of entry (i, j)
+        a[i, j] += rng.choice([-1.0, 1.0]) * (atol + 1e-5 * abs(a[j, i])) * rng.uniform(0.99, 1.01)
+        atol = 1e-9 * (1.0 + np.max(np.abs(a)))
+        assert _symmetric(a) == np.allclose(a, a.T, atol=atol)
+    a = np.eye(3)
+    a[1, 2] = a[2, 1] = np.nan
+    assert not _symmetric(a)
+    with pytest.raises(ValueError, match="symmetric"):
+        eigendecompose(a)
