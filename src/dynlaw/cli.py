@@ -119,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--block", type=int, required=True)
     comp.add_argument("--mode", choices=sorted(_MODES), default="amp")
     comp.add_argument("--symmetric", action="store_true")
-    comp.add_argument("--index", type=int, default=0)
 
     dec = sub.add_parser("decompress", help="DLAW artifact in, WAV out")
     dec.add_argument("--input", default="-")
@@ -130,7 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--grid-n", type=_parse_grid, required=True)
     swp.add_argument("--grid-stride", type=_parse_grid, default=(1,))
     swp.add_argument("--block", type=int, required=True)
-    swp.add_argument("--mode", choices=sorted(_MODES), default="amp")
     swp.add_argument("--symmetric", action="store_true")
     swp.add_argument("--format", choices=["csv", "json"], default="csv")
     swp.add_argument("--output", default="-")
@@ -140,7 +138,6 @@ def _build_parser() -> argparse.ArgumentParser:
     base.add_argument("--seed", type=int, default=0)
     base.add_argument("--grid-n", type=_parse_grid, required=True)
     base.add_argument("--block", type=int, required=True)
-    base.add_argument("--mode", choices=sorted(_MODES), default="amp")
     base.add_argument("--format", choices=["csv", "json"], default="csv")
     base.add_argument("--output", default="-")
     return parser
@@ -235,7 +232,6 @@ def _cmd_compress(args) -> int:
         stride=args.stride,
         fit_mode=_MODES[args.mode],
         symmetric=args.symmetric,
-        eigen_index=args.index,
     )
     _write_bytes(args.output, serialize(compress(series, params)))
     return 0
@@ -265,14 +261,7 @@ def _report_text(report, fmt: str, extra: dict | None = None) -> str:
 
 def _cmd_sweep(args) -> int:
     series = read_wav(_read_bytes(args.input))
-    report = sweep(
-        series,
-        args.grid_n,
-        args.grid_stride,
-        args.block,
-        fit_mode=_MODES[args.mode],
-        symmetric=args.symmetric,
-    )
+    report = sweep(series, args.grid_n, args.grid_stride, args.block, symmetric=args.symmetric)
     for n, s, reason in report.skipped:
         print(f"skipped n={n} stride={s}: {reason}", file=sys.stderr)
     _write_text(args.output, _report_text(report, args.format))
@@ -280,9 +269,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    report, slope = random_baseline(
-        args.length, args.seed, args.grid_n, args.block, fit_mode=_MODES[args.mode]
-    )
+    report, slope = random_baseline(args.length, args.seed, args.grid_n, args.block)
     print(f"slope: {slope!r}", file=sys.stderr)
     _write_text(args.output, _report_text(report, args.format, {"slope": slope}))
     return 0

@@ -52,13 +52,15 @@ reconstruction their roots are mapped to per-sample roots via the
 principal s-th root, which assumes the content sits below the lattice
 Nyquist frequency, sample_rate / (2 s); negative real roots keep their
 sign.  Measurement (sweep / random_baseline) runs in float64 without
-quantization: it reports what the laws can do, not what a file stores.
+quantization and always in amplitude mode: it reports what the laws can
+do, not what a file stores.  Initial-condition mode is a storage mode
+of ``compress`` only.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,6 +105,13 @@ _HEADER_SIZE = struct.calcsize(_HEADER)
 AMPLITUDES = "amplitudes"
 INITIAL_CONDITIONS = "initial_conditions"
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _in_f32_range(values: np.ndarray, axis=None) -> np.ndarray:
+    """Whether values are finite and within float32 range (NaN is not)."""
+    return np.all(np.abs(values) <= _F32_MAX, axis=axis)
+
 
 @dataclass(frozen=True)
 class CodecParams:
@@ -119,7 +128,6 @@ class CodecParams:
     stride: int = 1
     fit_mode: str = AMPLITUDES
     symmetric: bool = False
-    eigen_index: int = 0
 
     def __post_init__(self):
         if self.order_n < 1:
@@ -132,8 +140,6 @@ class CodecParams:
             raise ValueError("block_size must be >= 2 * order_n (rate >= 1)")
         if self.stride * self.order_n >= self.block_size:
             raise ValueError("stride * order_n must stay below block_size")
-        if not 0 <= self.eigen_index <= self.order_n:
-            raise ValueError("eigen_index out of range")
 
     @property
     def rate(self) -> float:
@@ -146,7 +152,8 @@ class CompressionArtifact:
 
     Block b is stored as ``weights[b]``, its law (n + 1 float32 values,
     the full palindrome when symmetric), and ``payload[b]``, its n
-    float32 coefficients.  Omitted arrays mean no blocks.
+    float32 coefficients.  Omitted arrays mean no blocks.  Every value
+    must be finite and within float32 range.
     """
 
     params: CodecParams
@@ -159,7 +166,9 @@ class CompressionArtifact:
         n = self.params.order_n
         for name, empty in (("weights", (0, n + 1)), ("payload", (0, n)), ("tail", 0)):
             value = getattr(self, name)
-            value = np.zeros(empty) if value is None else value
+            value = np.zeros(empty) if value is None else np.asarray(value)
+            if not _in_f32_range(value):
+                raise ValueError(f"{name} must be finite and within float32 range")
             object.__setattr__(self, name, np.asarray(value, dtype=np.float32))
         if self.sample_rate < 1:
             raise ValueError("sample_rate must be >= 1")
@@ -190,7 +199,6 @@ class SweepReport:
 
     rows: tuple[SweepRow, ...]
     skipped: tuple[tuple[int, int, str], ...] = ()
-    metadata: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         lines = ["n,stride,R,A,lambda_min"]
@@ -317,7 +325,7 @@ def _encode(blocks: np.ndarray, params: CodecParams, quantize: bool):
     """
     fail = Failures()
     c = _correlations(_delay_windows(blocks, params.order_n, params.stride))
-    laws, lam, errors = _block_laws(c, params.symmetric, params.eigen_index)
+    laws, lam, errors = _block_laws(c, params.symmetric)
     pos = np.flatnonzero(fail.record(np.arange(len(blocks)), errors))
     fitted = _unit(laws.astype(np.float32)) if quantize else laws
     groups, errors = _block_bases(fitted, params, blocks.shape[1])
@@ -346,7 +354,10 @@ def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
 
     Weights are quantized to float32 before the payload fit, so the
     stored coefficients belong to exactly the law a decoder will see.
-    When blocks fail, the error of the lowest-index one is raised.
+    A block whose payload leaves float32 range fails with
+    UnstableOverflow.  When blocks fail, the error of the lowest-index
+    one is raised; a tail sample beyond float32 range raises
+    UnstableOverflow after that.
     """
     y = series.samples
     block = params.block_size
@@ -361,16 +372,21 @@ def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
     laws, _, fits, fail = _encode(
         y[: block_count * block].reshape(block_count, block), params, quantize=True
     )
-    fail.raise_first()
     payload = np.zeros((block_count, params.order_n), dtype=np.float32)
     for rows, _, coef in fits:
-        payload[rows, : coef.shape[1]] = coef
+        ok = fail.record(rows, {int(i): UnstableOverflow("payload coefficient beyond float32 range")
+                                for i in np.flatnonzero(~_in_f32_range(coef, axis=-1))})
+        payload[rows[ok], : coef.shape[1]] = coef[ok]
+    fail.raise_first()
+    tail = y[block_count * block :]
+    if not _in_f32_range(tail):
+        raise UnstableOverflow("tail sample beyond float32 range")
     return CompressionArtifact(
         params=params,
         sample_rate=rate,
         weights=laws.astype(np.float32),
         payload=payload,
-        tail=y[block_count * block :],
+        tail=tail,
     )
 
 
@@ -505,17 +521,11 @@ def _measure_point(y: np.ndarray, params: CodecParams) -> tuple[float, float]:
     return float(weighted / np.add.accumulate(energy[live])[-1]), float(np.mean(lambdas))
 
 
-def sweep(
-    series: TimeSeries,
-    n_grid,
-    stride_grid,
-    block_size: int,
-    fit_mode: str = AMPLITUDES,
-    symmetric: bool = False,
-    eigen_index: int = 0,
-) -> SweepReport:
+def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
+          symmetric: bool = False) -> SweepReport:
     """Measure accuracy across an (n, stride) grid at one block size.
 
+    Each point fits its blocks in amplitude mode, in float64.
     Infeasible grid points and points where a numerical step fails are
     recorded under ``skipped`` with a reason instead of aborting the
     sweep.  Block accuracies are averaged weighted by block energy,
@@ -539,14 +549,7 @@ def sweep(
             if s * n >= block_size:
                 skipped.append((n, s, "no window fits: stride * n >= block_size"))
                 continue
-            params = CodecParams(
-                order_n=n,
-                block_size=block_size,
-                stride=s,
-                fit_mode=fit_mode,
-                symmetric=symmetric,
-                eigen_index=eigen_index,
-            )
+            params = CodecParams(order_n=n, block_size=block_size, stride=s, symmetric=symmetric)
             try:
                 acc, lam = _measure_point(y, params)
             except NumericalError as exc:
@@ -573,26 +576,18 @@ def rate_accuracy_slope(rows) -> float:
     return float((x @ (z - z.mean())) / (x @ x))
 
 
-def random_baseline(
-    length: int,
-    seed: int,
-    n_grid,
-    block_size: int,
-    fit_mode: str = AMPLITUDES,
-) -> tuple[SweepReport, float]:
+def random_baseline(length: int, seed: int, n_grid, block_size: int) -> tuple[SweepReport, float]:
     """Accuracy-versus-rate baseline on seeded uniform noise.
 
-    Returns the stride-1 sweep over ``n_grid`` plus the least-squares
-    slope of log A against log R over the rows with R >= 2.  Structured
-    signals are judged against this reference curve.  Tracing the full
-    reference trend means holding n fixed and growing the block: calling
-    this once per block size and pooling the rows keeps each R estimate
-    free of order effects.
+    Returns the stride-1 amplitude-mode sweep over ``n_grid`` plus the
+    least-squares slope of log A against log R over the rows with
+    R >= 2.  Structured signals are judged against this reference
+    curve.  Tracing the full reference trend means holding n fixed and
+    growing the block: calling this once per block size and pooling the
+    rows keeps each R estimate free of order effects.
     """
     noise = synthesize(
         SynthSpec(kind="uniform_noise", length=length, sample_rate=1.0, seed=seed)
     )
-    report = sweep(noise, n_grid, (1,), block_size, fit_mode=fit_mode)
-    slope = rate_accuracy_slope(report.rows)
-    report.metadata.update(seed=seed, slope=slope)
-    return report, slope
+    report = sweep(noise, n_grid, (1,), block_size)
+    return report, rate_accuracy_slope(report.rows)

@@ -33,6 +33,7 @@ from .lawforms import (
     ContinuousModel,
     _pairs,
     conjugate_pairs,
+    evaluate_model,
     impulse_basis,
     roots_to_model,
     run_recursion,
@@ -270,13 +271,11 @@ def fit_initial_conditions(law: LinearLaw, segment) -> InitialConditionFit:
 def reconstruct(fit, count: int) -> np.ndarray:
     """Regenerate ``count`` samples from either fit kind.
 
-    An AmplitudeFit is evaluated at t = k * dt; an InitialConditionFit
-    runs its recursion from the fitted seeds.
+    An AmplitudeFit is evaluated at t = k * dt by ``evaluate_model``;
+    an InitialConditionFit runs its recursion from the fitted seeds.
     """
     if isinstance(fit, AmplitudeFit):
-        t = np.arange(count, dtype=np.float64) * fit.model.dt
-        y = np.exp(-np.outer(t, fit.model.exponents)) @ fit.model.amplitudes
-        return y.real
+        return evaluate_model(fit.model, np.arange(count, dtype=np.float64) * fit.model.dt)
     if isinstance(fit, InitialConditionFit):
         return run_recursion(fit.law, fit.initial, count)
     raise TypeError(f"cannot reconstruct from {type(fit).__name__}")

@@ -247,12 +247,12 @@ def _symmetric_laws(c: np.ndarray, basis: np.ndarray):
     return w[ok], vals[ok, 0], fail.first
 
 
-def _block_laws(c: np.ndarray, symmetric: bool, index: int):
+def _block_laws(c: np.ndarray, symmetric: bool):
     """The law of each correlation matrix of a stack, as the codec takes
     it: ``extract_symmetric_law``, or ``extract_law`` of
-    ``eigendecompose`` at ``index``.  Returns the unit weights and
-    eigenvalues of the matrices that give a law, in order, plus
-    ``{position: error}`` for the others."""
+    ``eigendecompose`` (the smallest-eigenvalue law, min-norm on a tie).
+    Returns the unit weights and eigenvalues of the matrices that give a
+    law, in order, plus ``{position: error}`` for the others."""
     if symmetric:
         return _symmetric_laws(c, _palindromic_basis((1,) * c.shape[-1]))
     fail = Failures()
@@ -261,7 +261,7 @@ def _block_laws(c: np.ndarray, symmetric: bool, index: int):
                            for p in np.flatnonzero(~_symmetric(c))})
     vals, vecs, errors = _eigh(c[ok])
     fail.record(pos[ok], errors)
-    w, lam = _pick_laws(vals, vecs, index)
+    w, lam = _pick_laws(vals, vecs, 0)
     return w, lam, fail.first
 
 

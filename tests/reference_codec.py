@@ -16,6 +16,8 @@ from dynlaw.fitting import accuracy, least_squares, mode_basis
 from dynlaw.lawforms import conjugate_pairs, impulse_basis, roots_to_weights, weights_to_roots
 from dynlaw.spectral import correlation, eigendecompose, extract_law, extract_symmetric_law
 
+F32_MAX = float(np.finfo(np.float32).max)
+
 
 def unit(weights32):
     w = weights32.astype(np.float64)
@@ -68,7 +70,7 @@ def encode_block(segment, params, quantize):
     if params.symmetric:
         law = extract_symmetric_law(c, cfg)
     else:
-        law = extract_law(eigendecompose(c), cfg, params.eigen_index)
+        law = extract_law(eigendecompose(c), cfg)
     weights = unit(law.weights.astype(np.float32)) if quantize else law.weights
     basis = block_basis(weights, params, segment.size)
     if params.fit_mode == AMPLITUDES:
@@ -87,14 +89,19 @@ def compress(series, params):
     payload = np.zeros((count, params.order_n), dtype=np.float32)
     for b in range(count):
         law, _, coef = encode_block(y[b * block : (b + 1) * block], params, quantize=True)
+        if not np.all(np.abs(coef) <= F32_MAX):
+            raise UnstableOverflow("payload coefficient beyond float32 range")
         weights[b] = law.weights
         payload[b, : coef.size] = coef
+    tail = y[count * block :]
+    if not np.all(np.abs(tail) <= F32_MAX):
+        raise UnstableOverflow("tail sample beyond float32 range")
     return CompressionArtifact(
         params=params,
         sample_rate=int(round(series.sample_rate)),
         weights=weights,
         payload=payload,
-        tail=y[count * block :],
+        tail=tail,
     )
 
 

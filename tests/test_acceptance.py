@@ -301,7 +301,7 @@ def test_criterion_07_rate_one_losslessness():
         "noisy harmonics": harmonic_series(),
     }
     for name, series in signals.items():
-        report = sweep(series, (8,), (1,), 16, fit_mode=AMPLITUDES)
+        report = sweep(series, (8,), (1,), 16)
         row = report.rows[0]
         if row.R != 1.0:
             problems.append(f"{name}: R={row.R}")
@@ -345,7 +345,7 @@ def test_criterion_09_noisy_harmonics_stand_in():
             problems.append(
                 f"best A at R >= 10 is {best.A:.4f} (n={best.n}, stride={best.stride})"
             )
-    lossless = sweep(series, (8,), (1,), 16, fit_mode=AMPLITUDES).rows[0]
+    lossless = sweep(series, (8,), (1,), 16).rows[0]
     if not (lossless.R <= 1.5 and lossless.A >= 0.999):
         problems.append(f"near-lossless point R={lossless.R} A={lossless.A!r}")
     verdict(9, "noisy harmonic tone: A >= 0.9 at R >= 10 and ~1 at R <= 1.5",

@@ -59,6 +59,10 @@ def test_extract_reports_all_four_representations(tmp_path):
     np.testing.assert_allclose(sorted(e.imag for e in exps),
                                [-2.0 * np.pi, 2.0 * np.pi], atol=1e-3)
     assert doc["roundtrip_relative_error"] < 1e-6
+    # --index shows another eigenpair of the spectrum
+    assert run(["extract", "--input", str(wav), "--n", "2", "--index", "1",
+                "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["eigenvalue"] > doc["eigenvalue"]
 
 
 def test_extract_csv_cells_are_plain_numbers(tmp_path):
@@ -166,6 +170,12 @@ def test_usage_errors_exit_1(capsys):
     assert run(["synth", "--kind", "sine"]) == 1  # missing --length
     assert run(["no-such-command"]) == 1
     assert run(["sweep", "--grid-n", "4:2:1", "--block", "8"]) == 1
+    # measurement is amplitude mode only, and compress always stores the
+    # smallest-eigenvalue law: these flags do not exist
+    assert run(["sweep", "--grid-n", "2", "--block", "64", "--mode", "ic"]) == 1
+    assert run(["baseline", "--length", "256", "--grid-n", "2", "--block", "64",
+                "--mode", "amp"]) == 1
+    assert run(["compress", "--n", "2", "--block", "64", "--index", "1"]) == 1
     capsys.readouterr()  # swallow argparse noise
 
 
