@@ -21,7 +21,9 @@ least-squares solves run as stacked numpy/LAPACK calls, grouped where
 blocks need different shapes (a trimmed degree, the zero law).  A
 block that fails drops out of the later stages with its first error
 kept (``_stack.Failures``), and the file raises the error of its
-lowest-index failed block, as a pass block by block would.
+lowest-index failed block, as a pass block by block would.  A block
+whose correlation leaves float range (a sample beyond about 1e154)
+fails with UnstableOverflow before any law is taken from it.
 
 Binary layout (DLAW, version 1, little-endian)::
 
@@ -82,7 +84,7 @@ from .fitting import _least_squares, _mode_bases
 from .lawforms import _degrees, _expand, _impulse_bases, _pairs, _roots
 from .signal_io import SynthSpec, synthesize
 # eigendecompose is unused here; perfbench's tracer test reads dynlaw.codec.eigendecompose
-from .spectral import _block_laws, _correlations, eigendecompose  # noqa: F401
+from .spectral import _correlations, _laws, _palindromic_basis, eigendecompose  # noqa: F401
 
 __all__ = [
     "CodecParams",
@@ -324,9 +326,15 @@ def _encode(blocks: np.ndarray, params: CodecParams, quantize: bool):
     everything stays float64.
     """
     fail = Failures()
-    c = _correlations(_delay_windows(blocks, params.order_n, params.stride))
-    laws, lam, errors = _block_laws(c, params.symmetric)
-    pos = np.flatnonzero(fail.record(np.arange(len(blocks)), errors))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _correlations(_delay_windows(blocks, params.order_n, params.stride))
+    # a finite (c + c^T) / 2 is exactly symmetric, so finiteness is all eigh needs
+    pos = np.arange(len(blocks))
+    pos = pos[fail.record(pos, {int(i): UnstableOverflow("correlation beyond float range")
+                                for i in np.flatnonzero(~np.all(np.isfinite(c), axis=(1, 2)))})]
+    basis = _palindromic_basis((1,) * (params.order_n + 1)) if params.symmetric else None
+    laws, lam, errors = _laws(c[pos], basis)
+    pos = pos[fail.record(pos, errors)]
     fitted = _unit(laws.astype(np.float32)) if quantize else laws
     groups, errors = _block_bases(fitted, params, blocks.shape[1])
     fail.record(pos, errors)
@@ -354,7 +362,7 @@ def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
 
     Weights are quantized to float32 before the payload fit, so the
     stored coefficients belong to exactly the law a decoder will see.
-    A block whose payload leaves float32 range fails with
+    A block whose correlation or payload leaves float range fails with
     UnstableOverflow.  When blocks fail, the error of the lowest-index
     one is raised; a tail sample beyond float32 range raises
     UnstableOverflow after that.
@@ -502,7 +510,8 @@ def _measure_point(y: np.ndarray, params: CodecParams) -> tuple[float, float]:
     block = params.block_size
     block_count = y.size // block
     blocks = y[: block_count * block].reshape(block_count, block)
-    energy = (blocks[:, None, :] @ blocks[:, :, None])[:, 0, 0]
+    with np.errstate(over="ignore"):  # inf beside a sample past ~1e154; _encode fails that block
+        energy = (blocks[:, None, :] @ blocks[:, :, None])[:, 0, 0]
     live = np.flatnonzero(energy != 0.0)  # a silent block's correlation matrix is zero
     _, lam, fits, fail = _encode(blocks[live], params, quantize=False)
     acc = np.empty(live.size)
@@ -537,7 +546,7 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
         raise SeriesTooShort(
             f"series of {y.size} samples is shorter than one block ({block_size})"
         )
-    if np.linalg.norm(y) == 0.0:
+    if not y.any():
         raise ValueError("sweep needs a nonzero signal")
     rows = []
     skipped = []

@@ -5,7 +5,8 @@ A window of order ``n`` collects the current sample together with its
 
     Y[k, i] = y(t_k - i * stride)        i = 0 .. n
 
-with the window anchors ``t_k`` sliding densely at the lag spacing.
+with the window anchors ``t_k`` sliding densely at the lag spacing
+from the first sample on; slice the series to start later.
 The row matrix ``Y`` is the raw material for every law extraction.
 """
 
@@ -48,13 +49,12 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    """Window geometry: order ``n``, lag ``stride`` (in samples), first
-    usable sample index ``start_offset``, and a 0/1 lag mask of length
-    ``n + 1`` whose zeros force the matching window column to zero."""
+    """Window geometry: order ``n``, lag ``stride`` (in samples), and a
+    0/1 lag mask of length ``n + 1`` whose zeros force the matching
+    window column to zero."""
 
     n: int
     stride: int = 1
-    start_offset: int = 0
     mask: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
@@ -62,8 +62,6 @@ class EmbeddingConfig:
             raise ValueError("order n must be >= 1")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if self.start_offset < 0:
-            raise ValueError("start_offset must be >= 0")
         mask = tuple(int(b) for b in self.mask) if self.mask else (1,) * (self.n + 1)
         object.__setattr__(self, "mask", mask)
         if len(mask) != self.n + 1 or any(b not in (0, 1) for b in mask):
@@ -93,8 +91,8 @@ def embed(series: TimeSeries, config: EmbeddingConfig) -> EmbeddedDataset:
     Parameters
     ----------
     series : TimeSeries
-        Input signal; must hold at least ``start_offset + stride*n + 1``
-        samples so one complete window fits.
+        Input signal; must hold at least ``stride*n + 1`` samples so
+        one complete window fits.
     config : EmbeddingConfig
         Window geometry and lag mask.
 
@@ -102,8 +100,8 @@ def embed(series: TimeSeries, config: EmbeddingConfig) -> EmbeddedDataset:
     -------
     EmbeddedDataset
         Row matrix of shape ``(K, n + 1)`` with
-        ``rows[k, i] = samples[start_offset + stride*(n + k) - stride*i]``
-        and ``K = (len(series) - 1 - start_offset - stride*n)//stride + 1``.
+        ``rows[k, i] = samples[stride*(n + k) - stride*i]``
+        and ``K = (len(series) - 1 - stride*n)//stride + 1``.
         Masked columns are zeroed.
 
     Raises
@@ -112,14 +110,13 @@ def embed(series: TimeSeries, config: EmbeddingConfig) -> EmbeddedDataset:
         If not even one window fits.
     """
     y = series.samples
-    n, s, off = config.n, config.stride, config.start_offset
-    need = off + s * n + 1
+    n, s = config.n, config.stride
+    need = s * n + 1
     if len(y) < need:
         raise SeriesTooShort(
-            f"need {need} samples for one window (n={n}, stride={s}, "
-            f"start_offset={off}), got {len(y)}"
+            f"need {need} samples for one window (n={n}, stride={s}), got {len(y)}"
         )
-    rows = _delay_windows(y[off:], n, s) * np.asarray(config.mask, dtype=np.float64)
+    rows = _delay_windows(y, n, s) * np.asarray(config.mask, dtype=np.float64)
     return EmbeddedDataset(rows=rows, config=config, sample_rate=series.sample_rate)
 
 

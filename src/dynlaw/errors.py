@@ -53,7 +53,8 @@ class ZeroRoot(NumericalError):
 
 
 class UnstableOverflow(NumericalError):
-    """Recursion output exceeded the overflow guard of 1e100."""
+    """A value left its range: a generated sample beyond 1e100, a payload
+    beyond float32 or a block correlation beyond float64."""
 
 
 # -- fitting -----------------------------------------------------------------

@@ -52,6 +52,8 @@ __all__ = [
     "conjugate_pairs",
 ]
 
+_PAIR_TOL = 1e-8  # relative tolerance of conjugate pairing (see ``_pairs``)
+
 
 @dataclass(frozen=True)
 class RootSet:
@@ -222,16 +224,16 @@ def _expand(q: np.ndarray, scale: float = 1.0):
     return coeffs.real[~bad], errors
 
 
-def conjugate_pairs(roots, tol: float = 1e-8) -> tuple[list[tuple[int, int]], list[int]]:
+def conjugate_pairs(roots) -> tuple[list[tuple[int, int]], list[int]]:
     """Match a conjugation-closed multiset into (pairs, reals).
 
     Pairs are index tuples (i, j) with Im(roots[i]) > 0 and
     roots[j] ~ conj(roots[i]); reals are indices of near-real roots.
     Raises NonRealCoefficients when some complex root has no partner
-    within tolerance.
+    within 1e-8 * (1 + |root|).
     """
     q = np.asarray(getattr(roots, "roots", roots), dtype=np.complex128)
-    partner, lead, errors = _pairs(q[None], tol)
+    partner, lead, errors = _pairs(q[None])
     if errors:
         raise errors[0]
     pairs = [(i, j) if lead[0, i] else (j, i) for i, j in enumerate(partner[0].tolist()) if i < j]
@@ -239,10 +241,10 @@ def conjugate_pairs(roots, tol: float = 1e-8) -> tuple[list[tuple[int, int]], li
     return pairs, reals
 
 
-def _pairs(q: np.ndarray, tol: float = 1e-8):
+def _pairs(q: np.ndarray):
     """Conjugate pairing of each root set of a stack (g, d).
 
-    Root i is near-real when |Im q_i| <= tol * (1 + |q_i|).  In index
+    Root i is near-real when |Im q_i| <= _PAIR_TOL * (1 + |q_i|).  In index
     order, each root not yet taken as a partner that is not near-real
     takes the nearest later such root (near-real or not) to its
     conjugate, the first one on ties, which must lie within that same
@@ -257,7 +259,7 @@ def _pairs(q: np.ndarray, tol: float = 1e-8):
     fail = Failures()
     # hypot rounds as abs() of one complex value; np.abs of a complex
     # array can differ in the last bit
-    limit = tol * (1.0 + np.hypot(q.real, q.imag))
+    limit = _PAIR_TOL * (1.0 + np.hypot(q.real, q.imag))
     real = np.abs(q.imag) <= limit
     partner = np.tile(np.arange(d), (g, 1))
     lead = real.copy()
@@ -275,7 +277,8 @@ def _pairs(q: np.ndarray, tol: float = 1e-8):
         best = np.argmin(err, axis=-1)
         bad = ~(err[np.arange(at.size), best] <= limit[at, i])
         fail.record(at, {
-            int(r): NonRealCoefficients(f"root {q[at[r], i]} has no conjugate partner within {tol:g}")
+            int(r): NonRealCoefficients(
+                f"root {q[at[r], i]} has no conjugate partner within {_PAIR_TOL:g}")
             for r in np.flatnonzero(bad)
         })
         taken[at[bad]] = True

@@ -20,9 +20,11 @@ stores laws as float32 and fits payloads to the stored law, so a
 decode of a file stays bit-identical to a decode of the in-memory
 artifact.
 
-Correlations, eigensolves and law extraction also run on a stack of
-blocks (``_block_laws``), one stacked ``eigh`` for all of them; the
-single-matrix functions call the same kernels with one row.
+One stacked kernel (``_laws``) extracts plain and palindromic laws.  A
+linear constraint such as time-reversal symmetry (palindromic weights)
+restricts each correlation to an orthonormal basis of the allowed
+weights, and the law found there is re-embedded.  The codec runs it on
+all blocks of a file with one stacked ``eigh``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stack import Failures, lapack_rows, norms, with_cause
+from ._stack import lapack_rows, norms, with_cause
 from .embedding import EmbeddedDataset, EmbeddingConfig
 from .errors import DimensionMismatch, InvalidMask, NoConvergence
 
@@ -153,13 +155,6 @@ def _eigh(matrices: np.ndarray):
     return vals, _normalize_sign(vecs), errors
 
 
-def _eigh_one(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs, errors = _eigh(matrix[None])
-    if errors:
-        raise errors[0]
-    return vals[0], vecs[0]
-
-
 def _normalize_sign(vecs: np.ndarray) -> np.ndarray:
     """Flip the sign of a vector, or of each column of a matrix or of a
     stack of matrices, so that its first component above 1e-12 of its
@@ -201,14 +196,6 @@ def _canonical_null_vector(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return w
 
 
-def _pick_laws(vals: np.ndarray, vecs: np.ndarray, index: int):
-    """Unit law and eigenvalue of pair ``index`` of each spectrum of a
-    stack, by the rule of ``extract_law``."""
-    w = _canonical_null_vector(vals, vecs) if index == 0 else vecs[:, :, index]
-    w = _normalize_sign(w[..., None])[..., 0]
-    return w / norms(w)[:, None], vals[:, index]
-
-
 def _palindromic_basis(mask: tuple[int, ...]) -> np.ndarray:
     """Orthonormal basis of the palindromic lag vectors allowed by a
     palindromic mask, one column each; the first one holds lag 0."""
@@ -229,40 +216,28 @@ def _palindromic_basis(mask: tuple[int, ...]) -> np.ndarray:
     return np.column_stack(basis)
 
 
-def _symmetric_laws(c: np.ndarray, basis: np.ndarray):
-    """Palindromic law and reduced eigenvalue of each correlation matrix
-    of a stack, by the rule of ``extract_symmetric_law``; returns them
-    for the matrices that give one, plus the errors of the others."""
-    reduced = basis.T @ c @ basis
-    reduced = (reduced + np.swapaxes(reduced, -1, -2)) / 2.0
-    fail = Failures()
-    pos = np.arange(len(c))
-    vals, vecs, errors = _eigh(reduced)
-    pos = pos[fail.record(pos, errors)]
-    # each row of the basis holds one nonzero, so mirrored lags get the same float
-    w = (basis @ _canonical_null_vector(vals, vecs)[..., None])[..., 0]
-    w = _normalize_sign((w / norms(w)[:, None])[..., None])[..., 0]
-    ok = fail.record(pos, {int(i): ValueError("symmetric law must be exactly palindromic")
-                           for i in np.flatnonzero(~np.all(w == w[:, ::-1], axis=-1))})
-    return w[ok], vals[ok, 0], fail.first
+def _laws(c: np.ndarray, basis: np.ndarray | None = None):
+    """The law of each correlation matrix of a stack: the min-norm
+    smallest-eigenvalue vector (``_canonical_null_vector``) of ``c``, or,
+    given orthonormal ``basis`` columns, of ``c`` restricted to their
+    span and re-embedded; sign-normalized at unit norm.  Returns the
+    laws and eigenvalues of the matrices LAPACK solves, in order, plus
+    ``{position: NoConvergence}`` for the others."""
+    if basis is not None:
+        c = basis.T @ c @ basis
+        c = (c + np.swapaxes(c, -1, -2)) / 2.0
+    vals, vecs, errors = _eigh(c)
+    w = _canonical_null_vector(vals, vecs)
+    if basis is not None:
+        # each row of a palindromic basis holds one nonzero, so mirrored
+        # lags get the same float
+        w = (basis @ w[..., None])[..., 0]
+    return _unit_laws(w), vals[:, 0], errors
 
 
-def _block_laws(c: np.ndarray, symmetric: bool):
-    """The law of each correlation matrix of a stack, as the codec takes
-    it: ``extract_symmetric_law``, or ``extract_law`` of
-    ``eigendecompose`` (the smallest-eigenvalue law, min-norm on a tie).
-    Returns the unit weights and eigenvalues of the matrices that give a
-    law, in order, plus ``{position: error}`` for the others."""
-    if symmetric:
-        return _symmetric_laws(c, _palindromic_basis((1,) * c.shape[-1]))
-    fail = Failures()
-    pos = np.arange(len(c))
-    ok = fail.record(pos, {int(p): ValueError("correlation matrix must be symmetric")
-                           for p in np.flatnonzero(~_symmetric(c))})
-    vals, vecs, errors = _eigh(c[ok])
-    fail.record(pos[ok], errors)
-    w, lam = _pick_laws(vals, vecs, 0)
-    return w, lam, fail.first
+def _unit_laws(w: np.ndarray) -> np.ndarray:
+    """Each row of a stack of laws, sign-normalized at unit norm."""
+    return _normalize_sign((w / norms(w)[:, None])[..., None])[..., 0]
 
 
 def eigendecompose(c: CorrelationMatrix, mask: tuple[int, ...] | None = None) -> Spectrum:
@@ -271,23 +246,22 @@ def eigendecompose(c: CorrelationMatrix, mask: tuple[int, ...] | None = None) ->
     With a lag mask, masked rows and columns are excluded and the
     reduced problem is solved; the returned eigenvectors are re-embedded
     with exact zeros at masked positions, so the spectrum holds one pair
-    per active lag and no spurious null modes along masked axes.
+    per active lag and no spurious null modes along masked axes.  A mask
+    needs one bit per lag, else DimensionMismatch.
     """
     a = c.entries if isinstance(c, CorrelationMatrix) else np.asarray(c, dtype=np.float64)
     m = a.shape[0]
     if not _symmetric(a):
         raise ValueError("correlation matrix must be symmetric")
-    if mask is not None and any(b == 0 for b in mask):
-        if len(mask) != m:
-            raise DimensionMismatch(f"mask of length {len(mask)} against a {m}x{m} matrix")
-        active = [i for i, b in enumerate(mask) if b]
-        sub = a[np.ix_(active, active)]
-        vals, vecs = _eigh_one(sub)
-        full = np.zeros((m, len(active)))
-        full[active, :] = vecs
-        return Spectrum(eigenvalues=vals, eigenvectors=full)
-    vals, vecs = _eigh_one(a)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+    if mask is not None and len(mask) != m:
+        raise DimensionMismatch(f"mask of length {len(mask)} against a {m}x{m} matrix")
+    active = [i for i, b in enumerate((1,) * m if mask is None else mask) if b]
+    vals, vecs, errors = _eigh(a[np.ix_(active, active)][None])
+    if errors:
+        raise errors[0]
+    full = np.zeros((m, len(active)))
+    full[active, :] = vecs[0]
+    return Spectrum(eigenvalues=vals[0], eigenvectors=full)
 
 
 def extract_law(spectrum: Spectrum, config: EmbeddingConfig, index: int = 0) -> LinearLaw:
@@ -304,10 +278,10 @@ def extract_law(spectrum: Spectrum, config: EmbeddingConfig, index: int = 0) -> 
     count = vals.size
     if not 0 <= index < count:
         raise IndexError(f"eigenpair index {index} out of range ({count} pairs)")
-    w, lam = _pick_laws(vals[None], vecs[None], index)
+    w = _canonical_null_vector(vals[None], vecs[None]) if index == 0 else vecs[None, :, index]
     return LinearLaw(
-        weights=w[0],
-        eigenvalue=float(lam[0]),
+        weights=_unit_laws(w)[0],
+        eigenvalue=float(vals[index]),
         stride=config.stride,
         mask=config.mask,
         symmetric_flag=False,
@@ -337,7 +311,7 @@ def extract_symmetric_law(c: CorrelationMatrix, config: EmbeddingConfig) -> Line
     mask = config.mask
     if any(mask[i] != mask[n - i] for i in range(m)):
         raise InvalidMask("symmetric extraction needs a palindromic mask")
-    w, lam, errors = _symmetric_laws(a[None], _palindromic_basis(mask))
+    w, lam, errors = _laws(a[None], _palindromic_basis(mask))
     if errors:
         raise errors[0]
     return LinearLaw(

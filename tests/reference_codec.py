@@ -66,7 +66,10 @@ def generate(basis, coef):
 
 def encode_block(segment, params, quantize):
     cfg = EmbeddingConfig(n=params.order_n, stride=params.stride)
-    c = correlation(embed(TimeSeries(segment), cfg))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = correlation(embed(TimeSeries(segment), cfg))
+    if not np.all(np.isfinite(c.entries)):
+        raise UnstableOverflow("correlation beyond float range")
     if params.symmetric:
         law = extract_symmetric_law(c, cfg)
     else:
@@ -124,7 +127,8 @@ def measure_point(y, params):
     lambdas = []
     for b in range(y.size // block):
         segment = y[b * block : (b + 1) * block]
-        energy = float(segment @ segment)
+        with np.errstate(over="ignore"):
+            energy = float(segment @ segment)
         if energy == 0.0:
             lambdas.append(0.0)
             continue

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven through run(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,24 @@ def test_numerical_failure_exits_3(tmp_path, capsys, growth, block, mode):
     assert run(["decompress", "--input", str(path),
                 "--output", str(tmp_path / "boom.wav")]) == 3
     assert "numerical failure:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("mode", ["amp", "ic"])
+def test_correlation_overflow_exits_3(tmp_path, capsys, monkeypatch, mode, warn):
+    # 16-bit WAV cannot carry a sample beyond 1e154, so the reader is
+    # replaced by one that returns such a series
+    y = np.sin(0.3 * np.arange(350))
+    y[150] = 1e300
+    monkeypatch.setattr("dynlaw.cli.read_wav", lambda data: TimeSeries(y, 8000.0))
+    path = tmp_path / "in.wav"
+    path.write_bytes(b"")
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn, RuntimeWarning)
+        assert run(["compress", "--input", str(path), "--output", str(tmp_path / "out.dlaw"),
+                    "--n", "3", "--block", "100", "--mode", mode]) == 3
+    assert "correlation beyond float range" in capsys.readouterr().err
+    assert not (tmp_path / "out.dlaw").exists()
 
 
 def test_stdout_streaming(capsysbinary):

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -502,6 +503,45 @@ def test_payload_overflow_keeps_block_order(overflow_first):
     for encode in (compress, reference_codec.compress):
         with pytest.raises(expected):
             encode(series, params)
+
+
+def _spiked_tone(spike):
+    # sample 150 sits at position 50 of block 1 (block 100), which the
+    # windows see at strides 1 and 2; a +-1e300 pair puts -inf beside
+    # +inf in the correlation, so any later sum of its entries is NaN
+    y = _tone(350)
+    y[150] = 1e300
+    if spike == "pair":
+        y[152] = -1e300
+    return TimeSeries(y, 8000.0)
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("spike", ["single", "pair"])
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("mode", [AMPLITUDES, INITIAL_CONDITIONS])
+def test_correlation_beyond_float_range_fails_the_block(mode, stride, symmetric, spike, warn):
+    series = _spiked_tone(spike)
+    params = CodecParams(order_n=3, block_size=100, stride=stride, fit_mode=mode,
+                         symmetric=symmetric)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn, RuntimeWarning)
+        for encode in (compress, reference_codec.compress):
+            with pytest.raises(UnstableOverflow, match="correlation beyond float range"):
+                encode(series, params)
+        report = sweep(series, (3,), (stride,), 100, symmetric=symmetric)
+    assert report.rows == ()
+    assert report.skipped == ((3, stride, "UnstableOverflow: correlation beyond float range"),)
+
+
+def test_sweep_ignores_a_tail_it_does_not_measure():
+    # the zero-signal test must not square a tail sample beyond 1e154
+    y = _tone(300)
+    y[-1] = 1e300
+    report = sweep(TimeSeries(y, 8000.0), (2,), (1,), 64)
+    assert report.skipped == ()
+    assert [row.n for row in report.rows] == [2]
 
 
 @pytest.mark.parametrize("field", ["weights", "payload", "tail"])

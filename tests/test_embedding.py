@@ -41,15 +41,8 @@ def test_stride_two_windows():
 def test_window_count_property():
     ds = embed(TimeSeries(np.arange(11)), EmbeddingConfig(n=3, stride=2))
     assert ds.window_count == ds.rows.shape[0]
-    # K = (len - 1 - offset - stride*n)//stride + 1 = (11-1-6)//2 + 1 = 3
+    # K = (len - 1 - stride*n)//stride + 1 = (11-1-6)//2 + 1 = 3
     assert ds.window_count == 3
-
-
-def test_start_offset_equals_slicing():
-    y = np.sin(0.3 * np.arange(40))
-    a = embed(TimeSeries(y[7:]), EmbeddingConfig(n=3, stride=2))
-    b = embed(TimeSeries(y), EmbeddingConfig(n=3, stride=2, start_offset=7))
-    np.testing.assert_array_equal(a.rows, b.rows)
 
 
 def test_scaling_is_elementwise():
@@ -67,14 +60,15 @@ def test_scaling_is_elementwise():
     offset=st.integers(0, 8),
 )
 def test_rows_match_brute_force(length, n, stride, offset):
+    # windows of a series sliced at ``offset`` are the windows anchored
+    # from that sample on
     y = np.arange(1.0, length + 1.0)
-    cfg_kwargs = dict(n=n, stride=stride, start_offset=offset)
     expected = brute_windows(y, n, stride, offset)
     if expected.shape[0] == 0:
         with pytest.raises(SeriesTooShort):
-            embed(TimeSeries(y), EmbeddingConfig(**cfg_kwargs))
+            embed(TimeSeries(y[offset:]), EmbeddingConfig(n=n, stride=stride))
         return
-    ds = embed(TimeSeries(y), EmbeddingConfig(**cfg_kwargs))
+    ds = embed(TimeSeries(y[offset:]), EmbeddingConfig(n=n, stride=stride))
     np.testing.assert_array_equal(ds.rows, expected)
 
 
@@ -97,7 +91,7 @@ def test_too_short_series_rejected():
     with pytest.raises(SeriesTooShort):
         embed(TimeSeries([1.0, 2.0]), EmbeddingConfig(n=2))
     with pytest.raises(SeriesTooShort):
-        embed(TimeSeries([1.0, 2.0, 3.0]), EmbeddingConfig(n=1, stride=1, start_offset=2))
+        embed(TimeSeries([1.0, 2.0, 3.0]), EmbeddingConfig(n=1, stride=3))
 
 
 def test_mask_validation():
@@ -114,8 +108,6 @@ def test_config_validation():
         EmbeddingConfig(n=0)
     with pytest.raises(ValueError):
         EmbeddingConfig(n=2, stride=0)
-    with pytest.raises(ValueError):
-        EmbeddingConfig(n=2, start_offset=-1)
 
 
 def test_series_validation():

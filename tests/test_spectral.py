@@ -226,6 +226,13 @@ def test_masked_spectrum_has_no_spurious_null_modes():
     assert spec.eigenvalues[0] > 1e-6  # noise has no law on the active lags
 
 
+@pytest.mark.parametrize("mask", [(1, 1), (1, 0, 1), (1, 1, 1, 1, 1)])
+def test_mask_of_wrong_length_is_rejected(mask):
+    c = CorrelationMatrix(np.diag([1.0, 2.0, 3.0, 4.0]), sample_count=1)
+    with pytest.raises(DimensionMismatch):
+        eigendecompose(c, mask=mask)
+
+
 def test_symmetric_extraction_rejects_asymmetric_mask():
     rng = np.random.default_rng(13)
     cfg = EmbeddingConfig(n=3, mask=(1, 1, 0, 1))
