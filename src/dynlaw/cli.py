@@ -10,6 +10,7 @@ input, 3 numerical failure.  Diagnostics go to stderr as single lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -76,6 +77,7 @@ def _write_text(path: str, text: str) -> None:
             handle.write(text)
 
 
+@functools.cache  # built once per process; parse_args leaves the tree unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dynlaw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,7 +6,7 @@ Two routes produce a reconstruction from the same law:
     sum_a c_a q_a^{-k} tracks the segment;
   * initial-condition fit: solve for the n seed values whose recursion
     output tracks the segment.  Its basis is the recursion's impulse
-    responses, solved for all n seeds at once (``impulse_basis``).
+    responses, stepped for all n seeds at once (``impulse_basis``).
 
 Both minimize the residual 2-norm over the whole segment.  Normal
 equations are solved by Cholesky factorization on norm-scaled columns;
@@ -244,7 +244,7 @@ def fit_initial_conditions(law: LinearLaw, segment) -> InitialConditionFit:
 
     The basis series are impulse responses: unit value at seed position
     l, zero at the other seeds, carried through the recursion by
-    ``impulse_basis``, one block solve for all n of them.  The fitted
+    ``impulse_basis``, one recursion run for all n of them.  The fitted
     seeds are therefore directly the first n samples of the
     reconstruction.
 

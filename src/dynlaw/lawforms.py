@@ -13,11 +13,10 @@ the four forms together.  The principal logarithm means an angular
 frequency is only recovered modulo 2*pi/dt; content above the Nyquist
 frequency of the law's sampling grid aliases, as it must.
 
-The recursion is never stepped one sample at a time in Python.  Over
-``count`` samples it is a banded lower-triangular Toeplitz system,
-solved 32 rows per LAPACK call for all n unit seeds at once: the
-impulse-response basis of ``impulse_basis``.  Running the recursion from
-given seeds is that basis times the seeds.
+The recursion is stepped once per sample for all n unit seeds at once,
+and for every law of a stack at once: the impulse-response basis of
+``impulse_basis``.  Running the recursion from given seeds is that
+basis times the seeds.
 
 Roots, conjugate pairing, expansion and impulse bases are computed for
 a stack of laws at once (``_roots``, ``_pairs``, ``_expand``,
@@ -338,26 +337,6 @@ def evaluate_model(model: ContinuousModel, t):
     return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
-_CHUNK = 32
-_CHUNK_BITS = 512
-
-
-def _lower_toeplitz(column: np.ndarray, size: int) -> np.ndarray:
-    """(..., size, size) lower-triangular Toeplitz view with the given
-    first column (..., c), zero-padded or cut to ``size``."""
-    padded = np.zeros(column.shape[:-1] + (2 * size - 1,))
-    m = min(size, column.shape[-1])
-    padded[..., size - 1 : size - 1 + m] = column[..., :m]
-    # entry (i, j) reads padded[size - 1 + i - j]; the zeros pad i < j
-    step = padded.strides[-1]
-    return np.lib.stride_tricks.as_strided(
-        padded[..., size - 1 :],
-        shape=column.shape[:-1] + (size, size),
-        strides=padded.strides[:-1] + (step, -step),
-        writeable=False,
-    )
-
-
 def impulse_basis(law, count: int) -> np.ndarray:
     """Impulse responses of the recursion as a (count, n) basis B.
 
@@ -366,18 +345,12 @@ def impulse_basis(law, count: int) -> np.ndarray:
     the recursion run from seeds s.  Rows 0..n-1 are exactly the
     identity.  Memory is O(count * n) floats.
 
-    Over ``count`` samples the recursion is the banded lower-triangular
-    Toeplitz system  sum_i (w_i / w_0) y_{k-i} = 0.  It is solved for
-    all n columns at once, 32 rows per LAPACK call, each chunk seeded by
-    the n rows before it.  Row j of a chunk is scaled by 2^(-p j), with
-    p the smallest integer making every scaled coefficient
-    |w_i / w_0| 2^(-p i) <= 1: the pivot search then always keeps the
-    unit diagonal, so each solve is forward substitution, the sequential
-    recursion itself up to summation order, and power-of-two scaling
-    changes no rounding.  (Doubling by products of earlier rows would
-    need no solves, but it compounds rounding errors by the condition of
-    the law's roots at every level.)  Values beyond float range come out
-    as inf or nan; callers test for them.
+    Row k >= n is the recursion step itself, -(1/w_0) sum_i w_i B[k-i],
+    taken for all n columns at once: 2n flops per sample and column.
+    (Doubling by products of earlier rows would take fewer steps, but it
+    compounds rounding errors by the condition of the law's roots at
+    every level.)  Values beyond float range come out as inf or nan;
+    callers test for them.
     """
     w = _weights_of(law)
     if abs(w[0]) <= 1e-12:
@@ -393,9 +366,9 @@ def impulse_basis(law, count: int) -> np.ndarray:
 def _impulse_bases(w: np.ndarray, count: int):
     """``impulse_basis`` of each law of a stack (g, n + 1): the bases of
     the laws that have one, plus ``{position: ValueError}`` for laws
-    with |w_0| <= 1e-12 or a non-finite weight.  Laws are solved
-    together when they share the scaling exponent p, which sets the
-    chunk length."""
+    with |w_0| <= 1e-12 or a non-finite weight.  Each step of the
+    recursion is one stacked product over every law and seed column,
+    so a row comes out the same whatever else the stack holds."""
     n = w.shape[1] - 1
     fail = Failures()
     pos = np.arange(w.shape[0])
@@ -408,30 +381,10 @@ def _impulse_bases(w: np.ndarray, count: int):
     basis = np.zeros((w.shape[0], count, n))
     head = np.arange(min(count, n))
     basis[:, head, head] = 1.0
-    if count <= n or n == 0:
-        return basis, fail.first
-    v = w / w[:, :1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        exponent = np.log2(np.abs(v[:, 1:])) / np.arange(1, n + 1)
-        shifts = np.ceil(np.max(exponent, axis=-1, initial=0.0)).astype(int)
-        for p in np.unique(shifts).tolist():
-            at = np.flatnonzero(shifts == p)
-            # a chunk's scaled rows span 2^(p * chunk): keep that inside float range
-            chunk = min(_CHUNK, count - n, max(1, _CHUNK_BITS // max(p, 1)))
-            scale = np.ldexp(1.0, -p * np.arange(max(chunk, n + 1)))[:, None]
-            system = _lower_toeplitz(v[at] * scale[: n + 1, 0], chunk)
-            # row r < n of a chunk also sees the n rows before it: -sum_{i>r} v_i y_{k+r-i}
-            coupling = np.ascontiguousarray(
-                np.swapaxes(_lower_toeplitz(-v[at, :0:-1], n), -1, -2) * scale[:n]
-            )
-            part = basis if at.size == len(basis) else basis[at]
-            for k in range(n, count, chunk):
-                rows = min(chunk, count - k)
-                rhs = np.zeros((at.size, rows, n))
-                rhs[:, : min(n, rows)] = coupling[:, :rows] @ part[:, k - n : k]
-                part[:, k : k + rows] = np.linalg.solve(system[:, :rows, :rows], rhs) / scale[:rows]
-            if part is not basis:
-                basis[at] = part
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = (-w[:, :0:-1] / w[:, :1])[:, None, :]  # weights of y_{k-n} .. y_{k-1}
+        for k in range(n, count):
+            np.matmul(step, basis[:, k - n : k], out=basis[:, k : k + 1])
     return basis, fail.first
 
 

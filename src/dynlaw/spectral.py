@@ -103,7 +103,7 @@ class LinearLaw:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1 or w.size < 2:
             raise ValueError("weights must be a vector of length n + 1 >= 2")
-        if abs(np.linalg.norm(w) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(w) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("weights must have unit norm")
         if not self.mask:
             object.__setattr__(self, "mask", (1,) * w.size)
@@ -253,6 +253,8 @@ def eigendecompose(c: CorrelationMatrix, mask: tuple[int, ...] | None = None) ->
     m = a.shape[0]
     if not _symmetric(a):
         raise ValueError("correlation matrix must be symmetric")
+    if not np.all(np.isfinite(a)):  # _symmetric takes inf == inf
+        raise ValueError("correlation matrix must be finite")
     if mask is not None and len(mask) != m:
         raise DimensionMismatch(f"mask of length {len(mask)} against a {m}x{m} matrix")
     active = [i for i, b in enumerate((1,) * m if mask is None else mask) if b]

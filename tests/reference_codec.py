@@ -134,7 +134,11 @@ def measure_point(y, params):
             continue
         law, basis, coef = encode_block(segment, params, quantize=False)
         lambdas.append(law.eigenvalue)
-        acc_sum += energy * accuracy(segment, generate(basis, coef))
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = accuracy(segment, generate(basis, coef))
+        if not np.isfinite(acc):  # a sample past ~1e154 that no window saw
+            raise UnstableOverflow("block norm beyond float range")
+        acc_sum += energy * acc
         weights_sum += energy
     if weights_sum == 0.0:
         raise ValueError("every full block is identically zero")

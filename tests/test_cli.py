@@ -6,12 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from dynlaw.cli import run
+from dynlaw.cli import _build_parser, run
 from dynlaw.codec import (
     AMPLITUDES,
     INITIAL_CONDITIONS,
     CodecParams,
     CompressionArtifact,
+    compress,
     serialize,
 )
 from dynlaw.embedding import TimeSeries
@@ -177,6 +178,32 @@ def test_usage_errors_exit_1(capsys):
     assert run(["baseline", "--length", "256", "--grid-n", "2", "--block", "64",
                 "--mode", "amp"]) == 1
     assert run(["compress", "--n", "2", "--block", "64", "--index", "1"]) == 1
+    capsys.readouterr()  # swallow argparse noise
+
+
+def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    # one parser serves every call of a process: neither the flags of an
+    # earlier command nor a failed parse may reach a later one
+    assert _build_parser() is _build_parser()
+    wav = synth_sine(tmp_path, length=320)
+    series = read_wav(wav.read_bytes())
+
+    def written(*flags):
+        out = tmp_path / "out.dlaw"
+        assert run(["compress", "--input", str(wav), "--output", str(out),
+                    "--n", "2", "--block", "64", *flags]) == 0
+        return out.read_bytes()
+
+    ic = serialize(compress(series, CodecParams(order_n=2, block_size=64, symmetric=True,
+                                                fit_mode=INITIAL_CONDITIONS)))
+    amp = serialize(compress(series, CodecParams(order_n=2, block_size=64)))
+    assert written("--symmetric", "--mode", "ic") == ic
+    assert written() == amp
+    assert run(["compress", "--input", str(wav), "--n", "2", "--block", "64",
+                "--symmetric", "--mode", "bogus"]) == 1
+    assert written() == amp
+    assert run(["compress", "--n", "2", "--mode", "ic"]) == 1  # missing --block
+    assert written("--symmetric", "--mode", "ic") == ic
     capsys.readouterr()  # swallow argparse noise
 
 

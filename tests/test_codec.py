@@ -535,6 +535,22 @@ def test_correlation_beyond_float_range_fails_the_block(mode, stride, symmetric,
     assert report.skipped == ((3, stride, "UnstableOverflow: correlation beyond float range"),)
 
 
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+def test_block_norm_beyond_float_range_skips_the_point(warn):
+    # at stride 3 the windows of block 100-199 read samples 100, 103, ...:
+    # the +-1e300 pair at 150 and 152 leaves the correlation finite, and
+    # only the block's norm in the accuracy leaves float range
+    series = _spiked_tone("pair")
+    params = CodecParams(order_n=1, block_size=100, stride=3, symmetric=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn, RuntimeWarning)
+        report = sweep(series, (1,), (3,), 100, symmetric=True)
+        with pytest.raises(UnstableOverflow, match="block norm beyond float range"):
+            reference_codec.measure_point(series.samples, params)
+    assert report.rows == ()
+    assert report.skipped == ((1, 3, "UnstableOverflow: block norm beyond float range"),)
+
+
 def test_sweep_ignores_a_tail_it_does_not_measure():
     # the zero-signal test must not square a tail sample beyond 1e154
     y = _tone(300)

@@ -11,6 +11,7 @@ from dynlaw.lawforms import (
     companion_matrix,
     conjugate_pairs,
     evaluate_model,
+    _impulse_bases,
     impulse_basis,
     roots_to_model,
     roots_to_weights,
@@ -276,15 +277,44 @@ def test_impulse_basis_head_is_identity_and_drives_run_recursion():
     np.testing.assert_array_equal(run_recursion(w, seeds, 700), basis @ seeds)
 
 
-def test_steep_law_runs_in_short_chunks():
-    # |w_1 / w_0| = 5e5 forces 2^-19 per-row scaling, so a chunk holds 26
-    # rows instead of 32; every column is still the recursion's, row by row
+def test_steep_law_matches_stepped_recursion():
+    # |w_1 / w_0| = 5e5: the basis grows past 1e150 within 40 rows, and
+    # every column is still the recursion's, row by row
     w = np.array([1e-6, 0.5, -3.0, 0.2])
     basis = impulse_basis(w, 40)
     assert 1e150 < np.max(np.abs(basis)) < 1e300
     for j, seed in enumerate(np.eye(3)):
         ref = reference_recursion(w, seed, 40)
         np.testing.assert_allclose(basis[:, j], ref, rtol=1e-12, atol=0.0)
+
+
+def test_mixed_stack_rows_equal_single_law_bases():
+    # laws of very different growth share one stack, beside one whose w_0
+    # is too small to step: that one fails alone, and every other row is
+    # its single-law basis bit for bit
+    q = np.array([0.995 * np.exp(0.2j), 0.995 * np.exp(-0.2j), 0.9])
+    damped = roots_to_weights(q, 1.0)
+    stack = np.array([
+        [1e-6, 0.5, -3.0, 0.2],  # steep
+        [1.0, -1.0, -1.0, 0.0],  # Fibonacci
+        damped / np.linalg.norm(damped),
+        [1e-13, 1.0, 0.5, 0.1],  # w_0 <= 1e-12
+        [1.0, -3.0, 3.0, -1.0],  # quadratics
+    ])
+    basis, errors = _impulse_bases(stack, 40)
+    assert list(errors) == [3]
+    assert isinstance(errors[3], ValueError) and "1e-12" in str(errors[3])
+    assert basis.shape == (4, 40, 3)
+    for row, i in zip(basis, [0, 1, 2, 4]):
+        np.testing.assert_array_equal(row, impulse_basis(stack[i], 40))
+        for j, seed in enumerate(np.eye(3)):
+            ref = reference_recursion(stack[i], seed, 40)
+            if i == 0:
+                np.testing.assert_allclose(row[:, j], ref, rtol=1e-12, atol=0.0)
+            elif i == 2:
+                assert np.max(np.abs(row[:, j] - ref)) <= 1e-9 * np.max(np.abs(ref))
+            else:  # integer laws with w_0 = 1 step exactly
+                np.testing.assert_array_equal(row[:, j], ref)
 
 
 def _root_condition(q):

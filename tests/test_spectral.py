@@ -9,6 +9,7 @@ from dynlaw.embedding import EmbeddingConfig, TimeSeries, embed
 from dynlaw.errors import DimensionMismatch, InvalidMask
 from dynlaw.spectral import (
     CorrelationMatrix,
+    LinearLaw,
     Spectrum,
     correlation,
     eigendecompose,
@@ -231,6 +232,30 @@ def test_mask_of_wrong_length_is_rejected(mask):
     c = CorrelationMatrix(np.diag([1.0, 2.0, 3.0, 4.0]), sample_count=1)
     with pytest.raises(DimensionMismatch):
         eigendecompose(c, mask=mask)
+
+
+@pytest.mark.parametrize("spike", ["single", "pair"])
+def test_correlation_beyond_float_range_is_rejected(spike):
+    # a sample beyond 1e154 squares to inf; without the check the law came
+    # out as [1, 0] with eigenvalue NaN (one spike) or with NaN weights (a pair)
+    y = np.sin(2 * np.pi * 440.0 * np.arange(350) / 8000.0)
+    y[150] = 1e300
+    if spike == "pair":
+        y[152] = -1e300
+    cfg = EmbeddingConfig(n=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = correlation(embed(TimeSeries(y), cfg))
+    assert not np.all(np.isfinite(c.entries))
+    with pytest.raises(ValueError, match="finite"):
+        extract_law(eigendecompose(c), cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_law_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="unit norm"):
+        LinearLaw(weights=np.array([1.0, bad]), eigenvalue=0.0)
+    with pytest.raises(ValueError, match="unit norm"):
+        LinearLaw(weights=np.array([np.sqrt(0.5), np.sqrt(0.5), bad]), eigenvalue=0.0)
 
 
 def test_symmetric_extraction_rejects_asymmetric_mask():
