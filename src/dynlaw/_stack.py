@@ -5,7 +5,9 @@ arrays.  A block that fails a stage drops out of the later ones, and its
 first failure is kept; the file then raises the failure of its
 lowest-index failed block, which is what a pass over the blocks one by
 one raises.  Stacked kernels report failures as ``{position: exception}``
-and return outputs for the other rows only, in order.
+and return outputs for the other rows only, in order.  A single-law
+function is such a kernel called with one row and unwrapped by
+``one_row``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,15 @@ class Failures:
     def raise_first(self) -> None:
         if self.first:
             raise self.first[min(self.first)]
+
+
+def one_row(result: tuple) -> tuple:
+    """The outputs of a stacked kernel, ``(*outputs, errors)``, called
+    with one row: that row of each output, or the row's error raised."""
+    *outputs, errors = result
+    if errors:
+        raise errors[0]
+    return tuple(x[0] for x in outputs)
 
 
 def survivors(count: int, errors: dict) -> np.ndarray:

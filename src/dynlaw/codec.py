@@ -73,14 +73,12 @@ from .errors import (
     InvariantViolation,
     NumericalError,
     SeriesTooShort,
-    SingularNormalMatrix,
     TruncatedPayload,
-    UnstableBasis,
     UnstableOverflow,
     UnsupportedVersion,
     ZeroRoot,
 )
-from .fitting import _least_squares, _mode_bases
+from .fitting import _least_squares, _mode_bases, _usable_bases
 from .lawforms import _degrees, _expand, _impulse_bases, _pairs, _roots
 from .signal_io import SynthSpec, synthesize
 # eigendecompose is unused here; perfbench's tracer test reads dynlaw.codec.eigendecompose
@@ -148,6 +146,19 @@ class CodecParams:
         return self.block_size / (2.0 * self.order_n)
 
 
+def _check_header(params: CodecParams, sample_rate, block_count: int = 0, tail_length: int = 0):
+    """ValueError unless a DLAW header can store these fields: a sample
+    rate of at least 1 Hz and every field within its width."""
+    if sample_rate < 1:
+        raise ValueError("sample_rate must be >= 1")
+    widths = {"order_n": (params.order_n, 16), "stride": (params.stride, 16),
+              "block_size": (params.block_size, 32), "sample_rate": (sample_rate, 32),
+              "block count": (block_count, 32), "tail length": (tail_length, 32)}
+    for name, (value, bits) in widths.items():
+        if value >= 1 << bits:
+            raise ValueError(f"{name} {value} does not fit its {bits}-bit header field")
+
+
 @dataclass(frozen=True)
 class CompressionArtifact:
     """Everything a decoder needs: params, stored blocks, raw tail.
@@ -155,7 +166,8 @@ class CompressionArtifact:
     Block b is stored as ``weights[b]``, its law (n + 1 float32 values,
     the full palindrome when symmetric), and ``payload[b]``, its n
     float32 coefficients.  Omitted arrays mean no blocks.  Every value
-    must be finite and within float32 range.
+    must be finite and within float32 range, and every header field of
+    the DLAW layout must fit its width.
     """
 
     params: CodecParams
@@ -172,14 +184,13 @@ class CompressionArtifact:
             if not _in_f32_range(value):
                 raise ValueError(f"{name} must be finite and within float32 range")
             object.__setattr__(self, name, np.asarray(value, dtype=np.float32))
-        if self.sample_rate < 1:
-            raise ValueError("sample_rate must be >= 1")
         if self.weights.ndim != 2 or self.weights.shape[1] != n + 1:
             raise ValueError("weights must hold n + 1 values per block")
         if self.payload.shape != (len(self.weights), n):
             raise ValueError("payload must hold n values per block")
         if self.params.symmetric and not np.array_equal(self.weights, self.weights[:, ::-1]):
             raise ValueError("symmetric weights must be exact palindromes")
+        _check_header(self.params, self.sample_rate, len(self.weights), self.tail.size)
 
     @property
     def decompressed_length(self) -> int:
@@ -256,39 +267,43 @@ def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
 
     Amplitude mode gives the modes of the per-sample roots
     (``mode_basis``), initial-condition mode the impulse responses of
-    the per-sample law (``impulse_basis``); at stride 1 that law is the
-    stored one.  Either way the block is ``basis @ payload``, with one
-    column per root, so a law whose degree trims below n uses only the
-    leading payload values.  A law with no weight past lag 0 beyond
-    the trim of ``weights_to_roots`` (an all-zero block gives one)
-    states y = 0: it has no modes in amplitude mode, and in IC mode its
-    own recursion yields zeros after the seeds at any stride.
+    the per-sample law (``impulse_basis``).  Either way the block is
+    ``basis @ payload``, with one column per root, so a law whose degree
+    trims below n uses only the leading payload values.
+
+    The stored law is itself the per-sample law of the ``direct``
+    blocks: those of a law with no weight past lag 0 beyond the trim of
+    ``weights_to_roots`` (an all-zero block gives one), which states
+    y = 0, and in IC mode at stride 1 every block.  They take no roots:
+    a y = 0 law has no modes in amplitude mode, and in IC mode a direct
+    block's basis is the stored law's own recursion, which for y = 0
+    yields zeros after the seeds at any stride.
 
     Returns ``[(positions, bases)]``, one entry per group of blocks
-    whose bases were built together (same degree), plus
+    whose bases were built together (direct, or of one degree), plus
     ``{position: error}`` for the blocks that have no basis.
     """
     fail = Failures()
     pos = np.arange(len(weights))
-    if params.fit_mode == INITIAL_CONDITIONS and params.stride == 1:
-        basis, errors = _impulse_bases(weights, count)
-        return [(pos[fail.record(pos, errors)], basis)], fail.first
-    degrees = _degrees(weights)
+    modes = params.fit_mode == AMPLITUDES
+    # the degree of the roots each basis needs: none in IC mode at stride 1
+    degrees = _degrees(weights) if modes or params.stride > 1 else np.zeros(len(weights), int)
+    direct = degrees < 1
     groups = []
-    at = pos[degrees < 1]
-    if at.size and params.fit_mode == AMPLITUDES:
+    at = pos[direct]
+    if at.size and modes:
         groups.append((at, np.zeros((at.size, count, 0))))
     elif at.size:
         basis, errors = _impulse_bases(weights[at], count)
         groups.append((at[fail.record(at, errors)], basis))
-    for d in np.unique(degrees[degrees >= 1]).tolist():
+    for d in np.unique(degrees[~direct]).tolist():
         at = pos[degrees == d]
         roots, _, errors = _roots(weights[at, : d + 1])
         at = at[fail.record(at, errors)]
         if params.stride > 1:
             roots, errors = _per_sample_roots(roots, params.stride)
             at = at[fail.record(at, errors)]
-        if params.fit_mode == AMPLITUDES:
+        if modes:
             basis, errors = _mode_bases(roots, count)
         else:
             w, errors = _expand(roots, 1.0)
@@ -340,21 +355,19 @@ def _encode(blocks: np.ndarray, params: CodecParams, quantize: bool):
     fail.record(pos, errors)
     fits = []
     for at, basis in groups:
-        rows = pos[at]
-        if params.fit_mode == AMPLITUDES:
-            errors = {int(i): SingularNormalMatrix(
-                "mode basis overflowed; roots too far from the unit circle"
-            ) for i in np.flatnonzero(~np.all(np.isfinite(basis), axis=(1, 2)))}
-        else:
-            errors = {int(i): UnstableBasis("impulse-response basis overflowed")
-                      for i in np.flatnonzero(~np.all(np.abs(basis) <= 1e100, axis=(1, 2)))}
-        if errors:
-            ok = fail.record(rows, errors)
-            rows, basis = rows[ok], basis[ok]
+        basis, errors = _usable_bases(basis, params.fit_mode == AMPLITUDES)
+        rows = pos[at][fail.record(pos[at], errors)]
         coef, errors = _least_squares(basis, blocks[rows])
         ok = fail.record(rows, errors)
         fits.append((rows[ok], basis[ok] if errors else basis, coef))
     return laws, lam, fits, fail
+
+
+def _full_blocks(y: np.ndarray, block: int) -> np.ndarray:
+    """The full blocks of a series as rows (a view); SeriesTooShort if none."""
+    if y.size < block:
+        raise SeriesTooShort(f"series of {y.size} samples is shorter than one block ({block})")
+    return y[: y.size // block * block].reshape(-1, block)
 
 
 def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
@@ -365,28 +378,20 @@ def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
     A block whose correlation or payload leaves float range fails with
     UnstableOverflow.  When blocks fail, the error of the lowest-index
     one is raised; a tail sample beyond float32 range raises
-    UnstableOverflow after that.
+    UnstableOverflow after that.  A header the file cannot store raises
+    ValueError before any block is encoded.
     """
-    y = series.samples
-    block = params.block_size
-    if y.size < block:
-        raise SeriesTooShort(
-            f"series of {y.size} samples is shorter than one block ({block})"
-        )
+    blocks = _full_blocks(series.samples, params.block_size)
     rate = int(round(series.sample_rate))
-    if rate < 1:
-        raise ValueError("sample rate rounds below 1")
-    block_count = y.size // block
-    laws, _, fits, fail = _encode(
-        y[: block_count * block].reshape(block_count, block), params, quantize=True
-    )
-    payload = np.zeros((block_count, params.order_n), dtype=np.float32)
+    _check_header(params, rate)
+    laws, _, fits, fail = _encode(blocks, params, quantize=True)
+    payload = np.zeros((len(blocks), params.order_n), dtype=np.float32)
     for rows, _, coef in fits:
         ok = fail.record(rows, {int(i): UnstableOverflow("payload coefficient beyond float32 range")
                                 for i in np.flatnonzero(~_in_f32_range(coef, axis=-1))})
         payload[rows[ok], : coef.shape[1]] = coef[ok]
     fail.raise_first()
-    tail = y[block_count * block :]
+    tail = series.samples[blocks.size :]
     if not _in_f32_range(tail):
         raise UnstableOverflow("tail sample beyond float32 range")
     return CompressionArtifact(
@@ -449,8 +454,11 @@ def serialize(artifact: CompressionArtifact) -> bytes:
 def deserialize(data: bytes) -> CompressionArtifact:
     """Decode and validate a DLAW byte string.
 
-    Raises BadMagic / UnsupportedVersion / TruncatedPayload /
-    InvariantViolation as appropriate; all of them are CorruptArtifact.
+    The header must describe a valid ``CodecParams`` and pass the header
+    check of ``CompressionArtifact``; the ValueError they raise becomes
+    InvariantViolation.  Raises BadMagic / UnsupportedVersion /
+    TruncatedPayload / InvariantViolation as appropriate; all of them
+    are CorruptArtifact.
     """
     if data[:4] != _MAGIC:
         raise BadMagic("missing DLAW signature")
@@ -466,24 +474,18 @@ def deserialize(data: bytes) -> CompressionArtifact:
     if reserved != 0:
         raise InvariantViolation("reserved header field must be zero")
     symmetric = bool(flags & 1)
-    fit_mode = INITIAL_CONDITIONS if flags & 2 else AMPLITUDES
-    if n < 1 or stride < 1 or rate < 1:
-        raise InvariantViolation("n, stride, and sample_rate must be positive")
-    if block_size < 2 * n or stride * n >= block_size:
-        raise InvariantViolation("block_size incompatible with n and stride")
+    try:
+        params = CodecParams(n, block_size, stride, INITIAL_CONDITIONS if flags & 2 else AMPLITUDES,
+                             symmetric)
+        _check_header(params, rate)
+    except ValueError as exc:
+        raise InvariantViolation(str(exc)) from exc
     count = _stored_weight_count(n, symmetric)
     expected = _HEADER_SIZE + 4 * (block_count * (count + n) + tail_len)
     if len(data) < expected:
         raise TruncatedPayload(f"need {expected} bytes, got {len(data)}")
     if len(data) > expected:
         raise InvariantViolation(f"{len(data) - expected} trailing bytes")
-    params = CodecParams(
-        order_n=n,
-        block_size=block_size,
-        stride=stride,
-        fit_mode=fit_mode,
-        symmetric=symmetric,
-    )
     values = np.frombuffer(data, dtype="<f4", offset=_HEADER_SIZE).astype(np.float32)
     if not np.all(np.isfinite(values)):
         raise InvariantViolation("non-finite stored values")
@@ -495,21 +497,13 @@ def deserialize(data: bytes) -> CompressionArtifact:
     off = np.abs(np.linalg.norm(weights.astype(np.float64), axis=1) - 1.0)
     if np.any(off > 1e-3):
         raise InvariantViolation(f"stored weights have a norm off 1 by {off.max():.6f}")
-    return CompressionArtifact(
-        params=params,
-        sample_rate=rate,
-        weights=weights,
-        payload=rows[:, count:],
-        tail=values[block_count * (count + n) :],
-    )
+    return CompressionArtifact(params=params, sample_rate=rate, weights=weights,
+                               payload=rows[:, count:], tail=values[block_count * (count + n) :])
 
 
-def _measure_point(y: np.ndarray, params: CodecParams) -> tuple[float, float]:
-    """Energy-weighted accuracy and mean smallest eigenvalue over all
-    full blocks, in float64 end to end, all blocks at once."""
-    block = params.block_size
-    block_count = y.size // block
-    blocks = y[: block_count * block].reshape(block_count, block)
+def _measure_point(blocks: np.ndarray, params: CodecParams) -> tuple[float, float]:
+    """Energy-weighted accuracy and mean smallest eigenvalue over the
+    full blocks of a series, in float64 end to end, all blocks at once."""
     with np.errstate(over="ignore"):  # inf beside a sample past ~1e154; _encode fails that block
         energy = (blocks[:, None, :] @ blocks[:, :, None])[:, 0, 0]
     live = np.flatnonzero(energy != 0.0)  # a silent block's correlation matrix is zero
@@ -526,7 +520,7 @@ def _measure_point(y: np.ndarray, params: CodecParams) -> tuple[float, float]:
     fail.raise_first()
     if live.size == 0:
         raise ValueError("every full block is identically zero")
-    lambdas = np.zeros(block_count)
+    lambdas = np.zeros(len(blocks))
     lambdas[live] = lam
     # block by block in order, as a running Python sum adds them
     weighted = np.add.accumulate(energy[live] * acc)[-1]
@@ -544,12 +538,8 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
     matching a concatenated-signal Euclidean accuracy when block errors
     are comparable.
     """
-    y = series.samples
-    if y.size < block_size:
-        raise SeriesTooShort(
-            f"series of {y.size} samples is shorter than one block ({block_size})"
-        )
-    if not y.any():
+    blocks = _full_blocks(series.samples, block_size)
+    if not series.samples.any():
         raise ValueError("sweep needs a nonzero signal")
     rows = []
     skipped = []
@@ -563,7 +553,7 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
                 continue
             params = CodecParams(order_n=n, block_size=block_size, stride=s, symmetric=symmetric)
             try:
-                acc, lam = _measure_point(y, params)
+                acc, lam = _measure_point(blocks, params)
             except NumericalError as exc:
                 skipped.append((n, s, f"{type(exc).__name__}: {exc}"))
                 continue

@@ -15,10 +15,11 @@ diagonal ridge of 1e-10 * trace, after which failure is final.  Column
 scaling is plain diagonal preconditioning, so the returned coefficients
 solve the raw normal equations.
 
-Mode bases and the least-squares solve also run on a stack of blocks
-(``_mode_bases``, ``_least_squares``), with the ridge retry only for
-the blocks whose first solve fails; ``mode_basis`` and
-``least_squares`` call them with one row.
+Mode bases, the basis gate and the least-squares solve run on a stack
+of blocks (``_mode_bases``, ``_usable_bases``, ``_least_squares``), with
+the ridge retry only for the blocks whose first solve fails; the fits
+below call them with one row.  One layout (``_columns``) places modes
+in basis columns and reads amplitudes back out of them.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stack import lapack_rows, survivors
+from ._stack import lapack_rows, one_row, survivors
 from .errors import SingularNormalMatrix, UnstableBasis, ZeroSignal
 from .lawforms import (
     ContinuousModel,
     _pairs,
-    conjugate_pairs,
     evaluate_model,
     impulse_basis,
     roots_to_model,
@@ -97,10 +97,7 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients minimizing ||y - basis @ coef||_2 by the scaled
     Cholesky solve of the module docstring; raises SingularNormalMatrix
     when even the ridge retry fails."""
-    coef, errors = _least_squares(basis[None], np.asarray(y)[None])
-    if errors:
-        raise errors[0]
-    return coef[0]
+    return one_row(_least_squares(basis[None], np.asarray(y)[None]))[0]
 
 
 def _least_squares(basis: np.ndarray, y: np.ndarray):
@@ -146,29 +143,31 @@ def mode_basis(roots, count: int) -> np.ndarray:
     which makes the layout reproducible from the roots alone.
     """
     q = np.asarray(getattr(roots, "roots", roots), dtype=np.complex128)
-    basis, errors = _mode_bases(q[None], count)
-    if errors:
-        raise errors[0]
-    return basis[0]
+    return one_row(_mode_bases(q[None], count))[0]
+
+
+def _columns(partner: np.ndarray, lead: np.ndarray):
+    """Columns of the real mode basis of paired roots (``_pairs`` output):
+    per column, the root whose value it takes, and whether it is a real
+    root's or a pair's cosine column (else the pair's sine column).  A
+    real root takes one column at its place, a pair its cosine and sine
+    columns at the place of its earlier root, both from its lead root."""
+    index = np.arange(partner.shape[-1])
+    later = index > partner  # the later root of a pair
+    order = np.argsort(np.where(later, 2 * partner + 1, 2 * index), axis=-1)
+    source = np.take_along_axis(np.where(lead, index, partner), order, axis=-1)
+    real = np.take_along_axis(partner == index, order, axis=-1)
+    return source, real, ~real & ~np.take_along_axis(later, order, axis=-1)
 
 
 def _mode_bases(q: np.ndarray, count: int):
     """``mode_basis`` of each root set of a stack (g, d): the (count, d)
-    bases of the sets that pair up, plus ``{position: error}`` for the
-    others.  A pair takes its cosine and sine columns at the place of
-    its earlier root, from the root ``conjugate_pairs`` lists first."""
+    bases of the sets that pair up, laid out by ``_columns``, plus
+    ``{position: error}`` for the others."""
     partner, lead, errors = _pairs(q)
     q = q[survivors(len(q), errors)]
-    index = np.arange(q.shape[1])
-    real = partner == index
-    cosine = ~real & (index < partner)
-    width = np.where(real, 1, np.where(cosine, 2, 0))
-    start = np.cumsum(width, axis=-1) - width
-    column = np.where(real | cosine, start, np.take_along_axis(start, partner, axis=-1) + 1)
-    # per column: the root it comes from and what it takes from that root
-    order = np.argsort(column, axis=-1)
-    source = np.take_along_axis(np.take_along_axis(q, np.where(lead, index, partner), -1), order, -1)
-    real, cosine = np.take_along_axis(real, order, -1), np.take_along_axis(cosine, order, -1)
+    source, real, cosine = _columns(partner, lead)
+    source = np.take_along_axis(q, source, axis=-1)
     k = np.arange(count, dtype=np.float64)
     # overflow to inf is expected for roots deep inside the unit circle
     # or at the origin; callers test finiteness and reject such bases
@@ -182,6 +181,29 @@ def _mode_bases(q: np.ndarray, count: int):
         np.sin(wave, out=wave, where=(~real & ~cosine)[..., None])
         np.multiply(cols, wave, out=cols, where=~real[..., None])
     return np.ascontiguousarray(np.swapaxes(cols, -1, -2)), errors
+
+
+def _usable_bases(basis: np.ndarray, modes: bool):
+    """The bases of a stack (g, N, d) that a fit can use, plus
+    ``{position: error}`` for the others: a mode basis (``modes``) must
+    be finite, else SingularNormalMatrix; an impulse-response basis must
+    stay within 1e100, else UnstableBasis."""
+    if modes:
+        bad = ~np.all(np.isfinite(basis), axis=(1, 2))
+        kind, text = SingularNormalMatrix, "mode basis overflowed; roots too far from the unit circle"
+    else:
+        bad = ~np.all(np.abs(basis) <= 1e100, axis=(1, 2))
+        kind, text = UnstableBasis, "impulse-response basis overflowed"
+    return (basis[~bad] if bad.any() else basis), {int(i): kind(text) for i in np.flatnonzero(bad)}
+
+
+def _fit(basis: np.ndarray, y: np.ndarray, modes: bool) -> tuple[np.ndarray, float]:
+    """Coefficients and rms residual of the least-squares fit of a
+    segment in one basis, which must pass ``_usable_bases``."""
+    basis = one_row(_usable_bases(basis[None], modes))[0]
+    coef = least_squares(basis, y)
+    resid = y - basis @ coef
+    return coef, float(np.sqrt(np.mean(resid**2))) if y.size else 0.0
 
 
 def fit_amplitudes(roots, segment, dt: float = 1.0) -> AmplitudeFit:
@@ -207,35 +229,22 @@ def fit_amplitudes(roots, segment, dt: float = 1.0) -> AmplitudeFit:
     y = _samples_of(segment)
     if y.size < q.size:
         raise ValueError(f"segment of {y.size} samples cannot pin {q.size} modes")
-    basis = mode_basis(q, y.size)
-    if not np.all(np.isfinite(basis)):
-        raise SingularNormalMatrix("mode basis overflowed; roots too far from the unit circle")
-    coef = least_squares(basis, y)
-    amplitudes = _amplitudes_from_coefficients(q, coef)
-    model = roots_to_model(q, amplitudes, dt)
-    resid = y - basis @ coef
-    rms = float(np.sqrt(np.mean(resid**2))) if y.size else 0.0
+    coef, rms = _fit(mode_basis(q, y.size), y, modes=True)
+    model = roots_to_model(q, _amplitudes_from_coefficients(q, coef), dt)
     return AmplitudeFit(model=model, coefficients=coef, rms_error=rms)
 
 
 def _amplitudes_from_coefficients(q: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Invert the real-basis packing: pair (a, b) -> c = (a + i b)/2 on
-    the positive-frequency root, conjugate on the partner."""
-    pairs, reals = conjugate_pairs(q)
-    entries = sorted(
-        [(min(i, j), ("pair", i, j)) for i, j in pairs] + [(i, ("real", i, i)) for i in reals]
-    )
-    amplitudes = np.zeros(q.size, dtype=np.complex128)
-    pos = 0
-    for _, (kind, i, j) in entries:
-        if kind == "pair":
-            a, b = coef[pos], coef[pos + 1]
-            amplitudes[i] = (a + 1j * b) / 2.0
-            amplitudes[j] = np.conj(amplitudes[i])
-            pos += 2
-        else:
-            amplitudes[i] = coef[pos]
-            pos += 1
+    """Invert the real-basis packing of ``_columns``: a pair's cosine and
+    sine coefficients (a, b) give c = (a + i b)/2 on its positive-frequency
+    root and the conjugate on the partner; a real root keeps its own."""
+    partner, lead = one_row(_pairs(q[None]))
+    source, real, cosine = _columns(partner, lead)
+    amplitudes = np.empty(q.size, dtype=np.complex128)
+    amplitudes[source[real]] = coef[real]
+    pair = np.flatnonzero(cosine)
+    amplitudes[source[pair]] = (coef[pair] + 1j * coef[pair + 1]) / 2.0
+    amplitudes[partner[source[pair]]] = np.conj(amplitudes[source[pair]])
     return amplitudes
 
 
@@ -256,15 +265,9 @@ def fit_initial_conditions(law: LinearLaw, segment) -> InitialConditionFit:
         If the normal equations cannot be solved even with the ridge.
     """
     y = _samples_of(segment)
-    n = law.order
-    if y.size < n:
-        raise ValueError(f"segment of {y.size} samples cannot pin {n} seed values")
-    basis = impulse_basis(law, y.size)
-    if not np.all(np.abs(basis) <= 1e100):
-        raise UnstableBasis("impulse-response basis overflowed")
-    coef = least_squares(basis, y)
-    resid = y - basis @ coef
-    rms = float(np.sqrt(np.mean(resid**2))) if y.size else 0.0
+    if y.size < law.order:
+        raise ValueError(f"segment of {y.size} samples cannot pin {law.order} seed values")
+    coef, rms = _fit(impulse_basis(law, y.size), y, modes=False)
     return InitialConditionFit(law=law, initial=coef, rms_error=rms)
 
 

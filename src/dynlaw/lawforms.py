@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stack import Failures, lapack_rows, survivors, with_cause
+from ._stack import Failures, lapack_rows, one_row, survivors, with_cause
 from .errors import (
     NonRealCoefficients,
     RootFindingDiverged,
@@ -113,10 +113,8 @@ def weights_to_roots(law) -> RootSet:
     degree = int(_degrees(w))
     if degree < 1:
         raise ValueError("effective polynomial degree is zero; no roots exist")
-    roots, worst, errors = _roots(w[None, : degree + 1])
-    if errors:
-        raise errors[0]
-    return RootSet(roots=roots[0], residual_bound=float(worst[0]))
+    roots, worst = one_row(_roots(w[None, : degree + 1]))
+    return RootSet(roots=roots, residual_bound=float(worst))
 
 
 def _degrees(w: np.ndarray) -> np.ndarray:
@@ -193,10 +191,7 @@ def roots_to_weights(roots, scale: float = 1.0) -> np.ndarray:
     (relative to the coefficient scale) raises NonRealCoefficients.
     """
     q = np.asarray(getattr(roots, "roots", roots), dtype=np.complex128)
-    coeffs, errors = _expand(q[None], scale)
-    if errors:
-        raise errors[0]
-    return coeffs[0]
+    return one_row(_expand(q[None], scale))[0]
 
 
 def _expand(q: np.ndarray, scale: float = 1.0):
@@ -232,11 +227,9 @@ def conjugate_pairs(roots) -> tuple[list[tuple[int, int]], list[int]]:
     within 1e-8 * (1 + |root|).
     """
     q = np.asarray(getattr(roots, "roots", roots), dtype=np.complex128)
-    partner, lead, errors = _pairs(q[None])
-    if errors:
-        raise errors[0]
-    pairs = [(i, j) if lead[0, i] else (j, i) for i, j in enumerate(partner[0].tolist()) if i < j]
-    reals = [i for i, j in enumerate(partner[0].tolist()) if i == j]
+    partner, lead = one_row(_pairs(q[None]))
+    pairs = [(i, j) if lead[i] else (j, i) for i, j in enumerate(partner.tolist()) if i < j]
+    reals = [i for i, j in enumerate(partner.tolist()) if i == j]
     return pairs, reals
 
 
@@ -295,9 +288,11 @@ def roots_to_model(roots, amplitudes, dt: float) -> ContinuousModel:
     """Continuous exponential model from roots and complex amplitudes.
 
     Exponents are alpha_a = ln(q_a)/dt on the principal branch.
-    Conjugate pairing is enforced on the amplitudes (each pair is
-    averaged against the partner's conjugate, real roots keep only the
-    real part), so the model evaluates to real values.
+    Conjugate pairing is enforced on roots and amplitudes (a pair takes
+    its positive-frequency root, its amplitude averaged against the
+    partner's conjugate, and their conjugates; a near-real root and its
+    amplitude keep the real part), so the model evaluates to real values
+    and spans exactly the modes of ``mode_basis``.
     """
     q = np.asarray(getattr(roots, "roots", roots), dtype=np.complex128)
     c = np.asarray(amplitudes, dtype=np.complex128)
@@ -305,16 +300,13 @@ def roots_to_model(roots, amplitudes, dt: float) -> ContinuousModel:
         raise ValueError("need exactly one amplitude per root")
     if np.any(np.abs(q) < 1e-300):
         raise ZeroRoot("a root at the origin has no logarithm")
-    alpha = np.log(q) / dt
-    fixed = c.copy()
-    pairs, reals = conjugate_pairs(q)
-    for i, j in pairs:
-        avg = (c[i] + np.conj(c[j])) / 2.0
-        fixed[i] = avg
-        fixed[j] = np.conj(avg)
-    for i in reals:
-        fixed[i] = fixed[i].real
-    return ContinuousModel(exponents=alpha, amplitudes=fixed, dt=dt)
+    partner, lead = one_row(_pairs(q[None]))
+    real = partner == np.arange(q.size)
+    q = np.where(lead, q, np.conj(q[partner]))
+    q.imag[real] *= 0.0  # keeps the sign of zero, so a negative root keeps its branch of log
+    avg = (c + np.conj(c[partner])) / 2.0  # on the lead root of each pair
+    fixed = np.where(real, c.real, np.where(lead, avg, np.conj(avg[partner])))
+    return ContinuousModel(exponents=np.log(q) / dt, amplitudes=fixed, dt=dt)
 
 
 def evaluate_model(model: ContinuousModel, t):
@@ -350,17 +342,12 @@ def impulse_basis(law, count: int) -> np.ndarray:
     (Doubling by products of earlier rows would take fewer steps, but it
     compounds rounding errors by the condition of the law's roots at
     every level.)  Values beyond float range come out as inf or nan;
-    callers test for them.
+    callers test for them.  The weights pass the checks of
+    ``_impulse_bases`` (|w_0| > 1e-12, all finite), else ValueError.
     """
-    w = _weights_of(law)
-    if abs(w[0]) <= 1e-12:
-        raise ValueError("recursion needs |w_0| > 1e-12")
     if count < 0:
         raise ValueError("count must be >= 0")
-    basis, errors = _impulse_bases(w[None], count)
-    if errors:
-        raise errors[0]
-    return basis[0]
+    return one_row(_impulse_bases(_weights_of(law)[None], count))[0]
 
 
 def _impulse_bases(w: np.ndarray, count: int):

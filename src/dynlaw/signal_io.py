@@ -194,8 +194,8 @@ def write_wav(series: TimeSeries) -> bytes:
     series yields a valid zero-frame file.
     """
     rate = int(round(series.sample_rate))
-    if rate < 1:
-        raise ValueError("sample rate rounds below 1 Hz; cannot store it")
+    if not 1 <= rate < 1 << 31:  # the header stores the byte rate, 2 * rate, as u32
+        raise ValueError(f"sample rate rounds to {rate} Hz; a WAV file stores 1 .. 2^31 - 1 Hz")
     x = np.asarray(series.samples, dtype=np.float64)
     quantized = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2")
     payload = quantized.tobytes()

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stack import lapack_rows, norms, with_cause
+from ._stack import lapack_rows, norms, one_row, with_cause
 from .embedding import EmbeddedDataset, EmbeddingConfig
 from .errors import DimensionMismatch, InvalidMask, NoConvergence
 
@@ -258,12 +258,10 @@ def eigendecompose(c: CorrelationMatrix, mask: tuple[int, ...] | None = None) ->
     if mask is not None and len(mask) != m:
         raise DimensionMismatch(f"mask of length {len(mask)} against a {m}x{m} matrix")
     active = [i for i, b in enumerate((1,) * m if mask is None else mask) if b]
-    vals, vecs, errors = _eigh(a[np.ix_(active, active)][None])
-    if errors:
-        raise errors[0]
+    vals, vecs = one_row(_eigh(a[np.ix_(active, active)][None]))
     full = np.zeros((m, len(active)))
-    full[active, :] = vecs[0]
-    return Spectrum(eigenvalues=vals[0], eigenvectors=full)
+    full[active, :] = vecs
+    return Spectrum(eigenvalues=vals, eigenvectors=full)
 
 
 def extract_law(spectrum: Spectrum, config: EmbeddingConfig, index: int = 0) -> LinearLaw:
@@ -313,12 +311,10 @@ def extract_symmetric_law(c: CorrelationMatrix, config: EmbeddingConfig) -> Line
     mask = config.mask
     if any(mask[i] != mask[n - i] for i in range(m)):
         raise InvalidMask("symmetric extraction needs a palindromic mask")
-    w, lam, errors = _laws(a[None], _palindromic_basis(mask))
-    if errors:
-        raise errors[0]
+    w, lam = one_row(_laws(a[None], _palindromic_basis(mask)))
     return LinearLaw(
-        weights=w[0],
-        eigenvalue=float(lam[0]),
+        weights=w,
+        eigenvalue=float(lam),
         stride=config.stride,
         mask=config.mask,
         symmetric_flag=True,

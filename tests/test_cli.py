@@ -223,6 +223,25 @@ def test_bad_input_exits_2(tmp_path, capsys):
     assert "error:" in err
     assert "Traceback" not in err
 
+    def exits_2_with_one_error_line(argv):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    # header fields that do not fit the DLAW or WAV layout
+    flat = tmp_path / "flat.wav"
+    assert run(["synth", "--kind", "constant", "--length", "140002", "--value", "0.5",
+                "--output", str(flat)]) == 0
+    exits_2_with_one_error_line(["compress", "--input", str(flat), "--n", "1", "--stride", "70000",
+                                 "--block", "70001", "--output", str(tmp_path / "wide.dlaw")])
+    fast = tmp_path / "fast.dlaw"
+    fast.write_bytes(serialize(CompressionArtifact(params=CodecParams(order_n=1, block_size=8),
+                                                   sample_rate=3_000_000_000, tail=[0.5])))
+    exits_2_with_one_error_line(["decompress", "--input", str(fast),
+                                 "--output", str(tmp_path / "fast.wav")])
+    exits_2_with_one_error_line(["synth", "--kind", "constant", "--length", "4", "--rate", "3e9",
+                                 "--output", str(tmp_path / "fast_synth.wav")])
+
 
 @pytest.mark.parametrize("mode", [AMPLITUDES, INITIAL_CONDITIONS])
 @pytest.mark.parametrize("growth, block", [(2.0, 512), (10.0, 300), (50.0, 512)],

@@ -302,6 +302,12 @@ def test_reader_rejects_header_invariant_breaks():
         deserialize(corrupt(16, "<H", 0))
     with pytest.raises(InvariantViolation):  # block_size < 2n
         deserialize(corrupt(12, "<I", 3))
+    with pytest.raises(InvariantViolation):  # zero stride
+        deserialize(corrupt(18, "<H", 0))
+    with pytest.raises(InvariantViolation):  # stride * n >= block_size (2 * 8 = 16)
+        deserialize(corrupt(18, "<H", 8))
+    with pytest.raises(InvariantViolation):  # zero sample rate
+        deserialize(corrupt(8, "<I", 0))
 
 
 def test_reader_rejects_broken_weight_norm():
@@ -569,6 +575,33 @@ def test_artifact_rejects_values_a_file_cannot_store(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite and within float32 range"):
         CompressionArtifact(params=CodecParams(order_n=1, block_size=8), sample_rate=8000,
                             **arrays)
+
+
+@pytest.mark.parametrize("params, rate, field", [
+    (CodecParams(order_n=65536, block_size=131072), 8000, "order_n 65536"),
+    (CodecParams(order_n=1, block_size=65537, stride=65536), 8000, "stride 65536"),
+    (CodecParams(order_n=1, block_size=2**32), 8000, "block_size 4294967296"),
+    (CodecParams(order_n=1, block_size=8), 2**32, "sample_rate 4294967296"),
+])
+def test_artifact_rejects_header_fields_a_file_cannot_store(params, rate, field):
+    # block count and tail length have the same 32-bit rule; an artifact
+    # that breaks it needs 2^32 stored values, too large to build here
+    with pytest.raises(ValueError, match=f"{field} does not fit its"):
+        CompressionArtifact(params=params, sample_rate=rate)
+
+
+def test_artifact_accepts_the_widest_header_fields():
+    for params, rate in ((CodecParams(order_n=65535, block_size=131070), 8000),
+                         (CodecParams(order_n=1, block_size=65536, stride=65535), 2**32 - 1),
+                         (CodecParams(order_n=1, block_size=2**32 - 1), 8000)):
+        back = deserialize(serialize(CompressionArtifact(params=params, sample_rate=rate)))
+        assert (back.params, back.sample_rate) == (params, rate)
+
+
+def test_compress_at_a_rate_the_header_cannot_store_raises_value_error():
+    series = TimeSeries(samples=np.sin(np.arange(64.0)), sample_rate=5e9)
+    with pytest.raises(ValueError, match="sample_rate 5000000000 does not fit its 32-bit"):
+        compress(series, CodecParams(order_n=2, block_size=16))
 
 
 def _tiny_artifact():

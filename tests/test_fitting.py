@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynlaw._stack import lapack_rows
 from dynlaw.errors import ZeroSignal
@@ -16,6 +18,7 @@ from dynlaw.fitting import (
     mode_basis,
     reconstruct,
 )
+from dynlaw.lawforms import conjugate_pairs
 from dynlaw.spectral import LinearLaw
 
 
@@ -250,3 +253,37 @@ def test_stacked_solve_isolates_failing_systems_and_retries_only_them():
     assert sorted(failed) == [1, 3]
     assert all(isinstance(exc, np.linalg.LinAlgError) for exc in failed.values())
     np.testing.assert_array_equal(lower, [np.eye(2), np.sqrt(2.0) * np.eye(2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.tuples(st.floats(0.8, 1.2), st.floats(0.2, 2.9)),
+    same_real=st.lists(st.floats(0.3, 1.0), max_size=2),
+    repeats=st.integers(0, 2),
+    near_real=st.lists(st.tuples(st.floats(0.5, 1.2), st.booleans(), st.floats(-1.0, 1.0)),
+                       max_size=3),
+    extra=st.integers(0, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_amplitude_model_reproduces_the_mode_basis_fit(pair, same_real, repeats, near_real,
+                                                       extra, seed):
+    # crowded conjugation-closed root sets: pairs a +- bi, a +- ci with one
+    # real part, repeated pairs, and near-real roots r + i eps that the
+    # pairing takes as real (|eps| <= 1e-8 (1 + |r|))
+    radius, angle = pair
+    lead = radius * np.exp(1j * angle)
+    tops = [lead] * (1 + repeats) + [complex(lead.real, c) for c in same_real]
+    reals = [(-r if neg else r) + 1j * t * 1e-8 * (1.0 + r) for r, neg, t in near_real]
+    q = np.array(tops + [np.conj(z) for z in tops] + reals)
+    count = q.size + extra
+    y = np.random.default_rng(seed).standard_normal(count)
+    fit = fit_amplitudes(q, y)
+    basis = mode_basis(q, count)
+    terms = np.max(np.abs(basis) @ np.abs(fit.coefficients))
+    np.testing.assert_allclose(reconstruct(fit, count), basis @ fit.coefficients,
+                               rtol=0, atol=1e-9 * terms)
+    c = fit.model.amplitudes
+    pairs, real = conjugate_pairs(q)
+    for i, j in pairs:
+        assert c[j] == np.conj(c[i])
+    assert np.all(c[real].imag == 0.0)

@@ -170,3 +170,12 @@ def test_multi_sine_admits_exact_law_at_any_stride(stride):
     law = extract_law(eigendecompose(c), dataset.config)
     assert law.eigenvalue < 1e-10 * np.trace(c.entries)
     assert law.stride == stride
+
+
+def test_write_wav_rejects_rates_its_header_cannot_store():
+    # the byte rate, 2 * rate, is a u32 field
+    samples = np.array([0.25])
+    assert read_wav(write_wav(TimeSeries(samples=samples, sample_rate=2**31 - 1))).sample_rate == 2**31 - 1
+    for rate in (0.4, 2**31, 3e9):
+        with pytest.raises(ValueError, match="a WAV file stores 1 .. 2"):
+            write_wav(TimeSeries(samples=samples, sample_rate=rate))
