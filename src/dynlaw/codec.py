@@ -146,9 +146,11 @@ class CodecParams:
         return self.block_size / (2.0 * self.order_n)
 
 
-def _check_header(params: CodecParams, sample_rate, block_count: int = 0, tail_length: int = 0):
-    """ValueError unless a DLAW header can store these fields: a sample
-    rate of at least 1 Hz and every field within its width."""
+def _check_header(params: CodecParams, sample_rate, block_count: int = 0,
+                  tail_length: int = 0) -> int:
+    """The sample rate as the int a DLAW header stores; ValueError unless
+    the header can store these fields: a whole number of Hz, at least 1,
+    and every field within its width."""
     if sample_rate < 1:
         raise ValueError("sample_rate must be >= 1")
     widths = {"order_n": (params.order_n, 16), "stride": (params.stride, 16),
@@ -157,6 +159,9 @@ def _check_header(params: CodecParams, sample_rate, block_count: int = 0, tail_l
     for name, (value, bits) in widths.items():
         if value >= 1 << bits:
             raise ValueError(f"{name} {value} does not fit its {bits}-bit header field")
+    if not float(sample_rate).is_integer():  # NaN fails here too
+        raise ValueError(f"sample_rate {sample_rate} is not a whole number of Hz")
+    return int(sample_rate)
 
 
 @dataclass(frozen=True)
@@ -167,7 +172,8 @@ class CompressionArtifact:
     the full palindrome when symmetric), and ``payload[b]``, its n
     float32 coefficients.  Omitted arrays mean no blocks.  Every value
     must be finite and within float32 range, and every header field of
-    the DLAW layout must fit its width.
+    the DLAW layout must fit its width.  ``sample_rate`` must be a whole
+    number of Hz; it is kept as an int, so 8000.0 becomes 8000.
     """
 
     params: CodecParams
@@ -190,7 +196,8 @@ class CompressionArtifact:
             raise ValueError("payload must hold n values per block")
         if self.params.symmetric and not np.array_equal(self.weights, self.weights[:, ::-1]):
             raise ValueError("symmetric weights must be exact palindromes")
-        _check_header(self.params, self.sample_rate, len(self.weights), self.tail.size)
+        rate = _check_header(self.params, self.sample_rate, len(self.weights), self.tail.size)
+        object.__setattr__(self, "sample_rate", rate)
 
     @property
     def decompressed_length(self) -> int:

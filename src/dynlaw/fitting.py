@@ -20,10 +20,21 @@ of blocks (``_mode_bases``, ``_usable_bases``, ``_least_squares``), with
 the ridge retry only for the blocks whose first solve fails; the fits
 below call them with one row.  One layout (``_columns``) places modes
 in basis columns and reads amplitudes back out of them.
+
+A mode basis over N samples takes about 2 sqrt(N) pow, cos and sin
+evaluations per real root or conjugate pair, not N per column: sample
+k = a L + b (L = ceil(sqrt(N))) is the complex product of the powers
+z^(aL) and z^b of the root, which also yields a pair's sine column.
+Each power takes the exact phase angle * k (a two-product carries the
+rounding error of the product), so every column is within a few units
+in the last place of its peak of rho^-k cos(theta k), rho^-k sin(theta k)
+or q^-k in exact arithmetic, whatever N is; rho and theta are the
+float64 modulus and angle of the root.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,6 +152,16 @@ def mode_basis(roots, count: int) -> np.ndarray:
     rho^{-k} cos(theta k), rho^{-k} sin(theta k); real roots contribute
     q^{-k}.  Column order follows the (real, imag)-sorted root order,
     which makes the layout reproducible from the roots alone.
+
+    Each sample is the product of two powers of the root, z^(aL) z^b
+    with k = a L + b and L = ceil(sqrt(count)), each from pow, cos and
+    sin at the exact phase theta k.  Against the same formulas in long
+    double, taking rho and theta as the float64 modulus and angle of the
+    root, each column is within 1e-13 of its peak for 0.8 <= |q| <= 1.25
+    up to count 4096 (about 1e-15 measured); rounding theta k first, as
+    one cos per sample would, is off by up to 9e-13 at k = 4096.  Roots
+    so far inside the unit circle that a column leaves float range give
+    inf or nan entries.
     """
     q = np.asarray(getattr(roots, "roots", roots), dtype=np.complex128)
     return one_row(_mode_bases(q[None], count))[0]
@@ -163,24 +184,70 @@ def _columns(partner: np.ndarray, lead: np.ndarray):
 def _mode_bases(q: np.ndarray, count: int):
     """``mode_basis`` of each root set of a stack (g, d): the (count, d)
     bases of the sets that pair up, laid out by ``_columns``, plus
-    ``{position: error}`` for the others."""
+    ``{position: error}`` for the others.
+
+    Sample k = a L + b of a column, with L = ceil(sqrt(count)), is the
+    product z^(aL) z^b of two powers (``_powers``) of z = e^(i theta) / rho
+    for a pair's lead root rho e^(i theta), or z = 1/q for a real root q:
+    one complex product whose real part is a real root's or a pair's
+    cosine column and whose imaginary part the pair's sine column.  The
+    products of a column are one (A, 2) @ (2, L) matrix product,
+    A = ceil(count / L), written in place into the basis."""
     partner, lead, errors = _pairs(q)
     q = q[survivors(len(q), errors)]
     source, real, cosine = _columns(partner, lead)
     source = np.take_along_axis(q, source, axis=-1)
-    k = np.arange(count, dtype=np.float64)
-    # overflow to inf is expected for roots deep inside the unit circle
-    # or at the origin; callers test finiteness and reject such bases
+    g, d = source.shape
+    if count == 0:
+        return np.zeros((g, 0, d)), errors
+    step = math.isqrt(count - 1) + 1  # L
+    k = np.concatenate([np.arange(step), np.arange(0, count, step)])
+    own = real | cosine  # the columns that take a power of their own
+    sine = ~own
+    # overflow to inf or nan is expected for roots deep inside the unit
+    # circle or at the origin; callers test finiteness and reject such bases
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = source[own]
         # hypot rounds as abs() of one complex value; np.abs of a complex
         # array can differ in the last bit
-        base = np.where(real, source.real, np.hypot(source.real, source.imag))
-        cols = base[..., None] ** -k
-        wave = np.angle(source)[..., None] * k
-        np.cos(wave, out=wave, where=cosine[..., None])
-        np.sin(wave, out=wave, where=(~real & ~cosine)[..., None])
-        np.multiply(cols, wave, out=cols, where=~real[..., None])
-    return np.ascontiguousarray(np.swapaxes(cols, -1, -2)), errors
+        re, im = _powers(np.where(real[own], z.real, np.hypot(z.real, z.imag)),
+                         np.where(real[own], 0.0, np.angle(z)), k)
+        # [Re z^aL, -Im z^aL] @ [Re z^b; Im z^b] is Re z^k; a sine
+        # column takes [Im z^b; -Re z^b] instead, for Im z^k
+        rows = len(k) - step  # A
+        tail = np.empty((g, d, rows, 2))
+        tail[own, :, 0], tail[own, :, 1] = re[:, step:], -im[:, step:]
+        tail[sine] = tail[cosine]
+        head = np.empty((g, d, 2, step))
+        head[own, 0], head[own, 1] = re[:, :step], im[:, :step]
+        head[sine, 0], head[sine, 1] = head[cosine, 1], -head[cosine, 0]
+        out = np.empty((g, rows * step, d))
+        np.matmul(tail, head, out=out.reshape(g, rows, step, d).transpose(0, 3, 1, 2))
+    return out[:, :count], errors
+
+
+def _powers(radius: np.ndarray, angle: np.ndarray, k: np.ndarray):
+    """Real and imaginary parts (r, len(k)) of the powers
+    radius^-k e^(i angle k) of r roots, from one pow and one cos and sin
+    per power.  The phase angle * k is carried as its rounded value plus
+    the exact rounding error (Dekker's two-product), so the cosine and
+    sine are those of the exact phase: the rounded phase alone is off by
+    up to half a unit in its last place, 9e-13 at k = 4096."""
+    radius, angle, k = radius[:, None], angle[:, None], k.astype(np.float64)
+    phase = angle * k
+    (a, b), (c, e) = _halves(angle), _halves(k)
+    error = ((a * c - phase) + a * e + b * c) + b * e
+    size = radius ** -k
+    cos, sin = np.cos(phase), np.sin(phase)
+    return size * (cos - error * sin), size * (sin + error * cos)
+
+
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of x into two halves of 26 significant bits,
+    whose pairwise products are exact."""
+    scaled = 134217729.0 * x  # 2^27 + 1
+    high = scaled - (scaled - x)
+    return high, x - high
 
 
 def _usable_bases(basis: np.ndarray, modes: bool):

@@ -157,10 +157,14 @@ def _roots(w: np.ndarray):
                            for i in np.flatnonzero(~np.all(np.isfinite(z), axis=-1))})
     pos, w, z = pos[ok], w[ok], z[ok]
 
-    residual = np.abs(_polyval(w, z))
     # Horner at q cannot beat eps * sum_i |w_i| |q|^i, so roots far from
     # the unit circle are gated against that floor instead of max |w|.
-    floor = _polyval(np.abs(w), np.abs(z))
+    # Both run the Horner steps of np.polyval, in one loop.
+    value, floor, size = np.zeros_like(z), np.zeros(z.shape), np.abs(z)
+    for coefficient, magnitude in zip(w[:, ::-1].T, np.abs(w)[:, ::-1].T):
+        value = value * z + coefficient[:, None]
+        floor = floor * size + magnitude[:, None]
+    residual = np.abs(value)
     scale = np.max(np.abs(w), axis=-1)
     worst = residual.max(axis=-1)
     bad = np.any(residual >= 1e-8 * np.maximum(scale[:, None], floor), axis=-1)
@@ -172,15 +176,6 @@ def _roots(w: np.ndarray):
     })
     z = z[ok]
     return np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1), worst[ok], fail.first
-
-
-def _polyval(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """P(x) of each law of a stack (weights lowest power first) at its
-    own points, by the Horner steps of ``np.polyval``."""
-    y = np.zeros_like(x)
-    for coefficient in w[:, ::-1].T:
-        y = y * x + coefficient[:, None]
-    return y
 
 
 def roots_to_weights(roots, scale: float = 1.0) -> np.ndarray:
@@ -246,13 +241,47 @@ def _pairs(q: np.ndarray):
     ``conjugate_pairs`` lists first: the earlier one when its imaginary
     part is positive, else the later one.  Sets that fail are left
     out, with ``{position: error}``.
+
+    A set in which each pair-opening root is directly followed by its
+    exact conjugate, as the (real, imag) sort of exactly conjugate roots
+    leaves them, is paired in one vectorized step: that conjugate is at
+    distance 0 and the first candidate, so the rule picks it.  Only the
+    other sets take the loop over root index (``_greedy_pairs``).
     """
     g, d = q.shape
-    fail = Failures()
     # hypot rounds as abs() of one complex value; np.abs of a complex
     # array can differ in the last bit
     limit = _PAIR_TOL * (1.0 + np.hypot(q.real, q.imag))
     real = np.abs(q.imag) <= limit
+    index = np.arange(d)
+    # in a run of non-real roots the rule pairs them in order, so the
+    # openers sit at even offsets from the run's first root
+    first = ~real
+    first[:, 1:] &= real[:, :-1]
+    opens = ~real & ((index - np.maximum.accumulate(np.where(first, index, 0), axis=-1)) % 2 == 0)
+    # an opener closed by the next root, its exact conjugate (err 0)
+    closed = np.zeros((g, d), dtype=bool)
+    closed[:, :-1] = opens[:, :-1] & (q[:, 1:] == np.conj(q[:, :-1])) & np.isfinite(q[:, :-1])
+    slow = np.flatnonzero(np.any(opens & ~closed, axis=-1))
+    partner = np.where(closed, index + 1, index)
+    partner[:, 1:] = np.where(closed[:, :-1], index[:-1], partner[:, 1:])
+    lead = real | (closed & (q.imag > 0))
+    lead[:, 1:] |= closed[:, :-1] & ~lead[:, :-1]
+    errors = {}
+    if slow.size:
+        partner[slow], lead[slow], errors = _greedy_pairs(q[slow], limit[slow], real[slow])
+        errors = {int(slow[pos]): exc for pos, exc in errors.items()}
+    ok = survivors(g, errors)
+    return partner[ok], lead[ok], errors
+
+
+def _greedy_pairs(q: np.ndarray, limit: np.ndarray, real: np.ndarray):
+    """The pairing rule of ``_pairs`` stepped over root index, for each
+    set of a stack (g, d) at once, given each root's tolerance and
+    near-real flag.  Returns ``partner`` and ``lead`` of every set
+    (unspecified for the sets that fail) and ``{position: error}``."""
+    g, d = q.shape
+    fail = Failures()
     partner = np.tile(np.arange(d), (g, 1))
     lead = real.copy()
     taken = np.zeros((g, d), dtype=bool)
@@ -280,8 +309,7 @@ def _pairs(q: np.ndarray):
         taken[at, best] = True
         lead[at, i] = q[at, i].imag > 0
         lead[at, best] = ~lead[at, i]
-    ok = survivors(g, fail.first)
-    return partner[ok], lead[ok], fail.first
+    return partner, lead, fail.first
 
 
 def roots_to_model(roots, amplitudes, dt: float) -> ContinuousModel:

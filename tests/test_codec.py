@@ -577,6 +577,20 @@ def test_artifact_rejects_values_a_file_cannot_store(field, value):
                             **arrays)
 
 
+@pytest.mark.parametrize("rate", [8000.5, 8000.25, np.float32(44100.5), np.nan])
+def test_artifact_rejects_a_sample_rate_that_is_not_whole(rate):
+    with pytest.raises(ValueError, match="is not a whole number of Hz"):
+        CompressionArtifact(params=CodecParams(order_n=1, block_size=8), sample_rate=rate)
+
+
+@pytest.mark.parametrize("rate", [8000.0, np.float64(8000.0), np.int64(8000)])
+def test_artifact_stores_a_whole_sample_rate_as_int(rate):
+    params = CodecParams(order_n=1, block_size=8)
+    artifact = CompressionArtifact(params=params, sample_rate=rate)
+    assert type(artifact.sample_rate) is int
+    assert serialize(artifact) == serialize(CompressionArtifact(params=params, sample_rate=8000))
+
+
 @pytest.mark.parametrize("params, rate, field", [
     (CodecParams(order_n=65536, block_size=131072), 8000, "order_n 65536"),
     (CodecParams(order_n=1, block_size=65537, stride=65536), 8000, "stride 65536"),

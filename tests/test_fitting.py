@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynlaw._stack import lapack_rows
-from dynlaw.errors import ZeroSignal
+from dynlaw.codec import CodecParams, compress, sweep
+from dynlaw.embedding import TimeSeries
+from dynlaw.errors import SingularNormalMatrix, ZeroSignal
 from dynlaw.fitting import (
     _least_squares,
     AmplitudeFit,
@@ -218,6 +220,65 @@ def test_deep_interior_root_overflows_basis():
     # with no numpy warning on the way
     with pytest.raises(SingularNormalMatrix):
         fit_amplitudes(np.array([0j]), np.ones(120))
+
+
+def reference_mode_basis(q, count):
+    """``mode_basis`` element by element in long double: a pair's columns
+    rho^-k cos(theta k) and rho^-k sin(theta k) at its earlier root's
+    place, a real root's q^-k at its own; rho and theta are the float64
+    modulus (hypot) and angle of the pair's positive-frequency root."""
+    k = np.arange(count, dtype=np.longdouble)
+    pairs, reals = conjugate_pairs(q)
+    columns = [(i, [np.longdouble(q[i].real) ** -k]) for i in reals]
+    for i, j in pairs:
+        rho = np.longdouble(np.hypot(q[i].real, q[i].imag))
+        theta = np.longdouble(np.angle(q[i]))
+        columns.append((min(i, j), [rho**-k * np.cos(theta * k), rho**-k * np.sin(theta * k)]))
+    columns.sort(key=lambda column: column[0])
+    return np.stack([c for _, pair in columns for c in pair], axis=-1)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3, 4, 5, 48, 49, 50, 1023, 1024, 1025, 4095, 4096])
+def test_mode_basis_matches_a_long_double_reference(count):
+    # counts at and beside L^2, where the sqrt(count) power split changes
+    rng = np.random.default_rng(count)
+    # 0.8 <= |q| <= 1.25, pulled toward 1 on long counts so that no
+    # column passes 1e260 within the count
+    span = min(np.log(1.25), 600.0 / max(count, 1))
+    for _ in range(3):
+        radii = np.exp(rng.uniform(-span, span, 6))
+        tops = radii[:4] * np.exp(1j * rng.uniform(0.05, np.pi - 0.05, 4))
+        q = np.concatenate([tops, np.conj(tops), radii[4:] * [1.0, -1.0]])
+        q = q[np.lexsort((q.imag, q.real))]
+        basis, ref = mode_basis(q, count), reference_mode_basis(q, count)
+        assert basis.shape == ref.shape == (count, q.size)
+        # a sine column is all zero at count 1, and must be exactly so
+        peak = np.max(np.abs(ref), axis=0, initial=0.0)
+        assert np.all(np.abs(basis - ref) <= 1e-13 * peak)
+
+
+def _block_with_law_root(root):
+    """A 440 Hz tone block, then a block whose n=1 law has a root at 0
+    (one nonzero sample at its end) or at 1e-3 (growth by 1000 per
+    sample over its last 51 samples)."""
+    tone = np.sin(2 * np.pi * 440 * np.arange(1024) / 8000.0)
+    block = np.zeros(1024)
+    if root == 0:
+        block[-1] = 1.0
+    else:
+        block[-51:] = 1000.0 ** np.arange(51)
+    return TimeSeries(np.concatenate([tone, block]), 8000.0)
+
+
+@pytest.mark.parametrize("root", [0, 1e-3])
+def test_mode_basis_overflow_still_fails_the_block(root):
+    series = _block_with_law_root(root)
+    reason = "mode basis overflowed; roots too far from the unit circle"
+    with pytest.raises(SingularNormalMatrix, match=reason):
+        compress(series, CodecParams(order_n=1, block_size=1024))
+    report = sweep(series, (1, 2), (1,), 1024)
+    assert report.rows == ()
+    assert report.skipped == tuple((n, 1, f"SingularNormalMatrix: {reason}") for n in (1, 2))
 
 
 def test_exploding_law_rejected_for_ic_fit():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dynlaw import lawforms
 from dynlaw.errors import NonRealCoefficients, UnstableOverflow, ZeroRoot
 from dynlaw.lawforms import (
+    _pairs,
     ContinuousModel,
     companion_matrix,
     conjugate_pairs,
@@ -159,6 +161,86 @@ def test_conjugate_pairs_follows_the_greedy_rule(roots):
             return str(exc)
 
     assert outcome(conjugate_pairs) == outcome(reference_conjugate_pairs)
+
+
+# units of a root row: a near-real root (roots at +-1 among them), or a
+# pair a -+ bi, exactly conjugate, with few real parts so pairs share
+# them and repeat, and with b just above the near-real tolerance or not
+_UNIT = st.one_of(
+    st.tuples(st.just("real"), st.sampled_from([0.5, -0.3, 1.0, -1.0]),
+              st.sampled_from([0.0, 1e-9, -1e-9])),
+    st.tuples(st.just("pair"), st.sampled_from([0.3, -0.7, 0.9]),
+              st.sampled_from([0.4, 1.2, 2.5e-8])),
+)
+
+
+@st.composite
+def _root_row(draw, d):
+    """A row of d roots: units laid out as the (real, imag) sort leaves
+    them, as built, or broken so that only the loop can pair them:
+    shuffled, a near-conjugate within or beyond 1e-8, an odd run or a
+    root with no partner (a unit cut at the end, or replaced)."""
+    row = []
+    for kind, re, im in draw(st.lists(_UNIT, min_size=1, max_size=d)):
+        row += [complex(re, im)] if kind == "real" else [complex(re, -im), complex(re, im)]
+    q = np.array((row + [0.5] * d)[:d])
+    edit = draw(st.sampled_from(["sorted", "as built", "shuffled", "near", "lonely"]))
+    if edit == "sorted":
+        q = q[np.lexsort((q.imag, q.real))]
+    elif edit == "shuffled":
+        q = q[draw(st.permutations(range(d)))]
+    elif edit == "near":
+        q[draw(st.integers(0, d - 1))] += draw(st.sampled_from([5e-9, -5e-9j, 3e-8, 3e-8j]))
+    elif edit == "lonely":
+        q[draw(st.integers(0, d - 1))] = 0.2 + 0.6j
+    return q
+
+
+def _as_lists(partner, lead):
+    """``_pairs`` output of one set as ``conjugate_pairs`` lists it."""
+    p = partner.tolist()
+    return ([(i, j) if lead[i] else (j, i) for i, j in enumerate(p) if i < j],
+            [i for i, j in enumerate(p) if i == j])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda d: st.lists(_root_row(d), min_size=1, max_size=6)))
+def test_stacked_pairs_follow_the_greedy_rule_row_by_row(rows):
+    partner, lead, errors = _pairs(np.stack(rows))
+    kept = iter(range(len(partner)))
+    for pos, q in enumerate(rows):
+        try:
+            expected = reference_conjugate_pairs(q)
+        except NonRealCoefficients as exc:
+            expected = str(exc)
+        if pos in errors:
+            assert isinstance(errors[pos], NonRealCoefficients)
+            got = str(errors[pos])
+        else:
+            r = next(kept)
+            got = _as_lists(partner[r], lead[r])
+        assert got == expected
+    assert next(kept, None) is None
+
+
+def test_sorted_exact_conjugates_skip_the_pairing_loop(monkeypatch):
+    rows = []
+    loop = lawforms._greedy_pairs
+    monkeypatch.setattr(lawforms, "_greedy_pairs", lambda q, *rest: rows.append(len(q)) or loop(q, *rest))
+    w = np.random.default_rng(5).standard_normal((40, 9))
+    roots, _, errors = lawforms._roots(w)
+    assert errors == {} and np.any(roots.imag != 0.0)
+    partner, lead, _ = _pairs(roots)
+    assert rows == []
+    for q, p, first in zip(roots, partner, lead):
+        assert _as_lists(p, first) == reference_conjugate_pairs(q)
+    # the same sets with one row's roots sorted by imaginary part, which
+    # pulls its pairs apart, take the loop, that row only
+    mixed = roots.copy()
+    row = int(np.argmax(np.any(roots.imag != 0.0, axis=-1)))
+    mixed[row] = mixed[row][np.argsort(mixed[row].imag, kind="stable")]
+    _pairs(mixed)
+    assert rows == [1]
 
 
 def test_palindromic_round_trip_degree_up_to_8():
