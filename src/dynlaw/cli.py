@@ -108,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     extract.add_argument("--input", default="-")
     extract.add_argument("--n", type=int, required=True)
     extract.add_argument("--stride", type=int, default=1)
-    extract.add_argument("--index", type=int, default=0)
     extract.add_argument("--symmetric", action="store_true")
     extract.add_argument("--format", choices=["csv", "json"], default="json")
     extract.add_argument("--output", default="-")
@@ -192,7 +191,7 @@ def _cmd_extract(args) -> int:
     if args.symmetric:
         law = extract_symmetric_law(c, cfg)
     else:
-        law = extract_law(eigendecompose(c), cfg, args.index)
+        law = extract_law(eigendecompose(c), cfg)
     roots = weights_to_roots(law)
     rebuilt = np.zeros_like(law.weights)
     rebuilt[: roots.degree + 1] = roots_to_weights(roots, float(law.weights[roots.degree]))

@@ -354,7 +354,7 @@ def _encode(blocks: np.ndarray, params: CodecParams, quantize: bool):
     pos = np.arange(len(blocks))
     pos = pos[fail.record(pos, {int(i): UnstableOverflow("correlation beyond float range")
                                 for i in np.flatnonzero(~np.all(np.isfinite(c), axis=(1, 2)))})]
-    basis = _palindromic_basis((1,) * (params.order_n + 1)) if params.symmetric else None
+    basis = _palindromic_basis(params.order_n) if params.symmetric else None
     laws, lam, errors = _laws(c[pos], basis)
     pos = pos[fail.record(pos, errors)]
     fitted = _unit(laws.astype(np.float32)) if quantize else laws

@@ -12,11 +12,11 @@ The row matrix ``Y`` is the raw material for every law extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMask, SeriesTooShort
+from .errors import SeriesTooShort
 
 __all__ = ["TimeSeries", "EmbeddingConfig", "EmbeddedDataset", "embed"]
 
@@ -49,27 +49,16 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    """Window geometry: order ``n``, lag ``stride`` (in samples), and a
-    0/1 lag mask of length ``n + 1`` whose zeros force the matching
-    window column to zero."""
+    """Window geometry: order ``n`` and lag ``stride`` (in samples)."""
 
     n: int
     stride: int = 1
-    mask: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("order n must be >= 1")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        mask = tuple(int(b) for b in self.mask) if self.mask else (1,) * (self.n + 1)
-        object.__setattr__(self, "mask", mask)
-        if len(mask) != self.n + 1 or any(b not in (0, 1) for b in mask):
-            raise InvalidMask("mask must hold n + 1 bits in {0, 1}")
-        if mask[0] != 1:
-            raise InvalidMask("mask[0] must stay active: column 0 is the current sample")
-        if sum(mask) < 2:
-            raise InvalidMask("a law needs at least two active lags")
 
 
 @dataclass(frozen=True)
@@ -94,7 +83,7 @@ def embed(series: TimeSeries, config: EmbeddingConfig) -> EmbeddedDataset:
         Input signal; must hold at least ``stride*n + 1`` samples so
         one complete window fits.
     config : EmbeddingConfig
-        Window geometry and lag mask.
+        Window geometry.
 
     Returns
     -------
@@ -102,7 +91,6 @@ def embed(series: TimeSeries, config: EmbeddingConfig) -> EmbeddedDataset:
         Row matrix of shape ``(K, n + 1)`` with
         ``rows[k, i] = samples[stride*(n + k) - stride*i]``
         and ``K = (len(series) - 1 - stride*n)//stride + 1``.
-        Masked columns are zeroed.
 
     Raises
     ------
@@ -116,12 +104,12 @@ def embed(series: TimeSeries, config: EmbeddingConfig) -> EmbeddedDataset:
         raise SeriesTooShort(
             f"need {need} samples for one window (n={n}, stride={s}), got {len(y)}"
         )
-    rows = _delay_windows(y, n, s) * np.asarray(config.mask, dtype=np.float64)
-    return EmbeddedDataset(rows=rows, config=config, sample_rate=series.sample_rate)
+    return EmbeddedDataset(rows=_delay_windows(y, n, s), config=config,
+                           sample_rate=series.sample_rate)
 
 
 def _delay_windows(blocks: np.ndarray, n: int, stride: int) -> np.ndarray:
-    """Unmasked windows of every row of ``blocks`` as one C-ordered
+    """Windows of every row of ``blocks`` as one C-ordered
     array of shape (..., K, n + 1), with ``[..., k, i] = row[stride *
     (n + k - i)]``; each row must hold at least ``stride * n + 1``
     samples."""

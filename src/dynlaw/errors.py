@@ -24,10 +24,6 @@ class SeriesTooShort(DataError):
     """The series cannot host a single window at the requested geometry."""
 
 
-class InvalidMask(DataError):
-    """Lag mask rejected: column 0 must stay active, at least two bits set."""
-
-
 # -- spectral ----------------------------------------------------------------
 
 class NoConvergence(NumericalError):

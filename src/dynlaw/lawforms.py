@@ -57,7 +57,8 @@ _PAIR_TOL = 1e-8  # relative tolerance of conjugate pairing (see ``_pairs``)
 @dataclass(frozen=True)
 class RootSet:
     """Roots of the law polynomial, sorted by (real, imag), plus the
-    largest |P(q_a)| observed when the finder accepted them."""
+    largest residual read when they were accepted: |P(q_a)|, or
+    |q_a^-d P(q_a)| (degree d) for a root outside the unit circle."""
 
     roots: np.ndarray
     residual_bound: float = 0.0
@@ -100,12 +101,17 @@ def weights_to_roots(law) -> RootSet:
     out exactly conjugate.  Trailing zero weights only lower the
     degree.  Accepts a LinearLaw or a bare coefficient vector.
 
+    Each root q must leave |P(q)| below 1e-8 max(max |w|, sum_i |w_i|
+    |q|^i).  Outside the unit circle, where the sum exceeds max |w|,
+    the rule is read divided by |q|^d (degree d), on the reversed
+    polynomial at 1/q, so no power overflows: |q^-d P(q)| below 1e-8
+    sum_i |w_i| |q|^(i-d).  ``residual_bound`` is the largest residual.
+
     Raises
     ------
     RootFindingDiverged
-        If the eigenvalue solver fails or returns non-finite roots, or
-        some |P(q)| exceeds 1e-8 of the larger of max |w| and the
-        coefficient-magnitude bound sum_i |w_i| |q|^i at that root.
+        If the eigenvalue solver fails, returns non-finite roots, or
+        leaves a residual at or above its gate.
     """
     w = _weights_of(law)
     if np.max(np.abs(w)) == 0.0:
@@ -129,8 +135,8 @@ def _roots(w: np.ndarray):
     """Roots of each law of a stack (g, d + 1) whose weight d survives
     the trim of ``_degrees``, by the rule of ``weights_to_roots``.
 
-    Returns the sorted roots and the largest residual |P(q)| of the laws
-    that pass, plus ``{position: error}`` for the others.  As in
+    Returns the sorted roots and the largest residual of the laws that
+    pass, plus ``{position: error}`` for the others.  As in
     ``np.roots``, zero low-order weights give roots at 0 and shrink the
     companion matrix, so the eigensolves are grouped by its size.
     """
@@ -159,15 +165,21 @@ def _roots(w: np.ndarray):
 
     # Horner at q cannot beat eps * sum_i |w_i| |q|^i, so roots far from
     # the unit circle are gated against that floor instead of max |w|.
-    # Both run the Horner steps of np.polyval, in one loop.
-    value, floor, size = np.zeros_like(z), np.zeros(z.shape), np.abs(z)
-    for coefficient, magnitude in zip(w[:, ::-1].T, np.abs(w)[:, ::-1].T):
-        value = value * z + coefficient[:, None]
-        floor = floor * size + magnitude[:, None]
+    # Outside the circle value and floor are read divided by q^d, on the
+    # reversed polynomial at 1/q, so nothing overflows.  Both run the
+    # Horner steps of np.polyval, on coefficients laid out once per root.
+    outer = np.abs(z) > 1.0
+    x = np.divide(1.0, z, out=z.copy(), where=outer)
+    steps = np.where(outer, w.T[:, :, None], w[:, ::-1].T[:, :, None])
+    value, floor, size = np.zeros_like(z), np.zeros(z.shape), np.abs(x)
+    for coefficient, magnitude in zip(steps, np.abs(steps)):
+        value = value * x + coefficient
+        floor = floor * size + magnitude
     residual = np.abs(value)
     scale = np.max(np.abs(w), axis=-1)
     worst = residual.max(axis=-1)
-    bad = np.any(residual >= 1e-8 * np.maximum(scale[:, None], floor), axis=-1)
+    bad = np.any(residual >= 1e-8 * np.where(outer, floor, np.maximum(scale[:, None], floor)),
+                 axis=-1)
     ok = fail.record(pos, {
         int(i): RootFindingDiverged(
             f"accepted roots leave residual {float(worst[i]):.3e} against scale {scale[i]:.3e}"

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._stack import lapack_rows, norms, one_row, with_cause
 from .embedding import EmbeddedDataset, EmbeddingConfig
-from .errors import DimensionMismatch, InvalidMask, NoConvergence
+from .errors import DimensionMismatch, NoConvergence
 
 __all__ = [
     "CorrelationMatrix",
@@ -68,12 +68,8 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenpairs in ascending eigenvalue order.
-
-    ``eigenvectors[:, j]`` belongs to ``eigenvalues[j]``.  When a lag
-    mask was active, only the active subspace is reported and every
-    vector carries exact zeros at masked positions.
-    """
+    """Eigenpairs in ascending eigenvalue order: ``eigenvectors[:, j]``
+    belongs to ``eigenvalues[j]``."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -95,7 +91,6 @@ class LinearLaw:
     weights: np.ndarray
     eigenvalue: float
     stride: int = 1
-    mask: tuple[int, ...] = ()
     symmetric_flag: bool = False
 
     def __post_init__(self):
@@ -105,12 +100,6 @@ class LinearLaw:
             raise ValueError("weights must be a vector of length n + 1 >= 2")
         if not abs(np.linalg.norm(w) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("weights must have unit norm")
-        if not self.mask:
-            object.__setattr__(self, "mask", (1,) * w.size)
-        elif len(self.mask) != w.size:
-            raise ValueError("mask length must match weights")
-        if any(b == 0 and w[i] != 0.0 for i, b in enumerate(self.mask)):
-            raise ValueError("masked positions must carry weight exactly 0")
         if self.symmetric_flag and any(w[i] != w[w.size - 1 - i] for i in range(w.size)):
             raise ValueError("symmetric law must be exactly palindromic")
 
@@ -196,24 +185,14 @@ def _canonical_null_vector(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return w
 
 
-def _palindromic_basis(mask: tuple[int, ...]) -> np.ndarray:
-    """Orthonormal basis of the palindromic lag vectors allowed by a
-    palindromic mask, one column each; the first one holds lag 0."""
-    m = len(mask)
-    n = m - 1
-    half = 1.0 / np.sqrt(2.0)
-    basis = []
-    for j in range((n + 1) // 2):
-        if mask[j]:
-            u = np.zeros(m)
-            u[j] = half
-            u[n - j] = half
-            basis.append(u)
-    if n % 2 == 0 and mask[n // 2]:
-        u = np.zeros(m)
-        u[n // 2] = 1.0
-        basis.append(u)
-    return np.column_stack(basis)
+def _palindromic_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the palindromic lag vectors of order ``n``,
+    one column each: (e_j + e_{n-j})/sqrt(2) for j < n/2, then the
+    middle axis e_{n/2} for even ``n``.  The first column holds lag 0."""
+    j = np.arange(n // 2 + 1)
+    basis = np.zeros((n + 1, j.size))
+    basis[j, j] = basis[n - j, j] = 1.0 / np.sqrt(2.0 - (2 * j == n))
+    return basis
 
 
 def _laws(c: np.ndarray, basis: np.ndarray | None = None):
@@ -240,52 +219,35 @@ def _unit_laws(w: np.ndarray) -> np.ndarray:
     return _normalize_sign((w / norms(w)[:, None])[..., None])[..., 0]
 
 
-def eigendecompose(c: CorrelationMatrix, mask: tuple[int, ...] | None = None) -> Spectrum:
-    """Full spectrum of a correlation matrix.
-
-    With a lag mask, masked rows and columns are excluded and the
-    reduced problem is solved; the returned eigenvectors are re-embedded
-    with exact zeros at masked positions, so the spectrum holds one pair
-    per active lag and no spurious null modes along masked axes.  A mask
-    needs one bit per lag, else DimensionMismatch.
-    """
+def eigendecompose(c: CorrelationMatrix) -> Spectrum:
+    """Full spectrum of a symmetric, finite correlation matrix (a
+    CorrelationMatrix or a bare square array)."""
     a = c.entries if isinstance(c, CorrelationMatrix) else np.asarray(c, dtype=np.float64)
-    m = a.shape[0]
     if not _symmetric(a):
         raise ValueError("correlation matrix must be symmetric")
     if not np.all(np.isfinite(a)):  # _symmetric takes inf == inf
         raise ValueError("correlation matrix must be finite")
-    if mask is not None and len(mask) != m:
-        raise DimensionMismatch(f"mask of length {len(mask)} against a {m}x{m} matrix")
-    active = [i for i, b in enumerate((1,) * m if mask is None else mask) if b]
-    vals, vecs = one_row(_eigh(a[np.ix_(active, active)][None]))
-    full = np.zeros((m, len(active)))
-    full[active, :] = vecs
-    return Spectrum(eigenvalues=vals, eigenvectors=full)
+    vals, vecs = one_row(_eigh(a[None]))
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
-def extract_law(spectrum: Spectrum, config: EmbeddingConfig, index: int = 0) -> LinearLaw:
-    """Pick the eigenvector of ``index``-th smallest eigenvalue as a law.
+def _check_order(config: EmbeddingConfig, size: int) -> None:
+    """DimensionMismatch unless the config's n + 1 lags are ``size``."""
+    if config.n + 1 != size:
+        raise DimensionMismatch(f"order n={config.n} needs {config.n + 1} lags, got {size}")
 
-    ``index = 0`` is the best law; when the smallest eigenvalue is
-    degenerate it is the minimum-norm vector of that eigenspace (see
-    ``_canonical_null_vector``), so it does not depend on which basis of
-    the null space the spectrum holds.  The top index is the dominant
-    principal direction instead.  The vector is sign-normalized (first
-    non-negligible component positive).
-    """
+
+def extract_law(spectrum: Spectrum, config: EmbeddingConfig) -> LinearLaw:
+    """The best law of a spectrum: the eigenvector of its smallest
+    eigenvalue, sign-normalized (first non-negligible component
+    positive); of a degenerate smallest eigenvalue, the minimum-norm
+    vector of its eigenspace (``_canonical_null_vector``), whatever basis
+    the spectrum holds.  DimensionMismatch unless the spectrum has
+    ``config.n + 1`` lags."""
     vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
-    count = vals.size
-    if not 0 <= index < count:
-        raise IndexError(f"eigenpair index {index} out of range ({count} pairs)")
-    w = _canonical_null_vector(vals[None], vecs[None]) if index == 0 else vecs[None, :, index]
-    return LinearLaw(
-        weights=_unit_laws(w)[0],
-        eigenvalue=float(vals[index]),
-        stride=config.stride,
-        mask=config.mask,
-        symmetric_flag=False,
-    )
+    _check_order(config, vecs.shape[0])
+    w = _unit_laws(_canonical_null_vector(vals[None], vecs[None]))[0]
+    return LinearLaw(weights=w, eigenvalue=float(vals[0]), stride=config.stride)
 
 
 def extract_symmetric_law(c: CorrelationMatrix, config: EmbeddingConfig) -> LinearLaw:
@@ -298,27 +260,12 @@ def extract_symmetric_law(c: CorrelationMatrix, config: EmbeddingConfig) -> Line
     the same minimum-norm rule as ``extract_law`` on a degenerate
     reduced eigenspace (the first basis vector holds lag 0).  The
     reported eigenvalue is the Rayleigh quotient of the returned
-    weights, hence >= the unconstrained minimum.
-
-    A lag mask must itself be palindromic to be compatible with the
-    constraint; anything else raises InvalidMask.
+    weights, hence >= the unconstrained minimum.  DimensionMismatch
+    unless ``c`` has ``config.n + 1`` lags.
     """
-    a = c.entries
-    m = a.shape[0]
-    n = m - 1
-    if len(config.mask) != m:
-        raise DimensionMismatch(f"config mask length {len(config.mask)} against {m} lags")
-    mask = config.mask
-    if any(mask[i] != mask[n - i] for i in range(m)):
-        raise InvalidMask("symmetric extraction needs a palindromic mask")
-    w, lam = one_row(_laws(a[None], _palindromic_basis(mask)))
-    return LinearLaw(
-        weights=w,
-        eigenvalue=float(lam),
-        stride=config.stride,
-        mask=config.mask,
-        symmetric_flag=True,
-    )
+    _check_order(config, c.entries.shape[0])
+    w, lam = one_row(_laws(c.entries[None], _palindromic_basis(config.n)))
+    return LinearLaw(weights=w, eigenvalue=float(lam), stride=config.stride, symmetric_flag=True)
 
 
 def law_residuals(dataset: EmbeddedDataset, law: LinearLaw) -> np.ndarray:

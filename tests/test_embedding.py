@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynlaw.embedding import EmbeddingConfig, TimeSeries, embed
-from dynlaw.errors import InvalidMask, SeriesTooShort
+from dynlaw.errors import SeriesTooShort
 
 
-def brute_windows(samples, n, stride, offset, mask=None):
+def brute_windows(samples, n, stride, offset):
     """Independent window enumerator: walk anchors one at a time."""
     rows = []
     anchor = offset + stride * n
@@ -17,20 +17,12 @@ def brute_windows(samples, n, stride, offset, mask=None):
         row = [samples[anchor - stride * i] for i in range(n + 1)]
         rows.append(row)
         anchor += stride
-    out = np.array(rows, dtype=float) if rows else np.empty((0, n + 1))
-    if mask is not None:
-        out = out * np.asarray(mask, dtype=float)
-    return out
+    return np.array(rows, dtype=float) if rows else np.empty((0, n + 1))
 
 
 def test_basic_windows():
     ds = embed(TimeSeries([1, 2, 3, 4, 5]), EmbeddingConfig(n=2))
     assert ds.rows.tolist() == [[3, 2, 1], [4, 3, 2], [5, 4, 3]]
-
-
-def test_masked_column_zeroed():
-    ds = embed(TimeSeries([1, 2, 3, 4, 5]), EmbeddingConfig(n=2, mask=(1, 0, 1)))
-    assert ds.rows.tolist() == [[3, 0, 1], [4, 0, 2], [5, 0, 3]]
 
 
 def test_stride_two_windows():
@@ -72,35 +64,11 @@ def test_rows_match_brute_force(length, n, stride, offset):
     np.testing.assert_array_equal(ds.rows, expected)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 5), st.data())
-def test_mask_zeroes_exactly_the_masked_columns(n, data):
-    bits = data.draw(
-        st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda b: sum(b) >= 1)
-    )
-    mask = (1, *bits)
-    y = np.arange(1.0, 3 * n + 10.0)
-    ds = embed(TimeSeries(y), EmbeddingConfig(n=n, mask=mask))
-    np.testing.assert_array_equal(ds.rows, brute_windows(y, n, 1, 0, mask))
-    for i, bit in enumerate(mask):
-        if bit == 0:
-            assert np.all(ds.rows[:, i] == 0.0)
-
-
 def test_too_short_series_rejected():
     with pytest.raises(SeriesTooShort):
         embed(TimeSeries([1.0, 2.0]), EmbeddingConfig(n=2))
     with pytest.raises(SeriesTooShort):
         embed(TimeSeries([1.0, 2.0, 3.0]), EmbeddingConfig(n=1, stride=3))
-
-
-def test_mask_validation():
-    with pytest.raises(InvalidMask):
-        EmbeddingConfig(n=2, mask=(0, 1, 1))  # current sample never masked
-    with pytest.raises(InvalidMask):
-        EmbeddingConfig(n=2, mask=(1, 0, 0))  # a law needs two active lags
-    with pytest.raises(InvalidMask):
-        EmbeddingConfig(n=2, mask=(1, 1))  # wrong length
 
 
 def test_config_validation():

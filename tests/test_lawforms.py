@@ -86,6 +86,20 @@ def test_trailing_zeros_reduce_degree():
     np.testing.assert_allclose(rs.roots, [2.0, 3.0], atol=1e-10)
 
 
+def test_huge_roots_pass_the_residual_gate():
+    # a tiny leading weight puts a root near 1e12, where |q|^32 overflows
+    # a residual read at q; outside the unit circle the gate must read
+    # q^-d P(q), which stays in range (RuntimeWarning is an error here)
+    for seed in range(200):
+        w = np.random.default_rng(seed).uniform(-1, 1, 33)
+        w[32] = 1e-12
+        rs = weights_to_roots(w)
+        expected = np.roots(w[::-1])
+        expected = expected[np.lexsort((expected.imag, expected.real))]
+        np.testing.assert_allclose(rs.roots, expected, rtol=1e-12, atol=0)
+        assert np.isfinite(rs.residual_bound)
+
+
 def test_root_at_origin_is_found_but_has_no_log():
     rs = weights_to_roots(np.array([0.0, -1.0, 1.0]))  # x^2 - x = x(x-1)
     assert_same_roots(rs.roots, [0.0, 1.0], atol=1e-12)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynlaw.embedding import EmbeddingConfig, TimeSeries, embed
-from dynlaw.errors import DimensionMismatch, InvalidMask
+from dynlaw.errors import DimensionMismatch
 from dynlaw.spectral import (
     CorrelationMatrix,
     LinearLaw,
@@ -17,7 +17,7 @@ from dynlaw.spectral import (
     extract_symmetric_law,
     law_residuals,
 )
-from dynlaw.spectral import _normalize_sign, _symmetric
+from dynlaw.spectral import _normalize_sign, _palindromic_basis, _symmetric
 
 
 def charpoly_eigenvalues(a):
@@ -129,13 +129,14 @@ def test_extract_single_sine_law():
     assert law.order == 2 and law.stride == 1
 
 
-def test_extract_largest_index_is_dominant_direction():
-    cfg = EmbeddingConfig(n=2)
-    spec = eigendecompose(correlation(embed(sine_series(), cfg)))
-    top = extract_law(spec, cfg, index=2)
-    assert top.eigenvalue == spec.eigenvalues[-1] == max(spec.eigenvalues)
-    with pytest.raises(IndexError):
-        extract_law(spec, cfg, index=3)
+def test_extract_law_takes_the_smallest_eigenpair():
+    # noise has a simple smallest eigenvalue: the law is its eigenvector
+    rng = np.random.default_rng(7)
+    cfg = EmbeddingConfig(n=3)
+    spec = eigendecompose(correlation(embed(TimeSeries(rng.uniform(-1, 1, 200)), cfg)))
+    law = extract_law(spec, cfg)
+    assert law.eigenvalue == spec.eigenvalues[0] == min(spec.eigenvalues)
+    np.testing.assert_allclose(law.weights, spec.eigenvectors[:, 0], rtol=0, atol=1e-15)
 
 
 def test_extract_two_sine_composite_law():
@@ -203,35 +204,36 @@ def test_symmetric_law_matches_brute_force_sphere_search():
     assert abs(law.eigenvalue - values.min()) < 1e-6
 
 
-def test_masked_problem_solved_on_submatrix():
-    # sin(pi k/2 + phase) flips sign every 2 steps, so with lags {0, 2}
-    # the exact law is (1, 0, 1)/sqrt(2)
-    y = TimeSeries(np.sin(np.pi / 2 * np.arange(200) + 0.4))
-    cfg = EmbeddingConfig(n=2, mask=(1, 0, 1))
-    c = correlation(embed(y, cfg))
-    spec = eigendecompose(c, mask=cfg.mask)
-    assert spec.eigenvalues.size == 2  # one pair per active lag
-    assert np.all(spec.eigenvectors[1, :] == 0.0)
-    law = extract_law(spec, cfg)
-    assert law.weights[1] == 0.0
-    np.testing.assert_allclose(law.weights, [np.sqrt(0.5), 0, np.sqrt(0.5)], atol=1e-8)
-    assert law.eigenvalue < 1e-10 * c.trace
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8])
+def test_palindromic_basis_matches_paired_unit_vectors(n):
+    # independent build: one column per mirrored pair of lags, then the
+    # middle lag of an even order
+    columns = []
+    for j in range((n + 1) // 2):
+        u = np.zeros(n + 1)
+        u[j] = u[n - j] = 1.0 / np.sqrt(2.0)
+        columns.append(u)
+    if n % 2 == 0:
+        columns.append(np.eye(n + 1)[n // 2])
+    basis = _palindromic_basis(n)
+    np.testing.assert_array_equal(basis, np.column_stack(columns))
+    np.testing.assert_allclose(basis.T @ basis, np.eye(n // 2 + 1), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(basis, basis[::-1])  # every column palindromic
+    assert basis[0, 0] > 0.0 and np.all(basis[0, 1:] == 0.0)
 
 
-def test_masked_spectrum_has_no_spurious_null_modes():
-    rng = np.random.default_rng(5)
-    cfg = EmbeddingConfig(n=3, mask=(1, 1, 0, 1))
-    c = correlation(embed(TimeSeries(rng.uniform(-1, 1, 100)), cfg))
-    spec = eigendecompose(c, mask=cfg.mask)
-    assert spec.eigenvalues.size == 3
-    assert spec.eigenvalues[0] > 1e-6  # noise has no law on the active lags
-
-
-@pytest.mark.parametrize("mask", [(1, 1), (1, 0, 1), (1, 1, 1, 1, 1)])
-def test_mask_of_wrong_length_is_rejected(mask):
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_extract_law_rejects_config_of_other_order(n):
     c = CorrelationMatrix(np.diag([1.0, 2.0, 3.0, 4.0]), sample_count=1)
-    with pytest.raises(DimensionMismatch):
-        eigendecompose(c, mask=mask)
+    with pytest.raises(DimensionMismatch, match="order n="):
+        extract_law(eigendecompose(c), EmbeddingConfig(n=n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_extract_symmetric_law_rejects_config_of_other_order(n):
+    c = CorrelationMatrix(np.diag([1.0, 2.0, 3.0, 4.0]), sample_count=1)
+    with pytest.raises(DimensionMismatch, match="order n="):
+        extract_symmetric_law(c, EmbeddingConfig(n=n))
 
 
 @pytest.mark.parametrize("spike", ["single", "pair"])
@@ -258,20 +260,12 @@ def test_law_rejects_non_finite_weights(bad):
         LinearLaw(weights=np.array([np.sqrt(0.5), np.sqrt(0.5), bad]), eigenvalue=0.0)
 
 
-def test_symmetric_extraction_rejects_asymmetric_mask():
-    rng = np.random.default_rng(13)
-    cfg = EmbeddingConfig(n=3, mask=(1, 1, 0, 1))
-    c = correlation(embed(TimeSeries(rng.uniform(-1, 1, 60)), cfg))
-    with pytest.raises(InvalidMask):
-        extract_symmetric_law(c, cfg)
-
-
 def test_law_residuals_direct_product():
     ds = embed(TimeSeries([1.0, 1.0]), EmbeddingConfig(n=1))
-    law = extract_law(eigendecompose(correlation(ds)), EmbeddingConfig(n=1), index=1)
+    law = LinearLaw(weights=np.array([1.0, 1.0]) / np.sqrt(2.0), eigenvalue=2.0)
     xi = law_residuals(ds, law)
     assert xi.shape == (1,)
-    # top eigenvector of [[1,1],[1,1]] is (1,1)/sqrt(2): xi = 2/sqrt(2)
+    # the window (1, 1) against w = (1, 1)/sqrt(2): xi = 2/sqrt(2)
     assert abs(xi[0] - np.sqrt(2.0)) < 1e-12
 
 
