@@ -30,7 +30,7 @@ from .codec import (
 from .embedding import EmbeddingConfig, embed
 from .errors import DataError, NumericalError
 from .lawforms import weights_to_roots, roots_to_weights
-from .signal_io import SynthSpec, read_wav, synthesize, write_wav
+from .signal_io import _KINDS, SynthSpec, read_wav, synthesize, write_wav
 from .spectral import correlation, eigendecompose, extract_law, extract_symmetric_law
 
 _MODES = {"amp": AMPLITUDES, "ic": INITIAL_CONDITIONS}
@@ -68,24 +68,13 @@ def _write_bytes(path: str, data: bytes) -> None:
             handle.write(data)
 
 
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    else:
-        with open(path, "w") as handle:
-            handle.write(text)
-
-
 @functools.cache  # built once per process; parse_args leaves the tree unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dynlaw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="generate a test signal as WAV")
-    synth.add_argument("--kind", required=True,
-                       choices=["sine", "multi_sine", "damped_sine", "poly_exp",
-                                "uniform_noise", "constant"])
+    synth.add_argument("--kind", required=True, choices=_KINDS)
     synth.add_argument("--length", type=int, required=True)
     synth.add_argument("--rate", type=float, default=8000.0)
     synth.add_argument("--amp", default="1.0", help="amplitude or comma list")
@@ -182,7 +171,7 @@ def _cmd_spectrum(args) -> int:
         lines = ["index,eigenvalue"]
         lines += [f"{i},{float(v)!r}" for i, v in enumerate(spectrum.eigenvalues)]
         text = "\n".join(lines) + "\n"
-    _write_text(args.output, text)
+    _write_bytes(args.output, text.encode())
     return 0
 
 
@@ -221,7 +210,7 @@ def _cmd_extract(args) -> int:
         ):
             lines += [f"{kind},{i},{re!r},{im!r}" for i, (re, im) in enumerate(values)]
         text = "\n".join(lines) + "\n"
-    _write_text(args.output, text)
+    _write_bytes(args.output, text.encode())
     return 0
 
 
@@ -265,14 +254,14 @@ def _cmd_sweep(args) -> int:
     report = sweep(series, args.grid_n, args.grid_stride, args.block, symmetric=args.symmetric)
     for n, s, reason in report.skipped:
         print(f"skipped n={n} stride={s}: {reason}", file=sys.stderr)
-    _write_text(args.output, _report_text(report, args.format))
+    _write_bytes(args.output, _report_text(report, args.format).encode())
     return 0
 
 
 def _cmd_baseline(args) -> int:
     report, slope = random_baseline(args.length, args.seed, args.grid_n, args.block)
     print(f"slope: {slope!r}", file=sys.stderr)
-    _write_text(args.output, _report_text(report, args.format, {"slope": slope}))
+    _write_bytes(args.output, _report_text(report, args.format, {"slope": slope}).encode())
     return 0
 
 

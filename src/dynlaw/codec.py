@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stack import Failures, norms
+from ._stack import Failures, norms, with_cause
 from .embedding import TimeSeries, _delay_windows
 from .errors import (
     BadMagic,
@@ -79,7 +79,7 @@ from .errors import (
     ZeroRoot,
 )
 from .fitting import _least_squares, _mode_bases, _usable_bases
-from .lawforms import _degrees, _expand, _impulse_bases, _pairs, _roots
+from .lawforms import _degrees, _expand, _generate, _impulse_bases, _pairs, _roots
 from .signal_io import SynthSpec, synthesize
 # eigendecompose is unused here; perfbench's tracer test reads dynlaw.codec.eigendecompose
 from .spectral import _correlations, _laws, _palindromic_basis, eigendecompose  # noqa: F401
@@ -268,6 +268,14 @@ def _per_sample_roots(q: np.ndarray, stride: int):
     return np.take_along_axis(p, np.lexsort((p.imag, p.real), axis=-1), axis=-1), fail.first
 
 
+def _recursion_bases(w: np.ndarray, count: int):
+    """``_impulse_bases``, where a law with a root at the origin
+    (|w_0| <= 1e-12), whose recursion cannot step, fails as ZeroRoot."""
+    basis, errors = _impulse_bases(w, count)
+    return basis, {pos: with_cause(ZeroRoot(f"law has a root at the origin: {exc}"), exc)
+                   if abs(w[pos, 0]) <= 1e-12 else exc for pos, exc in errors.items()}
+
+
 def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
     """Per-sample basis of each block from its law's float64 unit
     weights (blocks x (n + 1)).
@@ -284,7 +292,8 @@ def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
     y = 0, and in IC mode at stride 1 every block.  They take no roots:
     a y = 0 law has no modes in amplitude mode, and in IC mode a direct
     block's basis is the stored law's own recursion, which for y = 0
-    yields zeros after the seeds at any stride.
+    yields zeros after the seeds at any stride.  In IC mode a law with a
+    root at the origin fails as ZeroRoot (``_recursion_bases``).
 
     Returns ``[(positions, bases)]``, one entry per group of blocks
     whose bases were built together (direct, or of one degree), plus
@@ -301,7 +310,7 @@ def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
     if at.size and modes:
         groups.append((at, np.zeros((at.size, count, 0))))
     elif at.size:
-        basis, errors = _impulse_bases(weights[at], count)
+        basis, errors = _recursion_bases(weights[at], count)
         groups.append((at[fail.record(at, errors)], basis))
     for d in np.unique(degrees[~direct]).tolist():
         at = pos[degrees == d]
@@ -315,24 +324,9 @@ def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
         else:
             w, errors = _expand(roots, 1.0)
             at = at[fail.record(at, errors)]
-            basis, errors = _impulse_bases(w / norms(w)[:, None], count)
+            basis, errors = _recursion_bases(w / norms(w)[:, None], count)
         groups.append((at[fail.record(at, errors)], basis))
     return groups, fail.first
-
-
-def _generate(basis: np.ndarray, coef: np.ndarray):
-    """Samples ``basis @ coef`` of each block of a stack, for the blocks
-    whose samples all stay within 1e100 and finite, plus
-    ``{position: UnstableOverflow}`` for the others."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = (basis @ coef[..., None])[..., 0]
-    bad = ~(np.abs(y) <= 1e100)
-    failed = np.flatnonzero(bad.any(axis=-1))
-    errors = {
-        int(i): UnstableOverflow(f"generated sample beyond 1e100 at step {int(bad[i].argmax())}")
-        for i in failed
-    }
-    return (np.delete(y, failed, axis=0) if failed.size else y), errors
 
 
 def _encode(blocks: np.ndarray, params: CodecParams, quantize: bool):
@@ -539,9 +533,9 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
     """Measure accuracy across an (n, stride) grid at one block size.
 
     Each point fits its blocks in amplitude mode, in float64.
-    Infeasible grid points and points where a numerical step fails are
-    recorded under ``skipped`` with a reason instead of aborting the
-    sweep.  Block accuracies are averaged weighted by block energy,
+    Grid points ``CodecParams`` rejects and points where a numerical
+    step fails are recorded under ``skipped`` with the error's text as
+    the reason, instead of aborting the sweep.  Block accuracies are averaged weighted by block energy,
     matching a concatenated-signal Euclidean accuracy when block errors
     are comparable.
     """
@@ -552,13 +546,12 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
     skipped = []
     for n in n_grid:
         for s in stride_grid:
-            if block_size < 2 * n:
-                skipped.append((n, s, "block shorter than 2n (rate below 1)"))
+            try:
+                params = CodecParams(order_n=n, block_size=block_size, stride=s,
+                                     symmetric=symmetric)
+            except ValueError as exc:
+                skipped.append((n, s, str(exc)))
                 continue
-            if s * n >= block_size:
-                skipped.append((n, s, "no window fits: stride * n >= block_size"))
-                continue
-            params = CodecParams(order_n=n, block_size=block_size, stride=s, symmetric=symmetric)
             try:
                 acc, lam = _measure_point(blocks, params)
             except NumericalError as exc:

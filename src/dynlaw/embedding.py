@@ -63,11 +63,10 @@ class EmbeddingConfig:
 
 @dataclass(frozen=True)
 class EmbeddedDataset:
-    """Window rows plus the geometry that produced them."""
+    """Window rows plus the geometry (not the time scale) that produced them."""
 
     rows: np.ndarray
     config: EmbeddingConfig
-    sample_rate: float = 1.0
 
     @property
     def window_count(self) -> int:
@@ -104,8 +103,7 @@ def embed(series: TimeSeries, config: EmbeddingConfig) -> EmbeddedDataset:
         raise SeriesTooShort(
             f"need {need} samples for one window (n={n}, stride={s}), got {len(y)}"
         )
-    return EmbeddedDataset(rows=_delay_windows(y, n, s), config=config,
-                           sample_rate=series.sample_rate)
+    return EmbeddedDataset(rows=_delay_windows(y, n, s), config=config)
 
 
 def _delay_windows(blocks: np.ndarray, n: int, stride: int) -> np.ndarray:

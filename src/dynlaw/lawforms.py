@@ -16,7 +16,7 @@ frequency of the law's sampling grid aliases, as it must.
 The recursion is stepped once per sample for all n unit seeds at once,
 and for every law of a stack at once: the impulse-response basis of
 ``impulse_basis``.  Running the recursion from given seeds is that
-basis times the seeds.
+basis times the seeds, ``_generate``, which the codec's decoder shares.
 
 Roots, conjugate pairing, expansion and impulse bases are computed for
 a stack of laws at once (``_roots``, ``_pairs``, ``_expand``,
@@ -415,34 +415,44 @@ def _impulse_bases(w: np.ndarray, count: int):
     return basis, fail.first
 
 
+def _generate(basis: np.ndarray, coef: np.ndarray):
+    """Samples ``basis @ coef`` of each block of a stack, for the blocks
+    whose samples all stay within 1e100 and finite, plus
+    ``{position: UnstableOverflow}`` for the others."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (basis @ coef[..., None])[..., 0]
+    bad = ~(np.abs(y) <= 1e100)
+    failed = np.flatnonzero(bad.any(axis=-1))
+    errors = {
+        int(i): UnstableOverflow(f"generated sample beyond 1e100 at step {int(bad[i].argmax())}")
+        for i in failed
+    }
+    return (np.delete(y, failed, axis=0) if failed.size else y), errors
+
+
 def run_recursion(law, initial, count: int) -> np.ndarray:
     """Drive the recursion y_k = -(1/w_0) sum_{i=1..n} w_i y_{k-i}.
 
     ``initial`` supplies the first n values, oldest first; the output
     has length ``count`` and reproduces them verbatim before the
     generated part starts.  The output is ``impulse_basis(law, count) @
-    initial``, so a decoder regenerates exactly the model an
-    initial-condition fit solved for, not a re-rounded copy of it.
+    initial`` through the decoder's ``_generate``, so a decoder
+    regenerates exactly the model an initial-condition fit solved for.
     Accepts a LinearLaw or bare weights.
 
     Raises
     ------
     UnstableOverflow
-        At the first generated value beyond 1e100 in magnitude or not
-        finite.
+        At the first value, seed or generated, beyond 1e100 in
+        magnitude or not finite.
     """
     w = _weights_of(law)
     n = w.size - 1
     init = np.asarray(initial, dtype=np.float64)
     if init.size != n:
         raise ValueError(f"need {n} initial values, got {init.size}")
-    basis = impulse_basis(w, count)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = basis @ init
+    out = one_row(_generate(impulse_basis(w, count)[None], init[None]))[0]
     out[: min(n, count)] = init[:count]
-    bad = ~(np.abs(out[n:]) <= 1e100)
-    if bad.any():
-        raise UnstableOverflow(f"recursion exceeded 1e100 at step {n + int(bad.argmax())}")
     return out
 
 

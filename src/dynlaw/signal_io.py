@@ -1,22 +1,24 @@
 """WAV input/output and test-signal synthesis.
 
 Only classic 16-bit integer PCM in a RIFF/WAVE container is read or
-written.  Stereo input collapses to mono by averaging the channels;
-sample values scale by 1/32768, so -32768 maps to -1.0 and +32767 to
-32767/32768.
+written; the standard library's ``wave`` writes the container.  Stereo
+input collapses to mono by averaging the channels; sample values scale
+by 1/32768, so -32768 maps to -1.0 and +32767 to 32767/32768.
 
 Noise comes from a 64-bit linear congruential generator,
 
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
 
-(Knuth's MMIX constants), mapped to [-1, 1) via state / 2^63 - 1.  The
-generator is part of the interface: a seed pins the exact samples on
-every platform.
+(Knuth's MMIX constants), mapped to [-1, 1) via state / 2^63 - 1 and
+computed in closed form (``lcg_uniform``).  The generator is part of
+the interface: a seed pins the exact samples on every platform.
 """
 
 from __future__ import annotations
 
+import io
 import struct
+import wave
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,21 +38,12 @@ _LCG_MASK = (1 << 64) - 1
 def lcg_uniform(seed: int, count: int) -> np.ndarray:
     """Deterministic uniform samples in [-1, 1) from the 64-bit LCG.
 
-    The states are filled by jump-ahead in uint64 arithmetic, which
-    wraps mod 2^64 exactly like the integer recurrence: with k states
-    known, s_{j+k} = a_k s_j + c_k for the next k, where (a_k, c_k)
-    compose k steps and are squared in Python ints at each doubling.
+    State j is a^(j+1) s_0 + c (1 + a + ... + a^j): one uint64 cumprod
+    and one cumsum, which wrap mod 2^64 exactly like the recurrence.
     """
-    states = np.empty(count, dtype=np.uint64)
-    if count:
-        states[0] = (_LCG_MULT * (seed & _LCG_MASK) + _LCG_INC) & _LCG_MASK
-    mult, inc = _LCG_MULT, _LCG_INC
-    known = 1
-    while known < count:
-        step = min(known, count - known)
-        states[known : known + step] = states[:step] * np.uint64(mult) + np.uint64(inc)
-        mult, inc = (mult * mult) & _LCG_MASK, (mult * inc + inc) & _LCG_MASK
-        known += step
+    powers = np.cumprod(np.full(count, _LCG_MULT, dtype=np.uint64))
+    sums = np.cumsum(np.concatenate(([np.uint64(1)], powers[:-1])))
+    states = powers * np.uint64(seed & _LCG_MASK) + sums * np.uint64(_LCG_INC)
     return states / 2.0**63 - 1.0
 
 
@@ -147,8 +140,8 @@ def read_wav(data: bytes) -> TimeSeries:
     """
     if len(data) < 12:
         raise MalformedHeader("shorter than a RIFF header")
-    tag, _, wave = struct.unpack("<4sI4s", data[:12])
-    if tag != b"RIFF" or wave != b"WAVE":
+    tag, _, form = struct.unpack("<4sI4s", data[:12])
+    if tag != b"RIFF" or form != b"WAVE":
         raise MalformedHeader("not a RIFF/WAVE container")
     fmt = None
     raw = None
@@ -187,7 +180,7 @@ def read_wav(data: bytes) -> TimeSeries:
 
 
 def write_wav(series: TimeSeries) -> bytes:
-    """Encode a series as mono 16-bit PCM; values clamp to [-1, 1].
+    """Encode a series as mono 16-bit PCM with ``wave``; values clamp to [-1, 1].
 
     Quantization error is at most one least step (1/32768) per sample,
     so read_wav(write_wav(s)) matches s to that tolerance.  An empty
@@ -197,22 +190,12 @@ def write_wav(series: TimeSeries) -> bytes:
     if not 1 <= rate < 1 << 31:  # the header stores the byte rate, 2 * rate, as u32
         raise ValueError(f"sample rate rounds to {rate} Hz; a WAV file stores 1 .. 2^31 - 1 Hz")
     x = np.asarray(series.samples, dtype=np.float64)
-    quantized = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2")
-    payload = quantized.tobytes()
-    header = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF",
-        36 + len(payload),
-        b"WAVE",
-        b"fmt ",
-        16,
-        1,
-        1,
-        rate,
-        rate * 2,
-        2,
-        16,
-        b"data",
-        len(payload),
-    )
-    return header + payload
+    # native int16: wave takes frames in the machine's byte order
+    quantized = np.clip(np.rint(x * 32768.0), -32768, 32767).astype(np.int16)
+    out = io.BytesIO()
+    with wave.open(out, "wb") as container:
+        container.setnchannels(1)
+        container.setsampwidth(2)
+        container.setframerate(rate)
+        container.writeframes(quantized.tobytes())
+    return out.getvalue()

@@ -120,18 +120,6 @@ def _correlations(rows: np.ndarray) -> np.ndarray:
     return (c + np.swapaxes(c, -1, -2)) / 2.0
 
 
-def _symmetric(a: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a stack equals its transpose within
-    ``atol = 1e-9 * (1 + max|a|)`` and ``rtol = 1e-5``: exactly what
-    ``np.allclose(a, a.T, atol=atol)`` accepts, NaN rejected."""
-    at = np.swapaxes(a, -1, -2)
-    mag = np.abs(at)
-    atol = 1e-9 * (1.0 + mag.max(axis=(-2, -1), keepdims=True, initial=0.0))
-    with np.errstate(invalid="ignore"):
-        close = (np.abs(a - at) <= atol + 1e-5 * mag) & np.isfinite(at) | (a == at)
-    return close.all(axis=(-2, -1))
-
-
 def _eigh(matrices: np.ndarray):
     """Ascending eigenvalues and sign-normalized eigenvector columns of
     each matrix of a stack, for the matrices LAPACK solves, plus
@@ -145,11 +133,9 @@ def _eigh(matrices: np.ndarray):
 
 
 def _normalize_sign(vecs: np.ndarray) -> np.ndarray:
-    """Flip the sign of a vector, or of each column of a matrix or of a
-    stack of matrices, so that its first component above 1e-12 of its
-    largest magnitude is positive.  An all-zero column is left as it is."""
-    if vecs.ndim == 1:
-        return _normalize_sign(vecs[:, None])[:, 0]
+    """Flip the sign of each column of a matrix, or of a stack of
+    matrices, so that its first component above 1e-12 of its largest
+    magnitude is positive.  An all-zero column is left as it is."""
     mags = np.abs(vecs)
     big = mags > 1e-12 * mags.max(axis=-2, keepdims=True)
     lead = np.take_along_axis(vecs, big.argmax(axis=-2)[..., None, :], axis=-2)
@@ -221,11 +207,13 @@ def _unit_laws(w: np.ndarray) -> np.ndarray:
 
 def eigendecompose(c: CorrelationMatrix) -> Spectrum:
     """Full spectrum of a symmetric, finite correlation matrix (a
-    CorrelationMatrix or a bare square array)."""
+    CorrelationMatrix or a bare square array).  Symmetric is what
+    ``np.allclose(a, a.T, atol=1e-9 * (1 + max|a|))`` accepts."""
     a = c.entries if isinstance(c, CorrelationMatrix) else np.asarray(c, dtype=np.float64)
-    if not _symmetric(a):
-        raise ValueError("correlation matrix must be symmetric")
-    if not np.all(np.isfinite(a)):  # _symmetric takes inf == inf
+    with np.errstate(invalid="ignore"):
+        if not np.allclose(a, a.T, atol=1e-9 * (1.0 + np.max(np.abs(a), initial=0.0))):
+            raise ValueError("correlation matrix must be symmetric")
+    if not np.all(np.isfinite(a)):  # an inf entry makes atol inf
         raise ValueError("correlation matrix must be finite")
     vals, vecs = one_row(_eigh(a[None]))
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)

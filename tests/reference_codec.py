@@ -38,21 +38,30 @@ def per_sample_roots(q, stride):
     return p[np.lexsort((p.imag, p.real))]
 
 
+def recursion_basis(weights, count):
+    try:
+        return impulse_basis(weights, count)
+    except ValueError as exc:
+        if abs(weights[0]) <= 1e-12:
+            raise ZeroRoot(f"law has a root at the origin: {exc}") from exc
+        raise
+
+
 def block_basis(weights, params, count):
     if params.fit_mode == INITIAL_CONDITIONS and params.stride == 1:
-        return impulse_basis(weights, count)
+        return recursion_basis(weights, count)
     try:
         roots = weights_to_roots(weights)
     except ValueError:  # no root: the law has no weight past lag 0
         if params.fit_mode == AMPLITUDES:
             return np.zeros((count, 0))
-        return impulse_basis(weights, count)
+        return recursion_basis(weights, count)
     if params.stride > 1:
         roots = per_sample_roots(roots.roots, params.stride)
     if params.fit_mode == AMPLITUDES:
         return mode_basis(roots, count)
     w = roots_to_weights(roots, 1.0)
-    return impulse_basis(w / np.linalg.norm(w), count)
+    return recursion_basis(w / np.linalg.norm(w), count)
 
 
 def generate(basis, coef):

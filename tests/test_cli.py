@@ -259,6 +259,26 @@ def test_numerical_failure_exits_3(tmp_path, capsys, growth, block, mode):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+def test_ic_law_with_a_root_at_the_origin_exits_3(tmp_path, capsys):
+    # 63 samples of 0.25, then one of 0.75: at n = 2 the law is about
+    # (0, 1, -1)/sqrt(2), whose root at the origin the recursion cannot step
+    wav = tmp_path / "step.wav"
+    wav.write_bytes(write_wav(TimeSeries(np.r_[np.full(63, 0.25), 0.75], 8000.0)))
+    assert run(["compress", "--input", str(wav), "--n", "2", "--block", "64", "--mode", "ic",
+                "--output", str(tmp_path / "step.dlaw")]) == 3
+    assert "law has a root at the origin" in capsys.readouterr().err
+    crafted = tmp_path / "zero_w0.dlaw"
+    crafted.write_bytes(serialize(CompressionArtifact(
+        params=CodecParams(order_n=2, block_size=64, fit_mode=INITIAL_CONDITIONS),
+        sample_rate=8000,
+        weights=np.array([[0.0, 1.0, -1.0]]) / np.sqrt(2.0),
+        payload=[[1.0, 2.0]],
+    )))
+    assert run(["decompress", "--input", str(crafted),
+                "--output", str(tmp_path / "zero_w0.wav")]) == 3
+    assert "law has a root at the origin" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("warn", ["error", "ignore"])
 @pytest.mark.parametrize("mode", ["amp", "ic"])
 def test_correlation_overflow_exits_3(tmp_path, capsys, monkeypatch, mode, warn):

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynlaw.codec import (
@@ -452,6 +452,77 @@ def test_batched_codec_matches_block_by_block_reference(case):
         assert [(row.A, row.lambda_min) for row in report.rows] == [point]
 
 
+def step_block():
+    # 63 samples of 0.25, then one of 0.75: at n = 2 the law is about
+    # (0, 1, -1)/sqrt(2), which has a root at the origin
+    return TimeSeries(np.r_[np.full(63, 0.25), 0.75], 8000.0)
+
+
+def test_ic_law_with_a_root_at_the_origin_fails_as_zero_root():
+    params = CodecParams(order_n=2, block_size=64, fit_mode=INITIAL_CONDITIONS)
+    for encode in (compress, reference_codec.compress):
+        with pytest.raises(ZeroRoot, match="law has a root at the origin"):
+            encode(step_block(), params)
+    # a file whose stored law has w_0 = 0 has no recursion to step
+    w = np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)
+    data = serialize(CompressionArtifact(params=params, sample_rate=8000, weights=w[None],
+                                         payload=[[1.0, 2.0]]))
+    for decode in (decompress, reference_codec.decompress):
+        with pytest.raises(ZeroRoot, match="law has a root at the origin"):
+            decode(deserialize(data))
+
+
+@st.composite
+def _structured_case(draw):
+    n = draw(st.integers(1, 8))
+    stride = draw(st.integers(1, 3))
+    block = draw(st.integers(max(2 * n, stride * n + 1), 96))
+    params = CodecParams(
+        order_n=n,
+        block_size=block,
+        stride=stride,
+        fit_mode=draw(st.sampled_from([AMPLITUDES, INITIAL_CONDITIONS])),
+        symmetric=draw(st.booleans()),
+    )
+    kinds = ["constant", "step", "impulse", "periodic", "ramp", "tones", "noise"]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = np.arange(block)
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        level = rng.uniform(-1.0, 1.0)
+        if kind == "constant":
+            part = np.full(block, level)
+        elif kind == "step":
+            part = np.where(k < rng.integers(1, block + 1), level, rng.uniform(-1.0, 1.0))
+        elif kind == "impulse":
+            part = np.where(k == rng.integers(block), level, 0.0)
+        elif kind == "periodic":
+            part = np.resize(rng.uniform(-1.0, 1.0, rng.integers(1, 9)), block)
+        elif kind == "ramp":
+            part = level + rng.uniform(-1.0, 1.0) * k / block
+        elif kind == "tones":
+            part = sum(rng.uniform(0.1, 0.5) * np.sin(rng.uniform(0.0, np.pi) * k + rng.uniform(0, 6))
+                       for _ in range(rng.integers(1, 4)))
+        else:
+            part = rng.uniform(-1.0, 1.0, block)
+        parts.append(part)
+    # 16-bit steps, as audio brings them
+    return TimeSeries(np.round(np.concatenate(parts) * 32767.0) / 32767.0, 8000.0), params
+
+
+@settings(max_examples=200, deadline=None)
+@given(_structured_case())
+@example((step_block(), CodecParams(order_n=2, block_size=64, fit_mode=INITIAL_CONDITIONS)))
+def test_round_trip_completes_or_fails_numerically(case):
+    series, params = case
+    try:
+        decompress(deserialize(serialize(compress(series, params))))
+    except NumericalError:
+        pass
+    if series.samples.any():
+        sweep(series, (params.order_n,), (params.stride,), params.block_size, params.symmetric)
+
+
 @pytest.mark.parametrize("swap", [False, True])
 def test_lowest_failing_block_sets_the_error(swap):
     # amplitude mode, n = 1, stride 2: 1 - 10 x has the root 0.1, whose
@@ -649,14 +720,15 @@ def test_sweep_rate_one_is_near_lossless_even_on_noise():
 def test_sweep_records_skipped_points():
     report = sweep(
         noise(128, seed=1),
-        n_grid=(4, 9),
+        n_grid=(0, 4, 9),
         stride_grid=(1, 4),
         block_size=16,
     )
     reasons = {(n, s): why for n, s, why in report.skipped}
-    assert (9, 1) in reasons and "rate below 1" in reasons[9, 1]
+    assert reasons[0, 1] == "order_n must be >= 1"
+    assert reasons[9, 1] == "block_size must be >= 2 * order_n (rate >= 1)"
     assert (9, 4) in reasons
-    assert (4, 4) in reasons and "no window fits" in reasons[4, 4]
+    assert reasons[4, 4] == "stride * order_n must stay below block_size"
     assert {(r.n, r.stride) for r in report.rows} == {(4, 1)}
 
 

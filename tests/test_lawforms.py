@@ -346,6 +346,12 @@ def test_run_recursion_guards():
         run_recursion(np.array([1.0, -2.0]) / np.sqrt(5.0), [1.0], 400)
 
 
+def test_run_recursion_fails_at_a_seed_beyond_1e100():
+    # the seed itself, not the first generated sample, is the first bad value
+    with pytest.raises(UnstableOverflow, match="generated sample beyond 1e100 at step 1"):
+        run_recursion([1.0, 0.0, -1.0], [1.0, 1e101], 5)
+
+
 @pytest.mark.parametrize("count", [0, 2, 3, 4])
 def test_impulse_basis_edge_counts(count):
     # n = 3: fewer rows than seeds, exactly the seeds, one generated row

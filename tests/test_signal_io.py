@@ -179,3 +179,11 @@ def test_write_wav_rejects_rates_its_header_cannot_store():
     for rate in (0.4, 2**31, 3e9):
         with pytest.raises(ValueError, match="a WAV file stores 1 .. 2"):
             write_wav(TimeSeries(samples=samples, sample_rate=rate))
+
+
+@pytest.mark.parametrize("count", [0, 1, 257])
+@pytest.mark.parametrize("rate", [1, 8000, 2**31 - 1])
+def test_write_wav_bytes_match_the_hand_packed_container(count, rate):
+    samples = np.linspace(-1.5, 1.5, count)  # clamps at both ends
+    frames = np.clip(np.rint(samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    assert write_wav(TimeSeries(samples=samples, sample_rate=rate)) == pack_wav(frames, rate=rate)
