@@ -34,6 +34,7 @@ from .fitting import (
     AmplitudeFit,
     InitialConditionFit,
     accuracy,
+    exponent_basis,
     fit_amplitudes,
     fit_initial_conditions,
     mode_basis,
@@ -44,6 +45,7 @@ from .codec import (
     INITIAL_CONDITIONS,
     CodecParams,
     CompressionArtifact,
+    StoredExponents,
     SweepReport,
     SweepRow,
     compress,
@@ -68,8 +70,8 @@ __all__ = [
     "roots_to_model", "evaluate_model", "run_recursion", "companion_matrix",
     "conjugate_pairs",
     "AmplitudeFit", "InitialConditionFit", "fit_amplitudes",
-    "fit_initial_conditions", "mode_basis", "reconstruct", "accuracy",
-    "CodecParams", "CompressionArtifact",
+    "fit_initial_conditions", "mode_basis", "exponent_basis", "reconstruct", "accuracy",
+    "CodecParams", "CompressionArtifact", "StoredExponents",
     "SweepRow", "SweepReport", "compress", "decompress",
     "serialize", "deserialize", "sweep", "random_baseline", "rate_accuracy_slope",
     "AMPLITUDES", "INITIAL_CONDITIONS",

@@ -1,14 +1,17 @@
 """Law-based block compression and rate/accuracy measurement.
 
 Each full block of ``block_size`` samples is reduced to one extracted
-law (n + 1 weights, or the half vector when palindromic) plus n payload
-reals.  The law fixes a per-sample basis of the block and the payload
-holds the block's coefficients in it, ``block = basis @ payload``: the
-basis is the law's exponential modes in amplitude mode and its
-recursion's impulse responses in initial-condition mode, where the
-payload is the n seed values.  An artifact keeps all blocks as two
-arrays, ``weights`` (blocks x (n + 1)) and ``payload`` (blocks x n).
-The leftover tail ships verbatim.  The nominal rate of this scheme is
+law plus n payload reals.  The law fixes a per-sample basis of the
+block and the payload holds the block's coefficients in it,
+``block = basis @ payload``: the basis is the law's exponential modes
+in amplitude mode and its recursion's impulse responses in
+initial-condition (IC) mode, where the payload is the n seed values.
+An amplitude-mode file that is not symmetric stores each law as the
+exponents of its per-sample roots (DLAW v2, ``StoredExponents``); IC
+and symmetric files store its weights (DLAW v1, an artifact's
+``weights``, blocks x (n + 1)).  The payload is ``payload``
+(blocks x n).  The leftover tail ships verbatim.  The nominal rate of
+this scheme is
 
     R = block_size / (2 n),
 
@@ -25,14 +28,15 @@ lowest-index failed block, as a pass block by block would.  A block
 whose correlation leaves float range (a sample beyond about 1e154)
 fails with UnstableOverflow before any law is taken from it.
 
-Binary layout (DLAW, version 1, little-endian)::
+Binary layout (DLAW, little-endian).  Both versions share the header::
 
     offset  size  field
     0       4     magic  b"DLAW"
-    4       2     version, u16 = 1
+    4       2     version, u16 = 1 or 2
     6       2     flags, u16: bit 0 = symmetric weights,
                              bit 1 = payload holds recursion seeds
-                             (clear = amplitude coefficients)
+                             (clear = amplitude coefficients);
+                             both clear in v2
     8       4     sample_rate, u32 (Hz)
     12      4     block_size, u32
     16      2     n, u16
@@ -40,23 +44,48 @@ Binary layout (DLAW, version 1, little-endian)::
     20      4     block_count, u32
     24      4     tail_length, u32
     28      4     reserved, u32 = 0
-    32      ...   block_count rows of f32: the weights (n + 1
-                  values, or ceil((n+1)/2) leading values when
-                  symmetric), then the n payload values
-    ...     ...   tail samples as f32
 
-All stored reals are f32; compression quantizes before fitting, so a
-decode of an in-memory artifact and a decode after a serialize round
-trip are bit-identical.
+Version 1 follows with block_count rows of f32: the weights (n + 1
+values, or ceil((n+1)/2) leading values when symmetric), then the n
+payload values; then the tail samples as f32.  A row is 8n + 4 bytes
+(4n + 4 ceil((n+1)/2) when symmetric).
+
+Version 2 follows with five sections, then the tail samples as f32:
+
+    size                    field
+    4 block_count           root structure of each block, u32:
+                            pairs p_b (bits 0-15), real roots r_b
+                            (bits 16-31), 2 p_b + r_b <= n
+    8 sum p_b               each pair: ln rho as f32, then theta as
+                            u32 t, theta = pi t / 2^32, 0 < t < 2^32
+    4 sum r_b               each real root q: ln|q| as f32
+    4 ceil(sum r_b / 32)    sign bits, q < 0, one per real root in
+                            order (bit i of byte i // 8 for root i),
+                            zero past the last root
+    4 sum (2 p_b + r_b)     each block's payload, one f32 per basis
+                            column: each pair's cosine and sine
+                            coefficients, then each real root's
+
+Roots are per-sample (already mapped from the stride lattice) and in
+block order, each block's pairs before its real roots.  A block whose
+n roots are all in pairs takes 8n + 4 bytes, as in v1; one whose n
+roots are all real takes 8n + 4 bytes plus n sign bits; a block with
+fewer roots stores fewer payload values.
+
+All stored reals are f32 and angles u32; compression rounds the law to
+what the file stores before fitting, so a decode of an in-memory
+artifact and a decode after a serialize round trip are bit-identical.
 
 Laws extracted at stride s > 1 live on a coarse lattice.  For full-rate
 reconstruction their roots are mapped to per-sample roots via the
-principal s-th root, which assumes the content sits below the lattice
-Nyquist frequency, sample_rate / (2 s); negative real roots keep their
-sign.  Measurement (sweep / random_baseline) runs in float64 without
-quantization and always in amplitude mode: it reports what the laws can
-do, not what a file stores.  Initial-condition mode is a storage mode
-of ``compress`` only.
+principal s-th root, ln q / s, which assumes the content sits below the
+lattice Nyquist frequency, sample_rate / (2 s); negative real roots
+keep their sign.  A v2 decoder builds each basis straight from the
+stored exponents; a v1 decoder finds the roots of the stored weights.
+Measurement (sweep / random_baseline) runs in float64 without
+quantization and always in amplitude mode, on the exponents of the
+float64 laws: it reports what the laws can do, not what a file stores.
+Initial-condition mode is a storage mode of ``compress`` only.
 """
 
 from __future__ import annotations
@@ -78,7 +107,7 @@ from .errors import (
     UnsupportedVersion,
     ZeroRoot,
 )
-from .fitting import _least_squares, _mode_bases, _usable_bases
+from .fitting import _exponent_bases, _least_squares, _mode_bases, _usable_bases
 from .lawforms import _degrees, _expand, _generate, _impulse_bases, _pairs, _roots
 from .signal_io import SynthSpec, synthesize
 # eigendecompose is unused here; perfbench's tracer test reads dynlaw.codec.eigendecompose
@@ -87,6 +116,7 @@ from .spectral import _correlations, _laws, _palindromic_basis, eigendecompose  
 __all__ = [
     "CodecParams",
     "CompressionArtifact",
+    "StoredExponents",
     "SweepRow",
     "SweepReport",
     "compress",
@@ -98,7 +128,7 @@ __all__ = [
 ]
 
 _MAGIC = b"DLAW"
-_VERSION = 1
+_VERSIONS = (1, 2)
 _HEADER = "<4sHHIIHHIII"
 _HEADER_SIZE = struct.calcsize(_HEADER)
 
@@ -106,6 +136,7 @@ AMPLITUDES = "amplitudes"
 INITIAL_CONDITIONS = "initial_conditions"
 
 _F32_MAX = float(np.finfo(np.float32).max)
+_ANGLE_UNIT = np.pi / 2**32  # a stored pair angle theta is this times a u32 in 1 .. 2^32 - 1
 
 
 def _in_f32_range(values: np.ndarray, axis=None) -> np.ndarray:
@@ -165,15 +196,126 @@ def _check_header(params: CodecParams, sample_rate, block_count: int = 0,
 
 
 @dataclass(frozen=True)
+class StoredExponents:
+    """The per-sample roots of every block of a DLAW v2 file, stored as
+    exponents u = ln q, the paper's differential-equation form of a law.
+
+    Block b has ``pairs[b]`` conjugate pairs and ``reals[b]`` real
+    roots; its payload holds one coefficient per column of
+    ``exponent_basis``: each pair's cosine and sine columns, then each
+    real root's column.  The values are flat arrays in block order:
+
+    * ``log_radius`` (float32) and ``angle`` (u32) of each pair: the
+      pair rho e^(+-i theta) has ln rho = log_radius and
+      theta = pi * angle / 2^32, so 0 < theta < pi;
+    * ``log_magnitude`` (float32) and ``negative`` (bool) of each real
+      root q: ln|q| and q < 0.
+
+    Counts must fit 16 bits, logs must be finite and within float32
+    range, and angles must be integers in 1 .. 2^32 - 1; ValueError
+    otherwise.
+    """
+
+    pairs: np.ndarray
+    reals: np.ndarray
+    log_radius: np.ndarray
+    angle: np.ndarray
+    log_magnitude: np.ndarray
+    negative: np.ndarray
+
+    def __post_init__(self):
+        pairs = _whole(self.pairs, 0, 0xFFFF, "root counts")
+        reals = _whole(self.reals, 0, 0xFFFF, "root counts")
+        if pairs.ndim != 1 or pairs.shape != reals.shape:
+            raise ValueError("pairs and reals must hold one count per block")
+        p, r = int(pairs.sum()), int(reals.sum())
+        values = {"log_radius": (p, "pair"), "angle": (p, "pair"),
+                  "log_magnitude": (r, "real root"), "negative": (r, "real root")}
+        for name, (count, kind) in values.items():
+            if np.shape(getattr(self, name)) != (count,):
+                raise ValueError(f"{name} must hold one value per {kind}")
+        for name in ("log_radius", "log_magnitude"):
+            value = np.asarray(getattr(self, name))
+            if not _in_f32_range(value):
+                raise ValueError(f"{name} must be finite and within float32 range")
+            object.__setattr__(self, name, value.astype(np.float32, copy=False))
+        angle = _whole(self.angle, 1, 2**32 - 1, "pair angles")
+        object.__setattr__(self, "pairs", pairs.astype(np.int64, copy=False))
+        object.__setattr__(self, "reals", reals.astype(np.int64, copy=False))
+        object.__setattr__(self, "angle", angle.astype(np.uint32, copy=False))
+        object.__setattr__(self, "negative", np.asarray(self.negative, dtype=bool))
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """The number of basis columns, and payload values, of each block."""
+        return 2 * self.pairs + self.reals
+
+    def columns(self, n: int):
+        """The float64 column layout (blocks x n) of ``_exponent_bases``:
+        log radius, angle, and the real-root and cosine-column masks;
+        columns past a block's degree are unused."""
+        j = np.arange(n)
+        pair = j < 2 * self.pairs[:, None]
+        real = ~pair & (j < self.degrees[:, None])
+        log_radius = np.zeros((len(self.pairs), n))
+        angle = np.zeros((len(self.pairs), n))
+        log_radius[pair] = np.repeat(self.log_radius, 2)
+        angle[pair] = np.repeat(self.angle * _ANGLE_UNIT, 2)
+        log_radius[real] = self.log_magnitude
+        angle[real] = np.where(self.negative, np.pi, 0.0)
+        return log_radius, angle, real, pair & (j % 2 == 0)
+
+
+def _stores_exponents(params: CodecParams) -> bool:
+    """Whether a file of these params stores its laws as exponents (v2)."""
+    return params.fit_mode == AMPLITUDES and not params.symmetric
+
+
+def _whole(values, low: int, high: int, what: str) -> np.ndarray:
+    """``values`` as an array; ValueError unless each is a whole number
+    in low .. high."""
+    values = np.asarray(values)
+    if values.size and not (values.dtype.kind in "iuf" and low <= values.min()
+                            and values.max() <= high
+                            and (values.dtype.kind != "f" or np.all(values == np.rint(values)))):
+        raise ValueError(f"{what} must be whole numbers in {low} .. {high}")
+    return values
+
+
+def _quantized(columns):
+    """A float64 column layout (the first output of ``_law_exponents``)
+    rounded to the values a v2 file stores: logs to float32, pair angles
+    to the nearest multiple of pi / 2^32 inside (0, pi).  The result is
+    exactly ``StoredExponents.columns`` of ``_stored`` of it."""
+    log_radius, angle, real, cosine = columns
+    code = np.clip(np.rint(angle / _ANGLE_UNIT), 1, 2**32 - 1)
+    return (log_radius.astype(np.float32).astype(np.float64),
+            np.where(real, angle, code * _ANGLE_UNIT), real, cosine)
+
+
+def _stored(columns) -> StoredExponents:
+    """The exponents of a quantized column layout (``_quantized``)."""
+    log_radius, angle, real, cosine = columns
+    return StoredExponents(pairs=cosine.sum(axis=1), reals=real.sum(axis=1),
+                           log_radius=log_radius[cosine].astype(np.float32),
+                           angle=np.rint(angle[cosine] / _ANGLE_UNIT).astype(np.uint32),
+                           log_magnitude=log_radius[real].astype(np.float32),
+                           negative=angle[real] != 0.0)
+
+
+@dataclass(frozen=True)
 class CompressionArtifact:
     """Everything a decoder needs: params, stored blocks, raw tail.
 
-    Block b is stored as ``weights[b]``, its law (n + 1 float32 values,
-    the full palindrome when symmetric), and ``payload[b]``, its n
-    float32 coefficients.  Omitted arrays mean no blocks.  Every value
-    must be finite and within float32 range, and every header field of
-    the DLAW layout must fit its width.  ``sample_rate`` must be a whole
-    number of Hz; it is kept as an int, so 8000.0 becomes 8000.
+    Block b is stored as its law plus ``payload[b]``, its n float32
+    coefficients.  The law is either ``weights[b]`` (n + 1 float32
+    values, the full palindrome when symmetric; DLAW v1) or, for an
+    amplitude-mode artifact that is not symmetric, the block's share of
+    ``exponents`` (DLAW v2), whose payload values past the block's
+    degree are zero.  Omitted arrays mean no blocks.  Every value must be
+    finite and within float32 range, and every header field of the DLAW
+    layout must fit its width.  ``sample_rate`` must be a whole number of
+    Hz; it is kept as an int, so 8000.0 becomes 8000.
     """
 
     params: CodecParams
@@ -181,6 +323,7 @@ class CompressionArtifact:
     weights: np.ndarray | None = None
     payload: np.ndarray | None = None
     tail: np.ndarray | None = None
+    exponents: StoredExponents | None = None
 
     def __post_init__(self):
         n = self.params.order_n
@@ -192,16 +335,37 @@ class CompressionArtifact:
             object.__setattr__(self, name, np.asarray(value, dtype=np.float32))
         if self.weights.ndim != 2 or self.weights.shape[1] != n + 1:
             raise ValueError("weights must hold n + 1 values per block")
-        if self.payload.shape != (len(self.weights), n):
+        laws = len(self.weights)
+        if self.exponents is not None:
+            if not _stores_exponents(self.params):
+                raise ValueError("only amplitude-mode laws that are not symmetric store exponents")
+            if laws:
+                raise ValueError("an artifact stores its laws as weights or as exponents, not both")
+            laws = len(self.exponents.pairs)
+            if laws and self.exponents.degrees.max() > n:
+                raise ValueError("a block's roots must fit in n payload columns")
+        if self.payload.shape != (laws, n):
             raise ValueError("payload must hold n values per block")
+        if self.exponents is not None and self.payload[self._unused()].any():
+            raise ValueError("payload values past a block's degree must be zero")
         if self.params.symmetric and not np.array_equal(self.weights, self.weights[:, ::-1]):
             raise ValueError("symmetric weights must be exact palindromes")
-        rate = _check_header(self.params, self.sample_rate, len(self.weights), self.tail.size)
+        rate = _check_header(self.params, self.sample_rate, laws, self.tail.size)
         object.__setattr__(self, "sample_rate", rate)
+
+    def _unused(self) -> np.ndarray:
+        """Mask (blocks x n) of the payload values past each block's degree."""
+        return np.arange(self.params.order_n) >= self.exponents.degrees[:, None]
+
+    @property
+    def version(self) -> int:
+        """The DLAW version ``serialize`` writes: 2 when the laws are
+        stored as exponents, else 1."""
+        return 1 if self.exponents is None else 2
 
     @property
     def decompressed_length(self) -> int:
-        return len(self.weights) * self.params.block_size + int(self.tail.size)
+        return len(self.payload) * self.params.block_size + int(self.tail.size)
 
 
 @dataclass(frozen=True)
@@ -329,17 +493,89 @@ def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
     return groups, fail.first
 
 
+def _law_exponents(w: np.ndarray, stride: int):
+    """Per-sample exponents of the law of each block, from its float64
+    weights (blocks x (n + 1)), in the column layout of a v2 block.
+
+    A block's lattice roots (``_roots``) are paired (``_pairs``); each
+    pair takes ln rho / stride and theta / stride of its lead root, with
+    0 < theta, and each real root q takes ln|q| / stride and angle pi
+    when q < 0, else 0: the principal stride-th root, with real roots
+    keeping their sign, as ``_per_sample_roots`` maps them.  Columns
+    hold the pairs first, a cosine and a sine column each, then the real
+    roots, each part in root order.  A law with no weight past lag 0
+    (``_degrees``) has no columns, and at stride > 1 a root at the
+    origin fails as ZeroRoot.
+
+    Returns the layout (log_radius, angle, real, cosine), each
+    (blocks x n) and empty in the rows of failed blocks, plus
+    ``{position: error}``.
+    """
+    fail = Failures()
+    g, n = w.shape[0], w.shape[1] - 1
+    log_radius, angle = np.zeros((g, n)), np.zeros((g, n))
+    real, cosine = np.zeros((g, n), dtype=bool), np.zeros((g, n), dtype=bool)
+    degrees = _degrees(w)
+    for d in np.unique(degrees[degrees > 0]).tolist():
+        at = np.flatnonzero(degrees == d)
+        q, _, errors = _roots(w[at, : d + 1])
+        at = at[fail.record(at, errors)]
+        if stride > 1:
+            ok = fail.record(at, {int(i): ZeroRoot("cannot take a fractional power of a zero root")
+                                  for i in np.flatnonzero(np.any(np.abs(q) < 1e-300, axis=-1))})
+            at, q = at[ok], q[ok]
+        partner, lead, errors = _pairs(q)
+        ok = fail.record(at, errors)
+        at, q = at[ok], q[ok]
+        j = np.arange(d)
+        single = partner == j
+        # sources in column order: pair lead roots, real roots, then the rest
+        order = np.argsort(np.where(single, 1, np.where(lead, 0, 2)), axis=-1, kind="stable")
+        p = np.sum(lead & ~single, axis=-1, keepdims=True)
+        pair = j < 2 * p
+        rows = np.arange(len(q))[:, None]
+        z = q[rows, order[rows, np.where(pair, j // 2, j - p)]]
+        with np.errstate(divide="ignore"):  # a root at 0 gives -inf; its basis fails
+            # hypot rounds as abs() of one complex value; np.abs of a
+            # complex array can differ in the last bit
+            log_radius[at, :d] = np.log(np.where(pair, np.hypot(z.real, z.imag),
+                                                 np.abs(z.real))) / stride
+        angle[at, :d] = np.where(pair, np.arctan2(np.abs(z.imag), z.real) / stride,
+                                 np.where(z.real < 0.0, np.pi, 0.0))
+        real[at, :d] = ~pair
+        cosine[at, :d] = pair & (j % 2 == 0)
+    return (log_radius, angle, real, cosine), fail.first
+
+
+def _exponent_groups(columns, count: int, rows: np.ndarray):
+    """Per-sample bases of the given rows of a column layout (the first
+    output of ``_law_exponents`` or ``StoredExponents.columns``), built
+    straight from the exponents, as ``[(rows, bases)]``, one entry per
+    degree."""
+    log_radius, angle, real, cosine = columns
+    degrees = np.sum(real, axis=1) + 2 * np.sum(cosine, axis=1)
+    groups = []
+    for d in np.unique(degrees[rows]).tolist():
+        at = rows[degrees[rows] == d]
+        groups.append((at, _exponent_bases(log_radius[at, :d], angle[at, :d], real[at, :d],
+                                           cosine[at, :d], count)))
+    return groups
+
+
 def _encode(blocks: np.ndarray, params: CodecParams, quantize: bool):
     """Extract the law of every block of a stack and fit its coefficients.
 
-    Returns (laws, eigenvalues, fits, failures): the float64 laws and
-    their eigenvalues of the blocks that have one, in block order;
+    Returns (stored, eigenvalues, fits, failures): with ``quantize``,
+    the laws a file stores, of the blocks that have one, in block order
+    (in amplitude mode unless symmetric, their ``_quantized`` column
+    layout, else float32 weights), else None; their eigenvalues;
     ``[(blocks, bases, coefs)]`` for the blocks fitted, one entry per
     group of equal degree; and the per-block failure status.  With
-    ``quantize`` the bases are built from the float32 weights a file
-    stores, so the payload belongs to exactly the law a decoder sees; a
-    palindromic law stays palindromic under that rounding.  Without it
-    everything stays float64.
+    ``quantize`` the bases are built from exactly the stored values, so
+    the payload belongs to exactly the law a decoder sees; a palindromic
+    law stays palindromic under float32 rounding.  Without it everything
+    stays float64, and amplitude-mode bases are built from the float64
+    exponents of the laws.
     """
     fail = Failures()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -351,9 +587,20 @@ def _encode(blocks: np.ndarray, params: CodecParams, quantize: bool):
     basis = _palindromic_basis(params.order_n) if params.symmetric else None
     laws, lam, errors = _laws(c[pos], basis)
     pos = pos[fail.record(pos, errors)]
-    fitted = _unit(laws.astype(np.float32)) if quantize else laws
-    groups, errors = _block_bases(fitted, params, blocks.shape[1])
-    fail.record(pos, errors)
+    stored = None
+    # every float64 measurement takes the exponent route; a file only when it stores exponents
+    if _stores_exponents(params) or (params.fit_mode == AMPLITUDES and not quantize):
+        columns, errors = _law_exponents(laws, params.stride)
+        if quantize:
+            columns = stored = _quantized(columns)
+        groups = _exponent_groups(columns, blocks.shape[1],
+                                  np.flatnonzero(fail.record(pos, errors)))
+    else:
+        if quantize:
+            stored = laws.astype(np.float32)
+        groups, errors = _block_bases(laws if stored is None else _unit(stored), params,
+                                      blocks.shape[1])
+        fail.record(pos, errors)
     fits = []
     for at, basis in groups:
         basis, errors = _usable_bases(basis, params.fit_mode == AMPLITUDES)
@@ -361,7 +608,7 @@ def _encode(blocks: np.ndarray, params: CodecParams, quantize: bool):
         coef, errors = _least_squares(basis, blocks[rows])
         ok = fail.record(rows, errors)
         fits.append((rows[ok], basis[ok] if errors else basis, coef))
-    return laws, lam, fits, fail
+    return stored, lam, fits, fail
 
 
 def _full_blocks(y: np.ndarray, block: int) -> np.ndarray:
@@ -374,8 +621,11 @@ def _full_blocks(y: np.ndarray, block: int) -> np.ndarray:
 def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
     """Extract one law per block and fit its payload, all blocks at once.
 
-    Weights are quantized to float32 before the payload fit, so the
-    stored coefficients belong to exactly the law a decoder will see.
+    Amplitude-mode artifacts that are not symmetric store each law as
+    its per-sample exponents (``StoredExponents``, DLAW v2), the others
+    as float32 weights (DLAW v1).  Either form is rounded to what the
+    file stores before the payload fit, so the stored coefficients
+    belong to exactly the law a decoder will see.
     A block whose correlation or payload leaves float range fails with
     UnstableOverflow.  When blocks fail, the error of the lowest-index
     one is raised; a tail sample beyond float32 range raises
@@ -385,7 +635,7 @@ def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
     blocks = _full_blocks(series.samples, params.block_size)
     rate = int(round(series.sample_rate))
     _check_header(params, rate)
-    laws, _, fits, fail = _encode(blocks, params, quantize=True)
+    stored, _, fits, fail = _encode(blocks, params, quantize=True)
     payload = np.zeros((len(blocks), params.order_n), dtype=np.float32)
     for rows, _, coef in fits:
         ok = fail.record(rows, {int(i): UnstableOverflow("payload coefficient beyond float32 range")
@@ -395,13 +645,11 @@ def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
     tail = series.samples[blocks.size :]
     if not _in_f32_range(tail):
         raise UnstableOverflow("tail sample beyond float32 range")
-    return CompressionArtifact(
-        params=params,
-        sample_rate=rate,
-        weights=laws.astype(np.float32),
-        payload=payload,
-        tail=tail,
-    )
+    if _stores_exponents(params):
+        return CompressionArtifact(params=params, sample_rate=rate, payload=payload, tail=tail,
+                                   exponents=_stored(stored))
+    return CompressionArtifact(params=params, sample_rate=rate, weights=stored, payload=payload,
+                               tail=tail)
 
 
 def decompress(artifact: CompressionArtifact) -> TimeSeries:
@@ -413,12 +661,16 @@ def decompress(artifact: CompressionArtifact) -> TimeSeries:
     """
     params = artifact.params
     block = params.block_size
-    block_count = len(artifact.weights)
+    block_count = len(artifact.payload)
     out = np.empty(artifact.decompressed_length, dtype=np.float64)
     blocks = out[: block_count * block].reshape(block_count, block)
-    groups, errors = _block_bases(_unit(artifact.weights), params, block)
     fail = Failures()
-    fail.record(np.arange(block_count), errors)
+    if artifact.exponents is None:
+        groups, errors = _block_bases(_unit(artifact.weights), params, block)
+        fail.record(np.arange(block_count), errors)
+    else:
+        groups = _exponent_groups(artifact.exponents.columns(params.order_n), block,
+                                  np.arange(block_count))
     for rows, basis in groups:
         coef = artifact.payload[rows, : basis.shape[-1]].astype(np.float64)
         y, errors = _generate(basis, coef)
@@ -429,7 +681,7 @@ def decompress(artifact: CompressionArtifact) -> TimeSeries:
 
 
 def serialize(artifact: CompressionArtifact) -> bytes:
-    """Encode an artifact in the DLAW byte layout."""
+    """Encode an artifact in the DLAW byte layout of its version."""
     params = artifact.params
     flags = (1 if params.symmetric else 0) | (
         2 if params.fit_mode == INITIAL_CONDITIONS else 0
@@ -437,29 +689,39 @@ def serialize(artifact: CompressionArtifact) -> bytes:
     head = struct.pack(
         _HEADER,
         _MAGIC,
-        _VERSION,
+        artifact.version,
         flags,
         artifact.sample_rate,
         params.block_size,
         params.order_n,
         params.stride,
-        len(artifact.weights),
+        len(artifact.payload),
         int(artifact.tail.size),
         0,
     )
-    count = _stored_weight_count(params.order_n, params.symmetric)
-    rows = np.hstack([artifact.weights[:, :count], artifact.payload])
-    return head + rows.astype("<f4").tobytes() + artifact.tail.astype("<f4").tobytes()
+    tail = artifact.tail.astype("<f4").tobytes()
+    if artifact.exponents is None:
+        count = _stored_weight_count(params.order_n, params.symmetric)
+        rows = np.hstack([artifact.weights[:, :count], artifact.payload])
+        return head + rows.astype("<f4").tobytes() + tail
+    e = artifact.exponents
+    pairs = np.stack([e.log_radius.astype("<f4").view("<u4"), e.angle.astype("<u4")], axis=-1)
+    signs = np.packbits(e.negative, bitorder="little").tobytes()
+    return b"".join([
+        head, (e.pairs | e.reals << 16).astype("<u4").tobytes(), pairs.tobytes(),
+        e.log_magnitude.astype("<f4").tobytes(), signs.ljust(-(-len(signs) // 4) * 4, b"\0"),
+        artifact.payload[~artifact._unused()].astype("<f4").tobytes(), tail,
+    ])
 
 
 def deserialize(data: bytes) -> CompressionArtifact:
-    """Decode and validate a DLAW byte string.
+    """Decode and validate a DLAW byte string, version 1 or 2.
 
     The header must describe a valid ``CodecParams`` and pass the header
     check of ``CompressionArtifact``; the ValueError they raise becomes
-    InvariantViolation.  Raises BadMagic / UnsupportedVersion /
-    TruncatedPayload / InvariantViolation as appropriate; all of them
-    are CorruptArtifact.
+    InvariantViolation.  A v2 file must be in amplitude mode and not
+    symmetric.  Raises BadMagic / UnsupportedVersion / TruncatedPayload /
+    InvariantViolation as appropriate; all of them are CorruptArtifact.
     """
     if data[:4] != _MAGIC:
         raise BadMagic("missing DLAW signature")
@@ -468,10 +730,12 @@ def deserialize(data: bytes) -> CompressionArtifact:
     (_, version, flags, rate, block_size, n, stride, block_count, tail_len, reserved) = (
         struct.unpack(_HEADER, data[:_HEADER_SIZE])
     )
-    if version != _VERSION:
-        raise UnsupportedVersion(f"version {version}; this reader handles {_VERSION}")
+    if version not in _VERSIONS:
+        raise UnsupportedVersion(f"version {version}; this reader handles 1 and 2")
     if flags & ~0b11:
         raise InvariantViolation(f"unknown flag bits 0x{flags:04x}")
+    if version == 2 and flags:
+        raise InvariantViolation("a v2 file stores amplitude-mode laws that are not symmetric")
     if reserved != 0:
         raise InvariantViolation("reserved header field must be zero")
     symmetric = bool(flags & 1)
@@ -481,15 +745,33 @@ def deserialize(data: bytes) -> CompressionArtifact:
         _check_header(params, rate)
     except ValueError as exc:
         raise InvariantViolation(str(exc)) from exc
-    count = _stored_weight_count(n, symmetric)
-    expected = _HEADER_SIZE + 4 * (block_count * (count + n) + tail_len)
+    reader = _read_v1 if version == 1 else _read_v2
+    try:
+        return reader(data, params, rate, block_count, tail_len)
+    except ValueError as exc:
+        raise InvariantViolation(str(exc)) from exc
+
+
+def _check_length(data: bytes, expected: int) -> None:
     if len(data) < expected:
         raise TruncatedPayload(f"need {expected} bytes, got {len(data)}")
     if len(data) > expected:
         raise InvariantViolation(f"{len(data) - expected} trailing bytes")
-    values = np.frombuffer(data, dtype="<f4", offset=_HEADER_SIZE).astype(np.float32)
+
+
+def _f32s(data: bytes, offset: int, count: int) -> np.ndarray:
+    """``count`` finite little-endian float32 values at ``offset``."""
+    values = np.frombuffer(data, dtype="<f4", count=count, offset=offset).astype(np.float32)
     if not np.all(np.isfinite(values)):
         raise InvariantViolation("non-finite stored values")
+    return values
+
+
+def _read_v1(data: bytes, params: CodecParams, rate: int, block_count: int, tail_len: int):
+    n, symmetric = params.order_n, params.symmetric
+    count = _stored_weight_count(n, symmetric)
+    _check_length(data, _HEADER_SIZE + 4 * (block_count * (count + n) + tail_len))
+    values = _f32s(data, _HEADER_SIZE, block_count * (count + n) + tail_len)
     rows = values[: block_count * (count + n)].reshape(block_count, count + n)
     weights = rows[:, :count]
     if symmetric:
@@ -500,6 +782,44 @@ def deserialize(data: bytes) -> CompressionArtifact:
         raise InvariantViolation(f"stored weights have a norm off 1 by {off.max():.6f}")
     return CompressionArtifact(params=params, sample_rate=rate, weights=weights,
                                payload=rows[:, count:], tail=values[block_count * (count + n) :])
+
+
+def _read_v2(data: bytes, params: CodecParams, rate: int, block_count: int, tail_len: int):
+    offset = _HEADER_SIZE + 4 * block_count
+    if len(data) < offset:
+        raise TruncatedPayload(f"need {offset} bytes for the root structure, got {len(data)}")
+    structure = np.frombuffer(data, dtype="<u4", count=block_count,
+                              offset=_HEADER_SIZE).astype(np.int64)
+    pairs, reals = structure & 0xFFFF, structure >> 16
+    if np.any(2 * pairs + reals > params.order_n):
+        raise InvariantViolation(f"a block's roots exceed its n = {params.order_n} columns")
+    p, r = int(pairs.sum()), int(reals.sum())
+    words = -(-r // 32)
+    sections = (8 * p, 4 * r, 4 * words, 4 * (2 * p + r), 4 * tail_len)
+    _check_length(data, offset + sum(sections))
+    pair_words = np.frombuffer(data, dtype="<u4", count=2 * p, offset=offset).reshape(p, 2)
+    log_radius = pair_words[:, 0].view("<f4").astype(np.float32)
+    angle = pair_words[:, 1].astype(np.uint32)
+    if not np.all(np.isfinite(log_radius)):
+        raise InvariantViolation("non-finite stored values")
+    if np.any(angle == 0):
+        raise InvariantViolation("a pair angle lies outside (0, pi)")
+    offset += sections[0]
+    log_magnitude = _f32s(data, offset, r)
+    offset += sections[1]
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=4 * words, offset=offset),
+                         bitorder="little")
+    if np.any(bits[r:]):
+        raise InvariantViolation("sign bits past the last real root must be zero")
+    offset += sections[2]
+    values = _f32s(data, offset, 2 * p + r + tail_len)
+    exponents = StoredExponents(pairs=pairs, reals=reals, log_radius=log_radius,
+                                angle=angle, log_magnitude=log_magnitude,
+                                negative=bits[:r].astype(bool))
+    payload = np.zeros((block_count, params.order_n), dtype=np.float32)
+    payload[np.arange(params.order_n) < exponents.degrees[:, None]] = values[: 2 * p + r]
+    return CompressionArtifact(params=params, sample_rate=rate, payload=payload,
+                               tail=values[2 * p + r :], exponents=exponents)
 
 
 def _measure_point(blocks: np.ndarray, params: CodecParams) -> tuple[float, float]:

@@ -21,15 +21,18 @@ the ridge retry only for the blocks whose first solve fails; the fits
 below call them with one row.  One layout (``_columns``) places modes
 in basis columns and reads amplitudes back out of them.
 
-A mode basis over N samples takes about 2 sqrt(N) pow, cos and sin
-evaluations per real root or conjugate pair, not N per column: sample
-k = a L + b (L = ceil(sqrt(N))) is the complex product of the powers
-z^(aL) and z^b of the root, which also yields a pair's sine column.
-Each power takes the exact phase angle * k (a two-product carries the
-rounding error of the product), so every column is within a few units
-in the last place of its peak of rho^-k cos(theta k), rho^-k sin(theta k)
-or q^-k in exact arithmetic, whatever N is; rho and theta are the
-float64 modulus and angle of the root.
+Every mode basis is built from the exponents of its roots, u = ln q
+(``_exponent_bases``): those of computed roots (``mode_basis``), or
+those a DLAW v2 file stores (``exponent_basis``).  A basis over N
+samples takes about 2 sqrt(N) exp, cos and sin evaluations per real
+root or conjugate pair, not N per column: sample k = a L + b
+(L = ceil(sqrt(N))) is the complex product of the powers z^(aL) and
+z^b of the root, which also yields a pair's sine column.  Each power
+takes the exact products k ln rho and k theta (a two-product carries
+the rounding error of each), so every column is within a few units in
+the last place of its peak of e^(-k ln rho) cos(theta k),
+e^(-k ln rho) sin(theta k) or q^-k in exact arithmetic, whatever N is,
+for the float64 exponents ln rho and theta.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "InitialConditionFit",
     "least_squares",
     "mode_basis",
+    "exponent_basis",
     "fit_amplitudes",
     "fit_initial_conditions",
     "reconstruct",
@@ -154,14 +158,15 @@ def mode_basis(roots, count: int) -> np.ndarray:
     which makes the layout reproducible from the roots alone.
 
     Each sample is the product of two powers of the root, z^(aL) z^b
-    with k = a L + b and L = ceil(sqrt(count)), each from pow, cos and
-    sin at the exact phase theta k.  Against the same formulas in long
-    double, taking rho and theta as the float64 modulus and angle of the
-    root, each column is within 1e-13 of its peak for 0.8 <= |q| <= 1.25
-    up to count 4096 (about 1e-15 measured); rounding theta k first, as
-    one cos per sample would, is off by up to 9e-13 at k = 4096.  Roots
-    so far inside the unit circle that a column leaves float range give
-    inf or nan entries.
+    with k = a L + b and L = ceil(sqrt(count)), each from exp, cos and
+    sin of the exact products k ln rho and k theta.  Against the same
+    formulas in long double, taking rho and theta as the float64 modulus
+    and angle of the root, each column is within 1e-13 of its peak for
+    0.8 <= |q| <= 1.25 up to count 4096 (up to 3e-14 measured, the
+    rounding of ln rho times k); rounding theta k first, as one cos per
+    sample would, is off by up to 9e-13 at k = 4096.  Roots so far
+    inside the unit circle that a column leaves float range give inf or
+    nan entries.
     """
     q = np.asarray(getattr(roots, "roots", roots), dtype=np.complex128)
     return one_row(_mode_bases(q[None], count))[0]
@@ -181,37 +186,73 @@ def _columns(partner: np.ndarray, lead: np.ndarray):
     return source, real, ~real & ~np.take_along_axis(later, order, axis=-1)
 
 
+def exponent_basis(pair_exponents, real_exponents, count: int) -> np.ndarray:
+    """Real design matrix over k = 0 .. count-1 of modes given by their
+    per-sample exponents u = ln q, the paper's differential-equation form
+    of a law (alpha = u / dt).
+
+    A pair u = ln rho + i theta, 0 < theta < pi, contributes the column
+    pair e^(-k ln rho) cos(theta k), e^(-k ln rho) sin(theta k), which are
+    ``mode_basis``'s columns of the pair rho e^(+-i theta); a real root
+    u = ln|q|, plus i pi when q < 0, contributes q^-k.  Columns run over
+    the pairs in order, then the real roots.  This is the basis a DLAW
+    v2 block's payload multiplies.
+    """
+    pairs = np.asarray(pair_exponents, dtype=np.complex128).ravel()
+    reals = np.asarray(real_exponents, dtype=np.complex128).ravel()
+    u = np.concatenate([np.repeat(pairs, 2), reals])
+    real = np.arange(u.size) >= 2 * pairs.size
+    cosine = ~real & (np.arange(u.size) % 2 == 0)
+    return _exponent_bases(u.real[None], u.imag[None], real[None], cosine[None], count)[0]
+
+
 def _mode_bases(q: np.ndarray, count: int):
     """``mode_basis`` of each root set of a stack (g, d): the (count, d)
     bases of the sets that pair up, laid out by ``_columns``, plus
-    ``{position: error}`` for the others.
-
-    Sample k = a L + b of a column, with L = ceil(sqrt(count)), is the
-    product z^(aL) z^b of two powers (``_powers``) of z = e^(i theta) / rho
-    for a pair's lead root rho e^(i theta), or z = 1/q for a real root q:
-    one complex product whose real part is a real root's or a pair's
-    cosine column and whose imaginary part the pair's sine column.  The
-    products of a column are one (A, 2) @ (2, L) matrix product,
-    A = ceil(count / L), written in place into the basis."""
+    ``{position: error}`` for the others.  Each column takes the
+    exponent of the root whose value it takes (``_exponent_bases``): a
+    pair's lead root rho e^(i theta) gives ln rho + i theta, a real root
+    q gives ln|q|, plus i pi when q < 0."""
     partner, lead, errors = _pairs(q)
     q = q[survivors(len(q), errors)]
     source, real, cosine = _columns(partner, lead)
-    source = np.take_along_axis(q, source, axis=-1)
-    g, d = source.shape
+    z = np.take_along_axis(q, source, axis=-1)
+    # a root at the origin has log -inf; the basis is then not finite,
+    # which callers test for and reject
+    with np.errstate(divide="ignore"):
+        # hypot rounds as abs() of one complex value; np.abs of a complex
+        # array can differ in the last bit
+        log_radius = np.log(np.where(real, np.abs(z.real), np.hypot(z.real, z.imag)))
+    angle = np.where(real, np.where(z.real < 0.0, np.pi, 0.0), np.angle(z))
+    return _exponent_bases(log_radius, angle, real, cosine, count), errors
+
+
+def _exponent_bases(log_radius: np.ndarray, angle: np.ndarray, real: np.ndarray,
+                    cosine: np.ndarray, count: int) -> np.ndarray:
+    """Bases (g, count, d) of a stack of column layouts (g, d).  Column
+    c of a row is Re z^k, z = e^(i angle - log_radius) from its own
+    log_radius and angle, when it is a real root's (angle 0 or pi) or a
+    pair's cosine column (``real``, ``cosine``); any other column is a
+    sine column, Im z^k of the cosine column right before it.
+
+    Sample k = a L + b of a column, with L = ceil(sqrt(count)), is the
+    product z^(aL) z^b of two powers (``_powers``) of that z: one
+    complex product whose real part is a real root's or a pair's cosine
+    column and whose imaginary part the pair's sine column.  The
+    products of a column are one (A, 2) @ (2, L) matrix product,
+    A = ceil(count / L), written in place into the basis."""
+    g, d = log_radius.shape
     if count == 0:
-        return np.zeros((g, 0, d)), errors
+        return np.zeros((g, 0, d))
     step = math.isqrt(count - 1) + 1  # L
     k = np.concatenate([np.arange(step), np.arange(0, count, step)])
     own = real | cosine  # the columns that take a power of their own
     sine = ~own
     # overflow to inf or nan is expected for roots deep inside the unit
     # circle or at the origin; callers test finiteness and reject such bases
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = source[own]
-        # hypot rounds as abs() of one complex value; np.abs of a complex
-        # array can differ in the last bit
-        re, im = _powers(np.where(real[own], z.real, np.hypot(z.real, z.imag)),
-                         np.where(real[own], 0.0, np.angle(z)), k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        re, im = _powers(log_radius[own], angle[own], k)
+        im[real[own]] = 0.0  # (-1)^k is real; the phase k pi leaves sin(k pi) ~ 1e-16 k
         # [Re z^aL, -Im z^aL] @ [Re z^b; Im z^b] is Re z^k; a sine
         # column takes [Im z^b; -Re z^b] instead, for Im z^k
         rows = len(k) - step  # A
@@ -223,23 +264,25 @@ def _mode_bases(q: np.ndarray, count: int):
         head[sine, 0], head[sine, 1] = head[cosine, 1], -head[cosine, 0]
         out = np.empty((g, rows * step, d))
         np.matmul(tail, head, out=out.reshape(g, rows, step, d).transpose(0, 3, 1, 2))
-    return out[:, :count], errors
+    return out[:, :count]
 
 
-def _powers(radius: np.ndarray, angle: np.ndarray, k: np.ndarray):
+def _powers(log_radius: np.ndarray, angle: np.ndarray, k: np.ndarray):
     """Real and imaginary parts (r, len(k)) of the powers
-    radius^-k e^(i angle k) of r roots, from one pow and one cos and sin
-    per power.  The phase angle * k is carried as its rounded value plus
-    the exact rounding error (Dekker's two-product), so the cosine and
-    sine are those of the exact phase: the rounded phase alone is off by
-    up to half a unit in its last place, 9e-13 at k = 4096."""
-    radius, angle, k = radius[:, None], angle[:, None], k.astype(np.float64)
-    phase = angle * k
-    (a, b), (c, e) = _halves(angle), _halves(k)
-    error = ((a * c - phase) + a * e + b * c) + b * e
-    size = radius ** -k
-    cos, sin = np.cos(phase), np.sin(phase)
-    return size * (cos - error * sin), size * (sin + error * cos)
+    e^(-k log_radius) e^(i angle k) of r roots, from one exp and one cos
+    and sin per power.  The exponent log_radius * k and the phase
+    angle * k are each carried as the rounded product plus its exact
+    rounding error (Dekker's two-product), so the magnitude and the
+    cosine and sine are those of the exact products: a rounded phase
+    alone is off by up to half a unit in its last place, 9e-13 at
+    k = 4096."""
+    x, k = np.stack([log_radius, angle])[:, :, None], k.astype(np.float64)
+    products = x * k
+    (a, b), (c, e) = _halves(x), _halves(k)
+    error = ((a * c - products) + a * e + b * c) + b * e
+    size = np.exp(-products[0]) * (1.0 - error[0])
+    cos, sin = np.cos(products[1]), np.sin(products[1])
+    return size * (cos - error[1] * sin), size * (sin + error[1] * cos)
 
 
 def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -163,19 +163,22 @@ def _roots(w: np.ndarray):
                            for i in np.flatnonzero(~np.all(np.isfinite(z), axis=-1))})
     pos, w, z = pos[ok], w[ok], z[ok]
 
-    # Horner at q cannot beat eps * sum_i |w_i| |q|^i, so roots far from
-    # the unit circle are gated against that floor instead of max |w|.
-    # Outside the circle value and floor are read divided by q^d, on the
-    # reversed polynomial at 1/q, so nothing overflows.  Both run the
-    # Horner steps of np.polyval, on coefficients laid out once per root.
+    # P(q) cannot be evaluated better than eps * sum_i |w_i| |q|^i, so
+    # roots far from the unit circle are gated against that floor instead
+    # of max |w|.  Outside the circle value and floor are read divided by
+    # q^d, on the reversed polynomial at 1/q.  Either way x = q or 1/q has
+    # |x| <= 1, so its powers, taken for all roots at once by one cumprod,
+    # cannot overflow; value and floor are sums over them.
     outer = np.abs(z) > 1.0
     x = np.divide(1.0, z, out=z.copy(), where=outer)
-    steps = np.where(outer, w.T[:, :, None], w[:, ::-1].T[:, :, None])
-    value, floor, size = np.zeros_like(z), np.zeros(z.shape), np.abs(x)
-    for coefficient, magnitude in zip(steps, np.abs(steps)):
-        value = value * x + coefficient
-        floor = floor * size + magnitude
-    residual = np.abs(value)
+    powers = np.empty(z.shape + (w.shape[1],), dtype=np.complex128)
+    powers[..., 0] = 1.0
+    powers[..., 1:] = x[..., None]
+    np.cumprod(powers, axis=-1, out=powers)
+    # the weight of x^j: w_j inside the circle, w_(d-j) outside
+    weight = np.where(outer[..., None], w[:, None, ::-1], w[:, None, :])
+    residual = np.abs(np.einsum("grj,grj->gr", powers, weight))
+    floor = np.einsum("grj,grj->gr", np.abs(powers), np.abs(weight))
     scale = np.max(np.abs(w), axis=-1)
     worst = residual.max(axis=-1)
     bad = np.any(residual >= 1e-8 * np.where(outer, floor, np.maximum(scale[:, None], floor)),

@@ -1,12 +1,16 @@
-"""Write the golden DLAW v1 files and their decoded samples.
+"""Write the golden DLAW v2 files and their decoded samples.
 
 Each case is a short synthetic clip compressed with one setting of the
 codec; ``<name>.dlaw`` holds the serialized artifact and ``<name>.npy``
 the float64 samples ``decompress`` gave for it.  ``test_golden.py``
 checks that later code still reads these files and decodes them to the
 stored samples.  The point of the files is to pin what an earlier writer
-wrote, so rerun this script only on purpose: it overwrites them with
-what the current code writes.
+wrote, so rerun this script only on purpose: it overwrites the v2 files
+(``V2_CASES``) with what the current code writes.
+
+The v1 files (``V1_CASES``) were written the same way by the v1 writer,
+before amplitude-mode files moved to v2.  This script never rewrites
+them: the current writer stores those amplitude cases as v2.
 
 Run from the repository root::
 
@@ -39,7 +43,7 @@ def _gap(length: int) -> np.ndarray:
     return y
 
 
-CASES = {
+V1_CASES = {
     "amp_stride1": (_tones(200), CodecParams(order_n=4, block_size=64)),
     "amp_stride2": (_tones(200), CodecParams(order_n=4, block_size=64, stride=2)),
     "ic_stride1": (_tones(200), CodecParams(order_n=4, block_size=64,
@@ -53,8 +57,22 @@ CASES = {
 }
 
 
+def _tones_and_decays(length: int) -> np.ndarray:
+    """``_tones`` plus a decaying offset and a decaying alternation, on
+    16-bit steps: at n = 6 each block's law has two conjugate pairs and
+    one positive and one negative real root."""
+    k = np.arange(length)
+    return _tones(length) + np.round((0.2 * 0.97**k + 0.1 * (-0.95) ** k) * 32767.0) / 32767.0
+
+
+V2_CASES = {
+    "v2_amp_stride1": (_tones_and_decays(200), CodecParams(order_n=6, block_size=64)),
+    "v2_amp_stride2": (_tones(200), CodecParams(order_n=4, block_size=64, stride=2)),
+}
+
+
 def main() -> None:
-    for name, (samples, params) in CASES.items():
+    for name, (samples, params) in V2_CASES.items():
         artifact = compress(TimeSeries(samples, RATE), params)
         (HERE / f"{name}.dlaw").write_bytes(serialize(artifact))
         np.save(HERE / f"{name}.npy", decompress(artifact).samples)

@@ -4,19 +4,20 @@ The codec encodes and decodes all blocks of a file in one pass of
 stacked arrays.  This module does the same work one block after
 another, composed from the public single-block functions, and raises
 at the first block that fails.  The batched codec must give the same
-bytes, samples, sweep figures and errors.
+bytes (DLAW v1 and v2), samples, sweep figures and errors.
 """
 
 import numpy as np
 
-from dynlaw.codec import AMPLITUDES, INITIAL_CONDITIONS, CompressionArtifact
+from dynlaw.codec import AMPLITUDES, INITIAL_CONDITIONS, CompressionArtifact, StoredExponents
 from dynlaw.embedding import EmbeddingConfig, TimeSeries, embed
 from dynlaw.errors import SingularNormalMatrix, UnstableBasis, UnstableOverflow, ZeroRoot
-from dynlaw.fitting import accuracy, least_squares, mode_basis
+from dynlaw.fitting import accuracy, exponent_basis, least_squares, mode_basis
 from dynlaw.lawforms import conjugate_pairs, impulse_basis, roots_to_weights, weights_to_roots
 from dynlaw.spectral import correlation, eigendecompose, extract_law, extract_symmetric_law
 
 F32_MAX = float(np.finfo(np.float32).max)
+ANGLE_UNIT = np.pi / 2**32  # a v2 file stores a pair angle as a u32 multiple of this
 
 
 def unit(weights32):
@@ -64,6 +65,39 @@ def block_basis(weights, params, count):
     return recursion_basis(w / np.linalg.norm(w), count)
 
 
+def stores_exponents(params):
+    """Whether a file stores the laws as exponents (DLAW v2)."""
+    return params.fit_mode == AMPLITUDES and not params.symmetric
+
+
+def law_exponents(weights, stride):
+    """(pair exponents, real exponents) of a law's per-sample roots:
+    ln rho / stride + i |theta| / stride of each pair's lead root, and
+    ln|q| / stride + i pi [q < 0] of each real root, in root order."""
+    try:
+        q = weights_to_roots(weights).roots
+    except ValueError:  # no root: the law has no weight past lag 0
+        return [], []
+    if stride > 1 and np.any(np.abs(q) < 1e-300):
+        raise ZeroRoot("cannot take a fractional power of a zero root")
+    pairs, reals = conjugate_pairs(q)
+    with np.errstate(divide="ignore"):
+        pair_u = [complex(np.log(np.hypot(q[i].real, q[i].imag)) / stride,
+                          np.arctan2(np.abs(q[i].imag), q[i].real) / stride) for i, _ in sorted(pairs)]
+        real_u = [complex(np.log(np.abs(q[i].real)) / stride, np.pi if q[i].real < 0 else 0.0)
+                  for i in reals]
+    return pair_u, real_u
+
+
+def quantize_exponents(pair_u, real_u):
+    """Exponents as a v2 file stores them: float32 logs, pair angles as
+    u32 multiples of pi / 2^32 in 1 .. 2^32 - 1."""
+    codes = [min(max(np.rint(u.imag / ANGLE_UNIT), 1), 2**32 - 1) for u in pair_u]
+    pair_u = [complex(float(np.float32(u.real)), c * ANGLE_UNIT) for u, c in zip(pair_u, codes)]
+    real_u = [complex(float(np.float32(u.real)), u.imag) for u in real_u]
+    return pair_u, real_u, codes
+
+
 def generate(basis, coef):
     with np.errstate(over="ignore", invalid="ignore"):
         y = basis @ coef
@@ -83,14 +117,22 @@ def encode_block(segment, params, quantize):
         law = extract_symmetric_law(c, cfg)
     else:
         law = extract_law(eigendecompose(c), cfg)
-    weights = unit(law.weights.astype(np.float32)) if quantize else law.weights
-    basis = block_basis(weights, params, segment.size)
+    stored = None
+    if params.fit_mode == AMPLITUDES and (stores_exponents(params) or not quantize):
+        pair_u, real_u = law_exponents(law.weights, params.stride)
+        if quantize:
+            pair_u, real_u, codes = quantize_exponents(pair_u, real_u)
+            stored = (pair_u, real_u, codes)
+        basis = exponent_basis(pair_u, real_u, segment.size)
+    else:
+        weights = unit(law.weights.astype(np.float32)) if quantize else law.weights
+        basis = block_basis(weights, params, segment.size)
     if params.fit_mode == AMPLITUDES:
         if not np.all(np.isfinite(basis)):
             raise SingularNormalMatrix("mode basis overflowed; roots too far from the unit circle")
     elif not np.all(np.abs(basis) <= 1e100):
         raise UnstableBasis("impulse-response basis overflowed")
-    return law, basis, least_squares(basis, segment)
+    return law, stored, basis, least_squares(basis, segment)
 
 
 def compress(series, params):
@@ -99,32 +141,58 @@ def compress(series, params):
     count = y.size // block
     weights = np.empty((count, params.order_n + 1), dtype=np.float32)
     payload = np.zeros((count, params.order_n), dtype=np.float32)
+    laws = []
     for b in range(count):
-        law, _, coef = encode_block(y[b * block : (b + 1) * block], params, quantize=True)
+        law, stored, _, coef = encode_block(y[b * block : (b + 1) * block], params, quantize=True)
         if not np.all(np.abs(coef) <= F32_MAX):
             raise UnstableOverflow("payload coefficient beyond float32 range")
         weights[b] = law.weights
+        laws.append(stored)
         payload[b, : coef.size] = coef
     tail = y[count * block :]
     if not np.all(np.abs(tail) <= F32_MAX):
         raise UnstableOverflow("tail sample beyond float32 range")
-    return CompressionArtifact(
-        params=params,
-        sample_rate=int(round(series.sample_rate)),
-        weights=weights,
-        payload=payload,
-        tail=tail,
+    rate = int(round(series.sample_rate))
+    if not stores_exponents(params):
+        return CompressionArtifact(params=params, sample_rate=rate, weights=weights,
+                                   payload=payload, tail=tail)
+    exponents = StoredExponents(
+        pairs=[len(pair_u) for pair_u, _, _ in laws],
+        reals=[len(real_u) for _, real_u, _ in laws],
+        log_radius=[u.real for pair_u, _, _ in laws for u in pair_u],
+        angle=[c for _, _, codes in laws for c in codes],
+        log_magnitude=[u.real for _, real_u, _ in laws for u in real_u],
+        negative=[u.imag != 0.0 for _, real_u, _ in laws for u in real_u],
     )
+    return CompressionArtifact(params=params, sample_rate=rate, payload=payload, tail=tail,
+                               exponents=exponents)
+
+
+def stored_exponents(exponents):
+    """Per block, the (pair exponents, real exponents) a v2 artifact stores."""
+    e = exponents
+    pair_at, real_at = 0, 0
+    for p, r in zip(e.pairs, e.reals):
+        pair_u = [complex(float(e.log_radius[i]), float(e.angle[i]) * ANGLE_UNIT)
+                  for i in range(pair_at, pair_at + p)]
+        real_u = [complex(float(e.log_magnitude[i]), np.pi if e.negative[i] else 0.0)
+                  for i in range(real_at, real_at + r)]
+        pair_at, real_at = pair_at + p, real_at + r
+        yield pair_u, real_u
 
 
 def decompress(artifact):
     params = artifact.params
     block = params.block_size
     out = np.empty(artifact.decompressed_length)
-    for b, (weights, payload) in enumerate(zip(artifact.weights, artifact.payload)):
-        basis = block_basis(unit(weights), params, block)
+    if artifact.exponents is None:
+        bases = (block_basis(unit(weights), params, block) for weights in artifact.weights)
+    else:
+        bases = (exponent_basis(pair_u, real_u, block)
+                 for pair_u, real_u in stored_exponents(artifact.exponents))
+    for b, (basis, payload) in enumerate(zip(bases, artifact.payload)):
         out[b * block : (b + 1) * block] = generate(basis, payload[: basis.shape[1]].astype(np.float64))
-    out[len(artifact.weights) * block :] = artifact.tail
+    out[len(artifact.payload) * block :] = artifact.tail
     return out
 
 
@@ -141,7 +209,7 @@ def measure_point(y, params):
         if energy == 0.0:
             lambdas.append(0.0)
             continue
-        law, basis, coef = encode_block(segment, params, quantize=False)
+        law, _, basis, coef = encode_block(segment, params, quantize=False)
         lambdas.append(law.eigenvalue)
         with np.errstate(over="ignore", invalid="ignore"):
             acc = accuracy(segment, generate(basis, coef))

@@ -15,6 +15,7 @@ from dynlaw.codec import (
     INITIAL_CONDITIONS,
     CodecParams,
     CompressionArtifact,
+    StoredExponents,
     compress,
     decompress,
     deserialize,
@@ -28,6 +29,7 @@ from dynlaw.errors import (
     BadMagic,
     CorruptArtifact,
     InvariantViolation,
+    NonRealCoefficients,
     NumericalError,
     SeriesTooShort,
     TruncatedPayload,
@@ -66,15 +68,16 @@ def test_compress_pure_sine_stores_annihilating_law():
         SynthSpec(kind="sine", length=4096, sample_rate=8000.0, frequencies=(440.0,))
     )
     art = compress(series, CodecParams(order_n=2, block_size=1024))
-    assert len(art.weights) == 4
+    assert art.version == 2
+    assert len(art.payload) == 4
     assert art.tail.size == 0
     assert art.sample_rate == 8000
-    z = -2.0 * np.cos(2.0 * np.pi * 440.0 / 8000.0)
-    expected = np.array([1.0, z, 1.0])
-    expected /= np.linalg.norm(expected)
-    for w in art.weights.astype(np.float64):
-        assert abs(np.linalg.norm(w) - 1.0) < 1e-6
-        np.testing.assert_allclose(w, expected, atol=1e-5)
+    # the law [1, -2 cos(theta), 1] has the roots e^(+-i theta): one
+    # pair per block, with ln rho = 0 and theta = 2 pi 440 / 8000
+    e = art.exponents
+    assert list(e.pairs) == [1] * 4 and list(e.reals) == [0] * 4
+    np.testing.assert_allclose(e.log_radius, 0.0, atol=1e-6)
+    np.testing.assert_allclose(e.angle * np.pi / 2**32, 2.0 * np.pi * 440.0 / 8000.0, rtol=1e-6)
     rebuilt = decompress(art)
     assert rebuilt.samples.size == 4096
     assert accuracy(series.samples, rebuilt.samples) > 0.999
@@ -83,10 +86,11 @@ def test_compress_pure_sine_stores_annihilating_law():
 def test_compress_constant_block():
     series = synthesize(SynthSpec(kind="constant", length=8, value=5.0))
     art = compress(series, CodecParams(order_n=1, block_size=8))
-    (w,) = art.weights
+    e = art.exponents
     (payload,) = art.payload
-    assert abs(w[0]) == abs(w[1])  # the difference law, up to sign
-    assert w[0] > 0
+    # the difference law has the one real root q = 1: ln|q| = 0, q > 0
+    assert list(e.pairs) == [0] and list(e.reals) == [1]
+    assert abs(float(e.log_magnitude[0])) < 1e-6 and not e.negative[0]
     assert abs(float(payload[0]) - 5.0) < 1e-6
     rebuilt = decompress(art)
     np.testing.assert_allclose(rebuilt.samples, 5.0, atol=1e-9)
@@ -271,7 +275,7 @@ def test_reader_rejects_wrong_magic():
 
 def test_reader_rejects_future_version():
     data = bytearray(serialize(_tiny_artifact()))
-    struct.pack_into("<H", data, 4, 2)
+    struct.pack_into("<H", data, 4, 3)
     with pytest.raises(UnsupportedVersion):
         deserialize(bytes(data))
 
@@ -317,10 +321,18 @@ def test_reader_rejects_broken_weight_norm():
         deserialize(bytes(data))
 
 
-def test_reader_rejects_non_finite_payload():
-    data = bytearray(serialize(_tiny_artifact()))
+@pytest.mark.parametrize("mode", [AMPLITUDES, INITIAL_CONDITIONS])
+def test_reader_rejects_non_finite_payload(mode):
+    artifact = _tiny_artifact(mode)
+    data = bytearray(serialize(artifact))
     n = 2
-    offset = 32 + 4 * (n + 1)  # first payload value of block 0
+    if artifact.version == 1:
+        offset = 32 + 4 * (n + 1)  # first payload value of block 0
+    else:
+        # two blocks of one pair each: payloads follow the root
+        # structure (2 x 4 bytes) and the pairs (2 x 8 bytes)
+        assert list(artifact.exponents.pairs) == [1, 1] and not artifact.exponents.reals.any()
+        offset = 32 + 8 + 16
     struct.pack_into("<f", data, offset, float("nan"))
     with pytest.raises(InvariantViolation):
         deserialize(bytes(data))
@@ -382,6 +394,163 @@ def test_mutated_files_raise_corrupt_or_round_trip(mode, symmetric, stride, muta
     except CorruptArtifact:
         return
     assert serialize(art) == data
+
+
+def _decays(length=320):
+    """Two tones, a decaying offset and a decaying alternation: at n = 6
+    each block's law has two pairs and two real roots, one negative."""
+    k = np.arange(length)
+    y = (np.sin(0.35 * k + 0.3) * 0.6 + np.sin(0.95 * k + 1.1) * 0.3
+         + 0.2 * 0.97**k + 0.1 * (-0.95) ** k)
+    return TimeSeries(np.round(y * 32767.0) / 32767.0, 8000.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _v2_file(stride):
+    artifact = compress(_decays(), CodecParams(order_n=6, block_size=96, stride=stride))
+    assert artifact.version == 2 and artifact.exponents.reals.any()
+    return serialize(artifact)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2]), st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_v2_files_raise_corrupt_or_round_trip(stride, mutations):
+    data = _v2_file(stride)
+    for mutation in mutations:
+        data = _mutate(data, mutation)
+    try:
+        art = deserialize(data)
+    except CorruptArtifact:
+        return
+    assert serialize(art) == data
+
+
+def _v2_sections(data):
+    """Byte offsets of the v2 sections of a file: root structure, pairs,
+    real roots, sign words, payload; and the pair and real root counts."""
+    (_, _, _, _, _, n, _, blocks, _, _) = struct.unpack("<4sHHIIHHIII", data[:32])
+    structure = np.frombuffer(data, dtype="<u4", count=blocks, offset=32)
+    p, r = int(np.sum(structure & 0xFFFF)), int(np.sum(structure >> 16))
+    pairs = 32 + 4 * blocks
+    reals = pairs + 8 * p
+    signs = reals + 4 * r
+    payload = signs + 4 * (-(-r // 32))
+    return {"structure": 32, "pairs": pairs, "reals": reals, "signs": signs,
+            "payload": payload, "end": payload + 4 * (2 * p + r)}, n, p, r
+
+
+def _patched(data, offset, fmt, value):
+    buf = bytearray(data)
+    struct.pack_into(fmt, buf, offset, value)
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_v2_reader_rejects_a_non_finite_log(value):
+    data = _v2_file(1)
+    at, _, _, _ = _v2_sections(data)
+    for offset in (at["pairs"], at["reals"]):  # a pair's ln rho, a real root's ln|q|
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            deserialize(_patched(data, offset, "<f", value))
+
+
+def test_v2_reader_rejects_a_pair_angle_outside_the_open_interval():
+    data = _v2_file(1)
+    at, _, _, _ = _v2_sections(data)
+    with pytest.raises(InvariantViolation, match=r"outside \(0, pi\)"):
+        deserialize(_patched(data, at["pairs"] + 4, "<I", 0))
+    # the largest code is still inside: theta = pi (1 - 2^-32)
+    deserialize(_patched(data, at["pairs"] + 4, "<I", 2**32 - 1))
+
+
+@pytest.mark.parametrize("pairs, reals", [(4, 0), (0, 7), (3, 1), (0xFFFF, 0xFFFF)])
+def test_v2_reader_rejects_root_counts_beyond_n(pairs, reals):
+    data = _v2_file(1)
+    _, n, _, _ = _v2_sections(data)
+    assert 2 * pairs + reals > n == 6
+    with pytest.raises(InvariantViolation, match="exceed its n = 6 columns"):
+        deserialize(_patched(data, 32, "<I", pairs | reals << 16))
+
+
+def test_v2_reader_rejects_truncated_rows_and_stray_bits():
+    data = _v2_file(1)
+    at, _, _, r = _v2_sections(data)
+    for offset in sorted(set(at.values()) - {at["end"]}) + [at["end"] - 1, len(data) - 1]:
+        with pytest.raises(TruncatedPayload):
+            deserialize(data[:offset])
+    with pytest.raises(InvariantViolation, match="trailing bytes"):
+        deserialize(data + bytes(4))
+    assert r < 32  # so the last bit of the sign word pads
+    with pytest.raises(InvariantViolation, match="sign bits past the last real root"):
+        deserialize(_patched(data, at["signs"] + 3, "<B", 0x80))
+    with pytest.raises(InvariantViolation, match="v2 file"):
+        deserialize(_patched(data, 6, "<H", 1))  # the symmetric flag
+
+
+def test_v2_artifact_rejects_exponents_a_file_cannot_store():
+    params = CodecParams(order_n=2, block_size=8)
+    good = dict(pairs=[1], reals=[0], log_radius=[0.0], angle=[5], log_magnitude=[], negative=[])
+    CompressionArtifact(params=params, sample_rate=8000, payload=[[1.0, 2.0]],
+                        exponents=StoredExponents(**good))
+    for field, value, reason in (("angle", [0], "pair angles"), ("angle", [2**32], "pair angles"),
+                                 ("log_radius", [np.nan], "finite"), ("reals", [-1], "counts"),
+                                 ("log_radius", [], "one value per pair")):
+        with pytest.raises(ValueError, match=reason):
+            StoredExponents(**{**good, field: value})
+    too_many = StoredExponents(**{**good, "reals": [1], "log_magnitude": [0.0], "negative": [True]})
+    with pytest.raises(ValueError, match="fit in n payload columns"):
+        CompressionArtifact(params=params, sample_rate=8000, payload=[[1.0, 2.0]], exponents=too_many)
+    one_real = StoredExponents(pairs=[0], reals=[1], log_radius=[], angle=[], log_magnitude=[0.0],
+                               negative=[False])
+    with pytest.raises(ValueError, match="past a block's degree must be zero"):
+        CompressionArtifact(params=params, sample_rate=8000, payload=[[1.0, 2.0]], exponents=one_real)
+    for other in (dataclasses.replace(params, symmetric=True),
+                  dataclasses.replace(params, fit_mode=INITIAL_CONDITIONS)):
+        with pytest.raises(ValueError, match="store exponents"):
+            CompressionArtifact(params=other, sample_rate=8000, payload=[[1.0, 2.0]],
+                                exponents=StoredExponents(**good))
+
+
+def test_a_block_whose_roots_do_not_pair_fails_alone(monkeypatch):
+    import dynlaw.codec
+
+    # companion eigenvalues of real laws come out exactly conjugate, so
+    # a lone complex root is planted in block 0 of three
+    found = dynlaw.codec._roots
+
+    def unpaired(w):
+        q, worst, errors = found(w)
+        q = q.copy()
+        q[0, 0] += 1e-3j
+        return q, worst, errors
+
+    monkeypatch.setattr(dynlaw.codec, "_roots", unpaired)
+    w = np.array([[1.0, -1.0, 1.0], [1.0, -1.5, 1.0], [1.0, 0.3, -0.5]])
+    (log_radius, angle, real, cosine), errors = dynlaw.codec._law_exponents(w, 1)
+    assert list(errors) == [0] and isinstance(errors[0], NonRealCoefficients)
+    assert real.sum(axis=1).tolist() == [0, 0, 2] and cosine.sum(axis=1).tolist() == [0, 1, 0]
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_v2_decode_finds_no_roots(stride, monkeypatch):
+    import dynlaw.codec
+    import dynlaw.fitting
+    import dynlaw.lawforms
+
+    data = _v2_file(stride)
+    expected = decompress(deserialize(data)).samples
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("v2 decode must not find, pair or map roots")
+
+    for module in (dynlaw.codec, dynlaw.lawforms, dynlaw.fitting):
+        for name in ("_roots", "_pairs", "_per_sample_roots", "_unit", "_mode_bases"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    with pytest.raises(AssertionError):  # the patch holds for v1 files and for encoding
+        compress(_decays(), CodecParams(order_n=6, block_size=96, stride=stride))
+    assert decompress(deserialize(data)).samples.tobytes() == expected.tobytes()
 
 
 def _outcome(fn):
@@ -689,11 +858,11 @@ def test_compress_at_a_rate_the_header_cannot_store_raises_value_error():
         compress(series, CodecParams(order_n=2, block_size=16))
 
 
-def _tiny_artifact():
+def _tiny_artifact(mode=AMPLITUDES):
     series = synthesize(
         SynthSpec(kind="sine", length=32, sample_rate=6.0, frequencies=(1.0,))
     )
-    return compress(series, CodecParams(order_n=2, block_size=16))
+    return compress(series, CodecParams(order_n=2, block_size=16, fit_mode=mode))
 
 
 def test_sweep_exact_class_hits_unity_everywhere():

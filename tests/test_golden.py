@@ -1,4 +1,5 @@
-"""Golden DLAW v1 files still read, re-serialize and decode as written.
+"""Golden DLAW files (v1 and v2) still read, re-serialize and decode as
+written.
 
 ``tests/data/make_golden.py`` describes the inputs and settings.  The
 stored samples came from the writer's own decode; another numpy/LAPACK
@@ -19,11 +20,19 @@ NAMES = sorted(path.stem for path in DATA.glob("*.dlaw"))
 
 def test_golden_set_covers_each_stored_kind():
     assert NAMES == ["amp_stride1", "amp_stride2", "amp_symmetric",
-                     "ic_stride1", "ic_stride2", "ic_zero_block"]
-    params = {name: deserialize((DATA / f"{name}.dlaw").read_bytes()).params for name in NAMES}
+                     "ic_stride1", "ic_stride2", "ic_zero_block",
+                     "v2_amp_stride1", "v2_amp_stride2"]
+    artifacts = {name: deserialize((DATA / f"{name}.dlaw").read_bytes()) for name in NAMES}
+    params = {name: artifact.params for name, artifact in artifacts.items()}
     assert {(p.fit_mode == INITIAL_CONDITIONS, p.stride) for p in params.values()} >= {
         (False, 1), (False, 2), (True, 1), (True, 2)}
     assert params["amp_symmetric"].symmetric
+    versions = {name: artifact.version for name, artifact in artifacts.items()}
+    assert versions == {name: 2 if name.startswith("v2_") else 1 for name in NAMES}
+    assert {params[name].stride for name in NAMES if versions[name] == 2} == {1, 2}
+    # stored exponents of every kind: pairs, and real roots of both signs
+    stride1 = artifacts["v2_amp_stride1"].exponents
+    assert stride1.pairs.all() and stride1.negative.any() and not stride1.negative.all()
 
 
 @pytest.mark.parametrize("name", NAMES)
