@@ -107,7 +107,7 @@ from .errors import (
     UnsupportedVersion,
     ZeroRoot,
 )
-from .fitting import _exponent_bases, _least_squares, _mode_bases, _usable_bases
+from .fitting import _exponent_bases, _least_squares, _mode_bases
 from .lawforms import _degrees, _expand, _generate, _impulse_bases, _pairs, _roots
 from .signal_io import SynthSpec, synthesize
 # eigendecompose is unused here; perfbench's tracer test reads dynlaw.codec.eigendecompose
@@ -472,7 +472,7 @@ def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
     groups = []
     at = pos[direct]
     if at.size and modes:
-        groups.append((at, np.zeros((at.size, count, 0))))
+        groups.append((at, np.zeros((at.size, 0, count))))
     elif at.size:
         basis, errors = _recursion_bases(weights[at], count)
         groups.append((at[fail.record(at, errors)], basis))
@@ -603,9 +603,8 @@ def _encode(blocks: np.ndarray, params: CodecParams, quantize: bool):
         fail.record(pos, errors)
     fits = []
     for at, basis in groups:
-        basis, errors = _usable_bases(basis, params.fit_mode == AMPLITUDES)
-        rows = pos[at][fail.record(pos[at], errors)]
-        coef, errors = _least_squares(basis, blocks[rows])
+        rows = pos[at]
+        coef, errors = _least_squares(basis, blocks[rows], params.fit_mode == AMPLITUDES)
         ok = fail.record(rows, errors)
         fits.append((rows[ok], basis[ok] if errors else basis, coef))
     return stored, lam, fits, fail
@@ -672,7 +671,7 @@ def decompress(artifact: CompressionArtifact) -> TimeSeries:
         groups = _exponent_groups(artifact.exponents.columns(params.order_n), block,
                                   np.arange(block_count))
     for rows, basis in groups:
-        coef = artifact.payload[rows, : basis.shape[-1]].astype(np.float64)
+        coef = artifact.payload[rows, : basis.shape[1]].astype(np.float64)
         y, errors = _generate(basis, coef)
         blocks[rows[fail.record(rows, errors)]] = y
     fail.raise_first()

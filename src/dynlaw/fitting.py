@@ -15,11 +15,18 @@ diagonal ridge of 1e-10 * trace, after which failure is final.  Column
 scaling is plain diagonal preconditioning, so the returned coefficients
 solve the raw normal equations.
 
-Mode bases, the basis gate and the least-squares solve run on a stack
-of blocks (``_mode_bases``, ``_usable_bases``, ``_least_squares``), with
-the ridge retry only for the blocks whose first solve fails; the fits
-below call them with one row.  One layout (``_columns``) places modes
-in basis columns and reads amplitudes back out of them.
+A stack of blocks is fitted at once (``_least_squares``), the ridge
+retry only for the blocks whose first solve fails; the fits below call
+it with one row.  Stacked bases are column-major, (blocks, columns,
+samples), so each pass reads a column's samples in a row; the public
+bases are (samples, columns).  One pass reads the column peaks, which
+give the basis gate and the first scaling (squares of peak-scaled
+columns cannot overflow); one Gram product of the peak-scaled columns
+follows, and its diagonal gives the column norms.  Scaling a Gram
+matrix to unit diagonal is the near-optimal diagonal scaling (van der
+Sluis, 1969), and it takes no second pass over the basis.  One layout
+(``_columns``) places modes in basis columns and reads amplitudes back
+out of them.
 
 Every mode basis is built from the exponents of its roots, u = ln q
 (``_exponent_bases``): those of computed roots (``mode_basis``), or
@@ -112,41 +119,57 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients minimizing ||y - basis @ coef||_2 by the scaled
     Cholesky solve of the module docstring; raises SingularNormalMatrix
     when even the ridge retry fails."""
-    return one_row(_least_squares(basis[None], np.asarray(y)[None]))[0]
+    return one_row(_least_squares(np.asarray(basis).T[None], np.asarray(y)[None]))[0]
 
 
-def _least_squares(basis: np.ndarray, y: np.ndarray):
-    """``least_squares`` of each basis (g, N, d) against its samples
-    (g, N): the coefficients of the fits that solve, in order, plus
-    ``{position: SingularNormalMatrix}`` for the others.  Only the
-    systems that fail the first solve get the ridge retry."""
-    if basis.shape[-1] == 0:
-        return np.zeros(basis.shape[:1] + (0,)), {}
-    # two-stage column scaling: peak first so squaring cannot overflow
-    peak = np.max(np.abs(basis), axis=-2)
+def _least_squares(basis: np.ndarray, y: np.ndarray, modes: bool | None = None):
+    """``least_squares`` of each basis (g, d, N), one column per row,
+    against its samples (g, N), scaled as the module docstring says: the
+    coefficients of the fits that solve, in order, plus ``{position:
+    error}`` for the others.  Given ``modes``, the column peaks first
+    gate each basis: a mode basis (``modes``) must be finite, else
+    SingularNormalMatrix; an impulse-response basis must stay within
+    1e100, else UnstableBasis.  A NaN entry fails both."""
+    if basis.shape[1] == 0:
+        return np.zeros((len(basis), 0)), {}
+    # rows of samples, so each pass below reads contiguous memory, and
+    # every product sums in the same order whatever layout came in
+    basis = np.ascontiguousarray(basis)
+    peak = np.max(np.abs(basis), axis=-1)
+    pos, errors = np.arange(len(basis)), {}
+    if modes is not None:
+        if modes:
+            bad = ~np.all(np.isfinite(peak), axis=-1)
+            kind = SingularNormalMatrix
+            text = "mode basis overflowed; roots too far from the unit circle"
+        else:
+            bad = ~np.all(peak <= 1e100, axis=-1)
+            kind, text = UnstableBasis, "impulse-response basis overflowed"
+        if bad.any():
+            errors = {int(i): kind(text) for i in pos[bad]}
+            pos, basis, y, peak = pos[~bad], basis[~bad], y[~bad], peak[~bad]
     peak[peak == 0.0] = 1.0
-    scaled = basis / peak[:, None, :]
-    norm = np.sqrt(np.sum(scaled * scaled, axis=-2))
+    scaled = basis / peak[..., None]
+    gram = scaled @ np.swapaxes(scaled, -1, -2)
+    norm = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
     norm[norm == 0.0] = 1.0
-    scale = peak * norm
-    scaled = scaled / norm[:, None, :]
-    gram = np.swapaxes(scaled, -1, -2) @ scaled
+    gram = gram / (norm[:, :, None] * norm[:, None, :])
     gram = (gram + np.swapaxes(gram, -1, -2)) / 2.0
-    rhs = (np.swapaxes(scaled, -1, -2) @ y[..., None])[..., 0]
+    rhs = (scaled @ y[..., None])[..., 0] / norm
     x = np.empty(rhs.shape)
     solved, ok = _solve_spd(gram, rhs)
     x[ok] = solved
     retry = np.flatnonzero(~ok)
-    errors = {}
+    kept = np.ones(len(x), dtype=bool)
     if retry.size:
         ridge = 1e-10 * np.trace(gram[retry], axis1=-2, axis2=-1)
         ridged = gram[retry] + ridge[:, None, None] * np.eye(gram.shape[-1])
         solved, ok = _solve_spd(ridged, rhs[retry])
         x[retry[ok]] = solved
-        errors = {int(i): SingularNormalMatrix("normal equations singular even after ridge retry")
-                  for i in retry[~ok]}
-    kept = survivors(len(x), errors)
-    return x[kept] / scale[kept], errors
+        kept[retry[~ok]] = False
+        text = "normal equations singular even after ridge retry"
+        errors.update({int(i): SingularNormalMatrix(text) for i in pos[retry[~ok]]})
+    return x[kept] / (peak * norm)[kept], errors
 
 
 def mode_basis(roots, count: int) -> np.ndarray:
@@ -169,7 +192,7 @@ def mode_basis(roots, count: int) -> np.ndarray:
     nan entries.
     """
     q = np.asarray(getattr(roots, "roots", roots), dtype=np.complex128)
-    return one_row(_mode_bases(q[None], count))[0]
+    return one_row(_mode_bases(q[None], count))[0].T
 
 
 def _columns(partner: np.ndarray, lead: np.ndarray):
@@ -203,13 +226,13 @@ def exponent_basis(pair_exponents, real_exponents, count: int) -> np.ndarray:
     u = np.concatenate([np.repeat(pairs, 2), reals])
     real = np.arange(u.size) >= 2 * pairs.size
     cosine = ~real & (np.arange(u.size) % 2 == 0)
-    return _exponent_bases(u.real[None], u.imag[None], real[None], cosine[None], count)[0]
+    return _exponent_bases(u.real[None], u.imag[None], real[None], cosine[None], count)[0].T
 
 
 def _mode_bases(q: np.ndarray, count: int):
-    """``mode_basis`` of each root set of a stack (g, d): the (count, d)
-    bases of the sets that pair up, laid out by ``_columns``, plus
-    ``{position: error}`` for the others.  Each column takes the
+    """``mode_basis`` of each root set of a stack (g, d): the bases
+    (d, count), one column per row, of the sets that pair up, laid out
+    by ``_columns``, plus ``{position: error}`` for the others.  Each column takes the
     exponent of the root whose value it takes (``_exponent_bases``): a
     pair's lead root rho e^(i theta) gives ln rho + i theta, a real root
     q gives ln|q|, plus i pi when q < 0."""
@@ -229,21 +252,22 @@ def _mode_bases(q: np.ndarray, count: int):
 
 def _exponent_bases(log_radius: np.ndarray, angle: np.ndarray, real: np.ndarray,
                     cosine: np.ndarray, count: int) -> np.ndarray:
-    """Bases (g, count, d) of a stack of column layouts (g, d).  Column
-    c of a row is Re z^k, z = e^(i angle - log_radius) from its own
-    log_radius and angle, when it is a real root's (angle 0 or pi) or a
-    pair's cosine column (``real``, ``cosine``); any other column is a
-    sine column, Im z^k of the cosine column right before it.
+    """Bases (g, d, count) of a stack of column layouts (g, d), one
+    basis column per row.  Column c of a layout is Re z^k,
+    z = e^(i angle - log_radius) from its own log_radius and angle, when
+    it is a real root's (angle 0 or pi) or a pair's cosine column
+    (``real``, ``cosine``); any other column is a sine column, Im z^k of
+    the cosine column right before it.
 
     Sample k = a L + b of a column, with L = ceil(sqrt(count)), is the
     product z^(aL) z^b of two powers (``_powers``) of that z: one
     complex product whose real part is a real root's or a pair's cosine
     column and whose imaginary part the pair's sine column.  The
     products of a column are one (A, 2) @ (2, L) matrix product,
-    A = ceil(count / L), written in place into the basis."""
+    A = ceil(count / L), whose rows laid end to end are the column."""
     g, d = log_radius.shape
     if count == 0:
-        return np.zeros((g, 0, d))
+        return np.zeros((g, d, 0))
     step = math.isqrt(count - 1) + 1  # L
     k = np.concatenate([np.arange(step), np.arange(0, count, step)])
     own = real | cosine  # the columns that take a power of their own
@@ -262,9 +286,8 @@ def _exponent_bases(log_radius: np.ndarray, angle: np.ndarray, real: np.ndarray,
         head = np.empty((g, d, 2, step))
         head[own, 0], head[own, 1] = re[:, :step], im[:, :step]
         head[sine, 0], head[sine, 1] = head[cosine, 1], -head[cosine, 0]
-        out = np.empty((g, rows * step, d))
-        np.matmul(tail, head, out=out.reshape(g, rows, step, d).transpose(0, 3, 1, 2))
-    return out[:, :count]
+        out = tail @ head
+    return out.reshape(g, d, rows * step)[..., :count]
 
 
 def _powers(log_radius: np.ndarray, angle: np.ndarray, k: np.ndarray):
@@ -293,26 +316,11 @@ def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return high, x - high
 
 
-def _usable_bases(basis: np.ndarray, modes: bool):
-    """The bases of a stack (g, N, d) that a fit can use, plus
-    ``{position: error}`` for the others: a mode basis (``modes``) must
-    be finite, else SingularNormalMatrix; an impulse-response basis must
-    stay within 1e100, else UnstableBasis."""
-    if modes:
-        bad = ~np.all(np.isfinite(basis), axis=(1, 2))
-        kind, text = SingularNormalMatrix, "mode basis overflowed; roots too far from the unit circle"
-    else:
-        bad = ~np.all(np.abs(basis) <= 1e100, axis=(1, 2))
-        kind, text = UnstableBasis, "impulse-response basis overflowed"
-    return (basis[~bad] if bad.any() else basis), {int(i): kind(text) for i in np.flatnonzero(bad)}
-
-
 def _fit(basis: np.ndarray, y: np.ndarray, modes: bool) -> tuple[np.ndarray, float]:
     """Coefficients and rms residual of the least-squares fit of a
-    segment in one basis, which must pass ``_usable_bases``."""
-    basis = one_row(_usable_bases(basis[None], modes))[0]
-    coef = least_squares(basis, y)
-    resid = y - basis @ coef
+    segment in one basis (d, N), gated as ``_least_squares`` gates it."""
+    coef = one_row(_least_squares(basis[None], y[None], modes))[0]
+    resid = y - coef @ basis
     return coef, float(np.sqrt(np.mean(resid**2))) if y.size else 0.0
 
 
@@ -339,7 +347,7 @@ def fit_amplitudes(roots, segment, dt: float = 1.0) -> AmplitudeFit:
     y = _samples_of(segment)
     if y.size < q.size:
         raise ValueError(f"segment of {y.size} samples cannot pin {q.size} modes")
-    coef, rms = _fit(mode_basis(q, y.size), y, modes=True)
+    coef, rms = _fit(mode_basis(q, y.size).T, y, modes=True)
     model = roots_to_model(q, _amplitudes_from_coefficients(q, coef), dt)
     return AmplitudeFit(model=model, coefficients=coef, rms_error=rms)
 
@@ -377,7 +385,7 @@ def fit_initial_conditions(law: LinearLaw, segment) -> InitialConditionFit:
     y = _samples_of(segment)
     if y.size < law.order:
         raise ValueError(f"segment of {y.size} samples cannot pin {law.order} seed values")
-    coef, rms = _fit(impulse_basis(law, y.size), y, modes=False)
+    coef, rms = _fit(impulse_basis(law, y.size).T, y, modes=False)
     return InitialConditionFit(law=law, initial=coef, rms_error=rms)
 
 

@@ -390,15 +390,17 @@ def impulse_basis(law, count: int) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    return one_row(_impulse_bases(_weights_of(law)[None], count))[0]
+    return one_row(_impulse_bases(_weights_of(law)[None], count))[0].T
 
 
 def _impulse_bases(w: np.ndarray, count: int):
-    """``impulse_basis`` of each law of a stack (g, n + 1): the bases of
-    the laws that have one, plus ``{position: ValueError}`` for laws
-    with |w_0| <= 1e-12 or a non-finite weight.  Each step of the
-    recursion is one stacked product over every law and seed column,
-    so a row comes out the same whatever else the stack holds."""
+    """``impulse_basis`` of each law of a stack (g, n + 1): the bases
+    (n, count), one column per row, of the laws that have one, plus
+    ``{position: ValueError}`` for laws with |w_0| <= 1e-12 or a
+    non-finite weight.  Each step of the recursion is one stacked
+    product over every law and seed column, so a row comes out the same
+    whatever else the stack holds.  The recursion steps rows of a
+    (g, count, n) array; the bases are its transposed view."""
     n = w.shape[1] - 1
     fail = Failures()
     pos = np.arange(w.shape[0])
@@ -415,15 +417,16 @@ def _impulse_bases(w: np.ndarray, count: int):
         step = (-w[:, :0:-1] / w[:, :1])[:, None, :]  # weights of y_{k-n} .. y_{k-1}
         for k in range(n, count):
             np.matmul(step, basis[:, k - n : k], out=basis[:, k : k + 1])
-    return basis, fail.first
+    return basis.transpose(0, 2, 1), fail.first
 
 
 def _generate(basis: np.ndarray, coef: np.ndarray):
-    """Samples ``basis @ coef`` of each block of a stack, for the blocks
-    whose samples all stay within 1e100 and finite, plus
-    ``{position: UnstableOverflow}`` for the others."""
+    """Samples ``coef @ basis`` of each block of a stack, bases (g, d, N)
+    and coefficients (g, d), for the blocks whose samples all stay
+    within 1e100 and finite, plus ``{position: UnstableOverflow}`` for
+    the others."""
     with np.errstate(over="ignore", invalid="ignore"):
-        y = (basis @ coef[..., None])[..., 0]
+        y = (coef[:, None, :] @ basis)[:, 0]
     bad = ~(np.abs(y) <= 1e100)
     failed = np.flatnonzero(bad.any(axis=-1))
     errors = {
@@ -454,7 +457,7 @@ def run_recursion(law, initial, count: int) -> np.ndarray:
     init = np.asarray(initial, dtype=np.float64)
     if init.size != n:
         raise ValueError(f"need {n} initial values, got {init.size}")
-    out = one_row(_generate(impulse_basis(w, count)[None], init[None]))[0]
+    out = one_row(_generate(impulse_basis(w, count).T[None], init[None]))[0]
     out[: min(n, count)] = init[:count]
     return out
 

@@ -9,16 +9,16 @@ eigenvalue is the weight vector ``w`` of the best linear law: the mean
 square of the window residuals ``xi = Y w`` equals that eigenvalue, so
 a near-null direction is a near-exact linear relation among lags.
 
-Eigenproblems are solved by numpy's LAPACK-backed ``eigh``, with each
-eigenvector sign-normalized.  Repeated runs on identical input agree
-bit for bit with one numpy/LAPACK build; another build may differ in
-the last bits.  When the smallest eigenvalue is degenerate (an
-over-ordered law has a null space of several dimensions), the law is
-the minimum-norm vector of that eigenspace with w_0 fixed, so it does
-not depend on the basis the solver happens to return.  The codec
-stores laws as float32 and fits payloads to the stored law, so a
-decode of a file stays bit-identical to a decode of the in-memory
-artifact.
+Eigenproblems are solved by numpy's LAPACK-backed ``eigh``; each law,
+and each eigenvector ``eigendecompose`` returns, is sign-normalized.
+Repeated runs on identical input agree bit for bit with one
+numpy/LAPACK build; another build may differ in the last bits.  When
+the smallest eigenvalue is degenerate (an over-ordered law has a null
+space of several dimensions), the law is the minimum-norm vector of
+that eigenspace with w_0 fixed, so it does not depend on the basis the
+solver happens to return.  The codec stores laws as float32 and fits
+payloads to the stored law, so a decode of a file stays bit-identical
+to a decode of the in-memory artifact.
 
 One stacked kernel (``_laws``) extracts plain and palindromic laws.  A
 linear constraint such as time-reversal symmetry (palindromic weights)
@@ -121,15 +121,17 @@ def _correlations(rows: np.ndarray) -> np.ndarray:
 
 
 def _eigh(matrices: np.ndarray):
-    """Ascending eigenvalues and sign-normalized eigenvector columns of
-    each matrix of a stack, for the matrices LAPACK solves, plus
-    NoConvergence for the others (see ``_stack``)."""
+    """Ascending eigenvalues and eigenvector columns, signed as LAPACK
+    returns them, of each matrix of a stack, for the matrices LAPACK
+    solves, plus NoConvergence for the others (see ``_stack``).  Laws
+    need no sign rule here: the min-norm projection cancels the sign of
+    every column, and ``_unit_laws`` signs the law itself."""
     (vals, vecs), failed = lapack_rows(lambda a: tuple(np.linalg.eigh(a)), matrices)
     errors = {
         pos: with_cause(NoConvergence(f"symmetric eigensolver failed: {exc}"), exc)
         for pos, exc in failed.items()
     }
-    return vals, _normalize_sign(vecs), errors
+    return vals, vecs, errors
 
 
 def _normalize_sign(vecs: np.ndarray) -> np.ndarray:
@@ -216,7 +218,7 @@ def eigendecompose(c: CorrelationMatrix) -> Spectrum:
     if not np.all(np.isfinite(a)):  # an inf entry makes atol inf
         raise ValueError("correlation matrix must be finite")
     vals, vecs = one_row(_eigh(a[None]))
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+    return Spectrum(eigenvalues=vals, eigenvectors=_normalize_sign(vecs))
 
 
 def _check_order(config: EmbeddingConfig, size: int) -> None:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from dynlaw._stack import lapack_rows
 from dynlaw.codec import CodecParams, compress, sweep
 from dynlaw.embedding import TimeSeries
-from dynlaw.errors import SingularNormalMatrix, ZeroSignal
+from dynlaw import fitting
+from dynlaw.errors import SingularNormalMatrix, UnstableBasis, ZeroSignal
 from dynlaw.fitting import (
     _least_squares,
     AmplitudeFit,
@@ -305,7 +306,7 @@ def test_stacked_solve_isolates_failing_systems_and_retries_only_them():
     twin[:, 2] = twin[:, 1]  # singular normal matrix: only the ridge retry solves it
     bases = np.stack([good, twin, good * 1e3])
     ys = rng.standard_normal((3, 64))
-    coef, errors = _least_squares(bases, ys)
+    coef, errors = _least_squares(np.swapaxes(bases, -1, -2), ys)
     assert errors == {}
     for basis, y, got in zip(bases, ys, coef):
         assert got.tobytes() == least_squares(basis, y).tobytes()
@@ -314,6 +315,99 @@ def test_stacked_solve_isolates_failing_systems_and_retries_only_them():
     assert sorted(failed) == [1, 3]
     assert all(isinstance(exc, np.linalg.LinAlgError) for exc in failed.values())
     np.testing.assert_array_equal(lower, [np.eye(2), np.sqrt(2.0) * np.eye(2)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g=st.integers(1, 6),
+    d=st.integers(1, 6),
+    extra=st.integers(4, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_fit_agrees_with_lstsq_and_with_one_row_fits(g, d, extra, seed):
+    # orthonormal columns mixed by I + E, ||E||_2 <= 1/2, have condition
+    # <= 3; the column scales span twelve decades, which the peak and
+    # Gram-diagonal scaling must absorb
+    rng = np.random.default_rng(seed)
+    count = 2 * d + extra
+    q = np.linalg.qr(rng.standard_normal((g, count, d)))[0]
+    mix = np.eye(d) + rng.uniform(-0.5, 0.5, (g, d, d)) / d
+    bases = np.swapaxes(q @ mix, -1, -2) * 10.0 ** rng.uniform(-6, 6, (g, d, 1))
+    ys = rng.standard_normal((g, count))
+    coef, errors = _least_squares(bases, ys, True)
+    assert errors == {}
+    for basis, y, got in zip(bases, ys, coef):
+        # lstsq is not invariant to column scale: it solves the unit-norm columns
+        scale = np.linalg.norm(basis, axis=-1)
+        ref = np.linalg.lstsq((basis / scale[:, None]).T, y, rcond=None)[0]
+        np.testing.assert_allclose(got * scale, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+    for i in range(g):
+        one, _ = _least_squares(bases[i : i + 1], ys[i : i + 1], True)
+        assert one[0].tobytes() == coef[i].tobytes()
+        assert least_squares(bases[i].T, ys[i]).tobytes() == coef[i].tobytes()
+
+
+@pytest.mark.parametrize(
+    "value, mode_ok, impulse_ok",
+    [
+        (np.inf, False, False),
+        (-np.inf, False, False),
+        (np.nan, False, False),
+        (1e100, True, True),
+        (-1e100, True, True),
+        (np.nextafter(1e100, np.inf), True, False),
+        (-np.nextafter(1e100, np.inf), True, False),
+    ],
+)
+def test_basis_gate_reads_the_column_peaks(value, mode_ok, impulse_ok):
+    # a mode basis must be finite, an impulse-response basis within 1e100;
+    # the bad entry sits in the middle row of a stack of three, away from
+    # the column's first and last samples
+    rng = np.random.default_rng(3)
+    bases = rng.standard_normal((3, 2, 16))
+    bases[1, 1, 7] = value
+    ys = rng.standard_normal((3, 16))
+    mode_text = "mode basis overflowed; roots too far from the unit circle"
+    for modes, ok, kind, text in [
+        (True, mode_ok, SingularNormalMatrix, mode_text),
+        (False, impulse_ok, UnstableBasis, "impulse-response basis overflowed"),
+    ]:
+        coef, errors = _least_squares(bases, ys, modes)
+        if ok:
+            assert errors == {} and coef.shape == (3, 2)
+        else:
+            assert list(errors) == [1] and coef.shape == (2, 2)
+            assert type(errors[1]) is kind and str(errors[1]) == text
+        for row, i in zip(coef, [0, 1, 2] if ok else [0, 2]):
+            one, _ = _least_squares(bases[i : i + 1], ys[i : i + 1], modes)
+            assert row.tobytes() == one[0].tobytes()
+
+
+def test_planted_twin_column_takes_the_ridge_retry(monkeypatch):
+    # two equal columns make the normal matrix singular: the first
+    # Cholesky solve rejects that system alone, the ridge retry solves it,
+    # and the ridge splits the twins' weight evenly, up to rounding that
+    # the ridge of 1e-10 of the trace magnifies
+    rng = np.random.default_rng(11)
+    bases = rng.standard_normal((3, 3, 50))
+    bases[1, 2] = bases[1, 0]
+    ys = rng.standard_normal((3, 50))
+    calls = []
+    solve = fitting._solve_spd
+
+    def spy(gram, rhs):
+        solved, ok = solve(gram, rhs)
+        calls.append(ok.copy())
+        return solved, ok
+
+    monkeypatch.setattr(fitting, "_solve_spd", spy)
+    coef, errors = _least_squares(bases, ys, True)
+    assert errors == {}
+    assert [ok.tolist() for ok in calls] == [[True, False, True], [True]]
+    assert coef[1, 0] == pytest.approx(coef[1, 2], rel=1e-4)
+    fitted = coef[1] @ bases[1]
+    best = np.linalg.lstsq(bases[1].T, ys[1], rcond=None)[0] @ bases[1]
+    np.testing.assert_allclose(fitted, best, rtol=0, atol=1e-8 * np.max(np.abs(ys[1])))
 
 
 @settings(max_examples=200, deadline=None)

@@ -406,8 +406,8 @@ def test_mixed_stack_rows_equal_single_law_bases():
     basis, errors = _impulse_bases(stack, 40)
     assert list(errors) == [3]
     assert isinstance(errors[3], ValueError) and "1e-12" in str(errors[3])
-    assert basis.shape == (4, 40, 3)
-    for row, i in zip(basis, [0, 1, 2, 4]):
+    assert basis.shape == (4, 3, 40)
+    for row, i in zip(np.swapaxes(basis, -1, -2), [0, 1, 2, 4]):
         np.testing.assert_array_equal(row, impulse_basis(stack[i], 40))
         for j, seed in enumerate(np.eye(3)):
             ref = reference_recursion(stack[i], seed, 40)
