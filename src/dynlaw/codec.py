@@ -82,10 +82,10 @@ principal s-th root, ln q / s, which assumes the content sits below the
 lattice Nyquist frequency, sample_rate / (2 s); negative real roots
 keep their sign.  A v2 decoder builds each basis straight from the
 stored exponents; a v1 decoder finds the roots of the stored weights.
-Measurement (sweep / random_baseline) runs in float64 without
-quantization and always in amplitude mode, on the exponents of the
-float64 laws: it reports what the laws can do, not what a file stores.
-Initial-condition mode is a storage mode of ``compress`` only.
+Measurement (sweep / random_baseline) runs the encode of ``compress``
+in amplitude mode and generates each block from its float32 payload:
+a sweep row's accuracy is that of its decoded file (v2, or v1 when
+symmetric).  Initial-condition mode is a storage mode of ``compress`` only.
 """
 
 from __future__ import annotations
@@ -184,15 +184,16 @@ def _check_header(params: CodecParams, sample_rate, block_count: int = 0,
     and every field within its width."""
     if sample_rate < 1:
         raise ValueError("sample_rate must be >= 1")
+    if not float(sample_rate).is_integer():  # NaN and inf fail here too
+        raise ValueError(f"sample_rate {sample_rate} is not a whole number of Hz")
+    rate = int(sample_rate)
     widths = {"order_n": (params.order_n, 16), "stride": (params.stride, 16),
-              "block_size": (params.block_size, 32), "sample_rate": (sample_rate, 32),
+              "block_size": (params.block_size, 32), "sample_rate": (rate, 32),
               "block count": (block_count, 32), "tail length": (tail_length, 32)}
     for name, (value, bits) in widths.items():
         if value >= 1 << bits:
             raise ValueError(f"{name} {value} does not fit its {bits}-bit header field")
-    if not float(sample_rate).is_integer():  # NaN fails here too
-        raise ValueError(f"sample_rate {sample_rate} is not a whole number of Hz")
-    return int(sample_rate)
+    return rate
 
 
 @dataclass(frozen=True)
@@ -282,19 +283,8 @@ def _whole(values, low: int, high: int, what: str) -> np.ndarray:
     return values
 
 
-def _quantized(columns):
-    """A float64 column layout (the first output of ``_law_exponents``)
-    rounded to the values a v2 file stores: logs to float32, pair angles
-    to the nearest multiple of pi / 2^32 inside (0, pi).  The result is
-    exactly ``StoredExponents.columns`` of ``_stored`` of it."""
-    log_radius, angle, real, cosine = columns
-    code = np.clip(np.rint(angle / _ANGLE_UNIT), 1, 2**32 - 1)
-    return (log_radius.astype(np.float32).astype(np.float64),
-            np.where(real, angle, code * _ANGLE_UNIT), real, cosine)
-
-
 def _stored(columns) -> StoredExponents:
-    """The exponents of a quantized column layout (``_quantized``)."""
+    """The exponents of a stored column layout (``_law_exponents``)."""
     log_radius, angle, real, cosine = columns
     return StoredExponents(pairs=cosine.sum(axis=1), reals=real.sum(axis=1),
                            log_radius=log_radius[cosine].astype(np.float32),
@@ -404,6 +394,14 @@ def _unit(weights32: np.ndarray) -> np.ndarray:
     return w / norms(w)[:, None]
 
 
+def _zero_roots(q: np.ndarray) -> dict:
+    """``{position: ZeroRoot}`` for the blocks of lattice roots q (g, d)
+    with a root at the origin, which has no fractional power: at
+    stride > 1 such a block has no per-sample roots."""
+    return {int(i): ZeroRoot("cannot take a fractional power of a zero root")
+            for i in np.flatnonzero(np.any(np.abs(q) < 1e-300, axis=-1))}
+
+
 def _per_sample_roots(q: np.ndarray, stride: int):
     """Map the lattice roots q of each block (g, d) to per-sample roots
     q^{1/stride}.
@@ -415,8 +413,7 @@ def _per_sample_roots(q: np.ndarray, stride: int):
     """
     fail = Failures()
     pos = np.arange(len(q))
-    ok = fail.record(pos, {int(i): ZeroRoot("cannot take a fractional power of a zero root")
-                           for i in np.flatnonzero(np.any(np.abs(q) < 1e-300, axis=-1))})
+    ok = fail.record(pos, _zero_roots(q))
     pos, q = pos[ok], q[ok]
     partner, lead, errors = _pairs(q)
     q = q[fail.record(pos, errors)]
@@ -495,17 +492,20 @@ def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
 
 def _law_exponents(w: np.ndarray, stride: int):
     """Per-sample exponents of the law of each block, from its float64
-    weights (blocks x (n + 1)), in the column layout of a v2 block.
+    weights (blocks x (n + 1)), as a v2 file stores them, in the column
+    layout of ``StoredExponents.columns``.
 
     A block's lattice roots (``_roots``) are paired (``_pairs``); each
     pair takes ln rho / stride and theta / stride of its lead root, with
     0 < theta, and each real root q takes ln|q| / stride and angle pi
     when q < 0, else 0: the principal stride-th root, with real roots
-    keeping their sign, as ``_per_sample_roots`` maps them.  Columns
+    keeping their sign, as ``_per_sample_roots`` maps them.  Logs are
+    rounded to float32 and pair angles to the nearest multiple of
+    pi / 2^32 inside (0, pi), the values a v2 file stores.  Columns
     hold the pairs first, a cosine and a sine column each, then the real
     roots, each part in root order.  A law with no weight past lag 0
     (``_degrees``) has no columns, and at stride > 1 a root at the
-    origin fails as ZeroRoot.
+    origin fails as ZeroRoot (``_zero_roots``).
 
     Returns the layout (log_radius, angle, real, cosine), each
     (blocks x n) and empty in the rows of failed blocks, plus
@@ -521,8 +521,7 @@ def _law_exponents(w: np.ndarray, stride: int):
         q, _, errors = _roots(w[at, : d + 1])
         at = at[fail.record(at, errors)]
         if stride > 1:
-            ok = fail.record(at, {int(i): ZeroRoot("cannot take a fractional power of a zero root")
-                                  for i in np.flatnonzero(np.any(np.abs(q) < 1e-300, axis=-1))})
+            ok = fail.record(at, _zero_roots(q))
             at, q = at[ok], q[ok]
         partner, lead, errors = _pairs(q)
         ok = fail.record(at, errors)
@@ -538,10 +537,11 @@ def _law_exponents(w: np.ndarray, stride: int):
         with np.errstate(divide="ignore"):  # a root at 0 gives -inf; its basis fails
             # hypot rounds as abs() of one complex value; np.abs of a
             # complex array can differ in the last bit
-            log_radius[at, :d] = np.log(np.where(pair, np.hypot(z.real, z.imag),
-                                                 np.abs(z.real))) / stride
-        angle[at, :d] = np.where(pair, np.arctan2(np.abs(z.imag), z.real) / stride,
-                                 np.where(z.real < 0.0, np.pi, 0.0))
+            log_radius[at, :d] = (np.log(np.where(pair, np.hypot(z.real, z.imag),
+                                                  np.abs(z.real))) / stride).astype(np.float32)
+        code = np.clip(np.rint(np.arctan2(np.abs(z.imag), z.real) / stride / _ANGLE_UNIT),
+                       1, 2**32 - 1)
+        angle[at, :d] = np.where(pair, code * _ANGLE_UNIT, np.where(z.real < 0.0, np.pi, 0.0))
         real[at, :d] = ~pair
         cosine[at, :d] = pair & (j % 2 == 0)
     return (log_radius, angle, real, cosine), fail.first
@@ -549,7 +549,7 @@ def _law_exponents(w: np.ndarray, stride: int):
 
 def _exponent_groups(columns, count: int, rows: np.ndarray):
     """Per-sample bases of the given rows of a column layout (the first
-    output of ``_law_exponents`` or ``StoredExponents.columns``), built
+    output of ``_law_exponents``, or ``StoredExponents.columns``), built
     straight from the exponents, as ``[(rows, bases)]``, one entry per
     degree."""
     log_radius, angle, real, cosine = columns
@@ -562,20 +562,19 @@ def _exponent_groups(columns, count: int, rows: np.ndarray):
     return groups
 
 
-def _encode(blocks: np.ndarray, params: CodecParams, quantize: bool):
-    """Extract the law of every block of a stack and fit its coefficients.
+def _encode(blocks: np.ndarray, params: CodecParams):
+    """Encode every block of a stack as a file of these params stores
+    it: extract its law, round the law to what the file stores, fit the
+    payload against exactly that law, and round the payload to float32.
 
-    Returns (stored, eigenvalues, fits, failures): with ``quantize``,
-    the laws a file stores, of the blocks that have one, in block order
-    (in amplitude mode unless symmetric, their ``_quantized`` column
-    layout, else float32 weights), else None; their eigenvalues;
-    ``[(blocks, bases, coefs)]`` for the blocks fitted, one entry per
-    group of equal degree; and the per-block failure status.  With
-    ``quantize`` the bases are built from exactly the stored values, so
-    the payload belongs to exactly the law a decoder sees; a palindromic
-    law stays palindromic under float32 rounding.  Without it everything
-    stays float64, and amplitude-mode bases are built from the float64
-    exponents of the laws.
+    Returns (stored, eigenvalues, fits, failures): the stored laws of
+    the blocks that have one, in block order (the ``_law_exponents``
+    column layout when the file stores exponents, else float32 weights;
+    a palindromic law stays palindromic under the rounding); their
+    eigenvalues; ``[(blocks, bases, payload)]`` for the blocks fitted,
+    one entry per group of equal degree, the payload in float32; and
+    the per-block failure status.  A block whose payload leaves float32
+    range fails with UnstableOverflow.
     """
     fail = Failures()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -587,26 +586,24 @@ def _encode(blocks: np.ndarray, params: CodecParams, quantize: bool):
     basis = _palindromic_basis(params.order_n) if params.symmetric else None
     laws, lam, errors = _laws(c[pos], basis)
     pos = pos[fail.record(pos, errors)]
-    stored = None
-    # every float64 measurement takes the exponent route; a file only when it stores exponents
-    if _stores_exponents(params) or (params.fit_mode == AMPLITUDES and not quantize):
-        columns, errors = _law_exponents(laws, params.stride)
-        if quantize:
-            columns = stored = _quantized(columns)
-        groups = _exponent_groups(columns, blocks.shape[1],
-                                  np.flatnonzero(fail.record(pos, errors)))
+    if _stores_exponents(params):
+        stored, errors = _law_exponents(laws, params.stride)
+        groups = _exponent_groups(stored, blocks.shape[1], np.flatnonzero(fail.record(pos, errors)))
     else:
-        if quantize:
-            stored = laws.astype(np.float32)
-        groups, errors = _block_bases(laws if stored is None else _unit(stored), params,
-                                      blocks.shape[1])
+        stored = laws.astype(np.float32)
+        groups, errors = _block_bases(_unit(stored), params, blocks.shape[1])
         fail.record(pos, errors)
     fits = []
     for at, basis in groups:
         rows = pos[at]
         coef, errors = _least_squares(basis, blocks[rows], params.fit_mode == AMPLITUDES)
         ok = fail.record(rows, errors)
-        fits.append((rows[ok], basis[ok] if errors else basis, coef))
+        wide = ~_in_f32_range(coef, axis=-1)
+        text = "payload coefficient beyond float32 range"
+        ok[ok] = fail.record(rows[ok], {int(i): UnstableOverflow(text) for i in np.flatnonzero(wide)})
+        if not ok.all():  # indexing copies the basis
+            rows, basis, coef = rows[ok], basis[ok], coef[~wide]
+        fits.append((rows, basis, coef.astype(np.float32)))
     return stored, lam, fits, fail
 
 
@@ -622,24 +619,21 @@ def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
 
     Amplitude-mode artifacts that are not symmetric store each law as
     its per-sample exponents (``StoredExponents``, DLAW v2), the others
-    as float32 weights (DLAW v1).  Either form is rounded to what the
-    file stores before the payload fit, so the stored coefficients
-    belong to exactly the law a decoder will see.
+    as float32 weights (DLAW v1); ``_encode`` fits each payload to the
+    law as stored, so it belongs to exactly the law a decoder will see.
     A block whose correlation or payload leaves float range fails with
     UnstableOverflow.  When blocks fail, the error of the lowest-index
     one is raised; a tail sample beyond float32 range raises
-    UnstableOverflow after that.  A header the file cannot store raises
+    UnstableOverflow after that.  A header the file cannot store (a
+    sample rate that is not a whole number of Hz, say) raises
     ValueError before any block is encoded.
     """
     blocks = _full_blocks(series.samples, params.block_size)
-    rate = int(round(series.sample_rate))
-    _check_header(params, rate)
-    stored, _, fits, fail = _encode(blocks, params, quantize=True)
+    rate = _check_header(params, series.sample_rate)
+    stored, _, fits, fail = _encode(blocks, params)
     payload = np.zeros((len(blocks), params.order_n), dtype=np.float32)
     for rows, _, coef in fits:
-        ok = fail.record(rows, {int(i): UnstableOverflow("payload coefficient beyond float32 range")
-                                for i in np.flatnonzero(~_in_f32_range(coef, axis=-1))})
-        payload[rows[ok], : coef.shape[1]] = coef[ok]
+        payload[rows, : coef.shape[1]] = coef
     fail.raise_first()
     tail = series.samples[blocks.size :]
     if not _in_f32_range(tail):
@@ -823,14 +817,16 @@ def _read_v2(data: bytes, params: CodecParams, rate: int, block_count: int, tail
 
 def _measure_point(blocks: np.ndarray, params: CodecParams) -> tuple[float, float]:
     """Energy-weighted accuracy and mean smallest eigenvalue over the
-    full blocks of a series, in float64 end to end, all blocks at once."""
+    full blocks of a series, all blocks at once.  Each block is encoded
+    as ``compress`` encodes it and generated from its float32 payload as
+    ``decompress`` generates it, so the accuracy is the decoded file's."""
     with np.errstate(over="ignore"):  # inf beside a sample past ~1e154; _encode fails that block
         energy = (blocks[:, None, :] @ blocks[:, :, None])[:, 0, 0]
     live = np.flatnonzero(energy != 0.0)  # a silent block's correlation matrix is zero
-    _, lam, fits, fail = _encode(blocks[live], params, quantize=False)
+    _, lam, fits, fail = _encode(blocks[live], params)
     acc = np.empty(live.size)
     for rows, basis, coef in fits:
-        simulated, errors = _generate(basis, coef)
+        simulated, errors = _generate(basis, coef.astype(np.float64))
         rows = rows[fail.record(rows, errors)]
         segment = blocks[live[rows]]
         with np.errstate(over="ignore", invalid="ignore"):  # a sample past ~1e154 no window saw
@@ -851,12 +847,14 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
           symmetric: bool = False) -> SweepReport:
     """Measure accuracy across an (n, stride) grid at one block size.
 
-    Each point fits its blocks in amplitude mode, in float64.
-    Grid points ``CodecParams`` rejects and points where a numerical
-    step fails are recorded under ``skipped`` with the error's text as
-    the reason, instead of aborting the sweep.  Block accuracies are averaged weighted by block energy,
-    matching a concatenated-signal Euclidean accuracy when block errors
-    are comparable.
+    Each point encodes its blocks in amplitude mode as ``compress``
+    does and measures the decoded file: the law and the float32 payload
+    the file stores.  Grid points ``CodecParams`` rejects and points
+    where a numerical step fails are recorded under ``skipped`` with the
+    error's text as the reason, instead of aborting the sweep.  Block
+    accuracies are averaged weighted by block energy, matching a
+    concatenated-signal Euclidean accuracy when block errors are
+    comparable.
     """
     blocks = _full_blocks(series.samples, block_size)
     if not series.samples.any():

@@ -16,9 +16,9 @@ numpy/LAPACK build; another build may differ in the last bits.  When
 the smallest eigenvalue is degenerate (an over-ordered law has a null
 space of several dimensions), the law is the minimum-norm vector of
 that eigenspace with w_0 fixed, so it does not depend on the basis the
-solver happens to return.  The codec stores laws as float32 and fits
-payloads to the stored law, so a decode of a file stays bit-identical
-to a decode of the in-memory artifact.
+solver happens to return.  The codec rounds each law to what its file
+stores (weights or root exponents) and fits payloads to that law, so a
+decode of a file stays bit-identical to a decode in memory.
 
 One stacked kernel (``_laws``) extracts plain and palindromic laws.  A
 linear constraint such as time-reversal symmetry (palindromic weights)

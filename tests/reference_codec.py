@@ -4,7 +4,8 @@ The codec encodes and decodes all blocks of a file in one pass of
 stacked arrays.  This module does the same work one block after
 another, composed from the public single-block functions, and raises
 at the first block that fails.  The batched codec must give the same
-bytes (DLAW v1 and v2), samples, sweep figures and errors.
+bytes (DLAW v1 and v2), samples, sweep figures and errors; a sweep
+point measures the decode of what ``compress`` stores.
 """
 
 import numpy as np
@@ -107,7 +108,10 @@ def generate(basis, coef):
     return y
 
 
-def encode_block(segment, params, quantize):
+def encode_block(segment, params):
+    """(law, stored law, float32 payload) of one block, as a file of
+    these params stores it: exponents (``quantize_exponents``) when the
+    file stores them, else float32 weights."""
     cfg = EmbeddingConfig(n=params.order_n, stride=params.stride)
     with np.errstate(over="ignore", invalid="ignore"):
         c = correlation(embed(TimeSeries(segment), cfg))
@@ -117,43 +121,31 @@ def encode_block(segment, params, quantize):
         law = extract_symmetric_law(c, cfg)
     else:
         law = extract_law(eigendecompose(c), cfg)
-    stored = None
-    if params.fit_mode == AMPLITUDES and (stores_exponents(params) or not quantize):
-        pair_u, real_u = law_exponents(law.weights, params.stride)
-        if quantize:
-            pair_u, real_u, codes = quantize_exponents(pair_u, real_u)
-            stored = (pair_u, real_u, codes)
-        basis = exponent_basis(pair_u, real_u, segment.size)
+    if stores_exponents(params):
+        stored = quantize_exponents(*law_exponents(law.weights, params.stride))
+        basis = exponent_basis(stored[0], stored[1], segment.size)
     else:
-        weights = unit(law.weights.astype(np.float32)) if quantize else law.weights
-        basis = block_basis(weights, params, segment.size)
+        stored = law.weights.astype(np.float32)
+        basis = block_basis(unit(stored), params, segment.size)
     if params.fit_mode == AMPLITUDES:
         if not np.all(np.isfinite(basis)):
             raise SingularNormalMatrix("mode basis overflowed; roots too far from the unit circle")
     elif not np.all(np.abs(basis) <= 1e100):
         raise UnstableBasis("impulse-response basis overflowed")
-    return law, stored, basis, least_squares(basis, segment)
+    coef = least_squares(basis, segment)
+    if not np.all(np.abs(coef) <= F32_MAX):
+        raise UnstableOverflow("payload coefficient beyond float32 range")
+    return law, stored, coef.astype(np.float32)
 
 
-def compress(series, params):
-    y = series.samples
-    block = params.block_size
-    count = y.size // block
-    weights = np.empty((count, params.order_n + 1), dtype=np.float32)
-    payload = np.zeros((count, params.order_n), dtype=np.float32)
-    laws = []
-    for b in range(count):
-        law, stored, _, coef = encode_block(y[b * block : (b + 1) * block], params, quantize=True)
-        if not np.all(np.abs(coef) <= F32_MAX):
-            raise UnstableOverflow("payload coefficient beyond float32 range")
-        weights[b] = law.weights
-        laws.append(stored)
+def to_artifact(params, rate, encoded, tail):
+    """The artifact of blocks encoded by ``encode_block``, in order."""
+    payload = np.zeros((len(encoded), params.order_n), dtype=np.float32)
+    for b, (_, _, coef) in enumerate(encoded):
         payload[b, : coef.size] = coef
-    tail = y[count * block :]
-    if not np.all(np.abs(tail) <= F32_MAX):
-        raise UnstableOverflow("tail sample beyond float32 range")
-    rate = int(round(series.sample_rate))
+    laws = [stored for _, stored, _ in encoded]
     if not stores_exponents(params):
+        weights = np.reshape(laws, (len(laws), params.order_n + 1))
         return CompressionArtifact(params=params, sample_rate=rate, weights=weights,
                                    payload=payload, tail=tail)
     exponents = StoredExponents(
@@ -166,6 +158,18 @@ def compress(series, params):
     )
     return CompressionArtifact(params=params, sample_rate=rate, payload=payload, tail=tail,
                                exponents=exponents)
+
+
+def compress(series, params):
+    y = series.samples
+    block = params.block_size
+    # the header check, before any block is encoded
+    rate = CompressionArtifact(params=params, sample_rate=series.sample_rate).sample_rate
+    encoded = [encode_block(y[b * block : (b + 1) * block], params) for b in range(y.size // block)]
+    tail = y[len(encoded) * block :]
+    if not np.all(np.abs(tail) <= F32_MAX):
+        raise UnstableOverflow("tail sample beyond float32 range")
+    return to_artifact(params, rate, encoded, tail)
 
 
 def stored_exponents(exponents):
@@ -197,7 +201,9 @@ def decompress(artifact):
 
 
 def measure_point(y, params):
-    """(A, mean lambda_min) of one sweep point, as ``sweep`` reports it."""
+    """(A, mean lambda_min) of one sweep point, as ``sweep`` reports it:
+    the energy-weighted accuracy of the reference decode of each
+    nonzero block's reference encode."""
     block = params.block_size
     weights_sum = 0.0
     acc_sum = 0.0
@@ -209,10 +215,11 @@ def measure_point(y, params):
         if energy == 0.0:
             lambdas.append(0.0)
             continue
-        law, _, basis, coef = encode_block(segment, params, quantize=False)
-        lambdas.append(law.eigenvalue)
+        encoded = encode_block(segment, params)
+        lambdas.append(encoded[0].eigenvalue)
+        decoded = decompress(to_artifact(params, 1, [encoded], np.zeros(0)))
         with np.errstate(over="ignore", invalid="ignore"):
-            acc = accuracy(segment, generate(basis, coef))
+            acc = accuracy(segment, decoded)
         if not np.isfinite(acc):  # a sample past ~1e154 that no window saw
             raise UnstableOverflow("block norm beyond float range")
         acc_sum += energy * acc

@@ -621,6 +621,34 @@ def test_batched_codec_matches_block_by_block_reference(case):
         assert [(row.A, row.lambda_min) for row in report.rows] == [point]
 
 
+def _ramp_tone(length=768):
+    k = np.arange(length)
+    return TimeSeries(np.round((k / length + 0.4 * np.sin(0.3 * k)) * 32767.0) / 32767.0, 8000.0)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("series", [_decays(768), _ramp_tone(), noise(768, seed=3)],
+                         ids=["decays", "ramp", "noise"])
+def test_sweep_row_is_its_decoded_file_accuracy(series, symmetric):
+    report = sweep(series, (2, 4, 6), (1, 2), 128, symmetric=symmetric)
+    skipped = {(n, s): reason for n, s, reason in report.skipped}
+    rows = {(row.n, row.stride): row.A for row in report.rows}
+    assert len(rows) + len(skipped) == 6
+    blocks = series.samples[: series.samples.size // 128 * 128].reshape(-1, 128)
+    energy = np.einsum("ij,ij->i", blocks, blocks)
+    for (n, s) in rows.keys() | skipped.keys():
+        params = CodecParams(order_n=n, block_size=128, stride=s, symmetric=symmetric)
+        try:
+            decoded = decompress(deserialize(serialize(compress(series, params)))).samples
+        except NumericalError as exc:
+            assert skipped[n, s] == f"{type(exc).__name__}: {exc}"
+            continue
+        decoded = decoded[: blocks.size].reshape(blocks.shape)
+        live = energy != 0.0
+        acc = [accuracy(x, y) for x, y in zip(blocks[live], decoded[live])]
+        assert abs(rows[n, s] - energy[live] @ acc / energy[live].sum()) <= 1e-14
+
+
 def step_block():
     # 63 samples of 0.25, then one of 0.75: at n = 2 the law is about
     # (0, 1, -1)/sqrt(2), which has a root at the origin
@@ -727,6 +755,10 @@ def test_payload_beyond_float32_fails_the_block(mode):
         compress(series, params)
     with pytest.raises(UnstableOverflow, match="payload coefficient beyond float32 range"):
         reference_codec.compress(series, params)
+    # a sweep measures the file, so it skips the point with the same text
+    report = sweep(series, (4,), (1,), 128)
+    assert report.rows == ()
+    assert report.skipped == ((4, 1, "UnstableOverflow: payload coefficient beyond float32 range"),)
 
 
 def test_tail_beyond_float32_fails_the_file():
@@ -852,10 +884,15 @@ def test_artifact_accepts_the_widest_header_fields():
         assert (back.params, back.sample_rate) == (params, rate)
 
 
-def test_compress_at_a_rate_the_header_cannot_store_raises_value_error():
-    series = TimeSeries(samples=np.sin(np.arange(64.0)), sample_rate=5e9)
-    with pytest.raises(ValueError, match="sample_rate 5000000000 does not fit its 32-bit"):
-        compress(series, CodecParams(order_n=2, block_size=16))
+@pytest.mark.parametrize("rate, message", [
+    (5e9, "sample_rate 5000000000 does not fit its 32-bit"),
+    (8000.4, "sample_rate 8000.4 is not a whole number of Hz"),
+], ids=["too-wide", "not-whole"])
+def test_compress_at_a_rate_the_header_cannot_store_raises_value_error(rate, message):
+    series = TimeSeries(samples=np.sin(np.arange(64.0)), sample_rate=rate)
+    for encode in (compress, reference_codec.compress):
+        with pytest.raises(ValueError, match=message):
+            encode(series, CodecParams(order_n=2, block_size=16))
 
 
 def _tiny_artifact(mode=AMPLITUDES):
