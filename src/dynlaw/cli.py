@@ -150,7 +150,12 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
         value=args.value,
     )
-    _write_bytes(args.output, write_wav(synthesize(spec)))
+    series = synthesize(spec)
+    peak = float(np.max(np.abs(series.samples)))
+    # write_wav clamps silently, for a lossy decode's overshoot; a synthesized signal may not clip
+    if not peak <= 1.0:
+        raise ValueError(f"signal peak {peak:g} is past WAV full scale 1; lower --amp or --value")
+    _write_bytes(args.output, write_wav(series))
     return 0
 
 

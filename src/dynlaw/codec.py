@@ -67,10 +67,11 @@ Version 2 follows with five sections, then the tail samples as f32:
                             coefficients, then each real root's
 
 Roots are per-sample (already mapped from the stride lattice) and in
-block order, each block's pairs before its real roots.  A block whose
-n roots are all in pairs takes 8n + 4 bytes, as in v1; one whose n
-roots are all real takes 8n + 4 bytes plus n sign bits; a block with
-fewer roots stores fewer payload values.
+block order: a block's columns are ``mode_basis``'s columns of its
+per-sample roots, with the pairs moved first.  A block whose n roots
+are all in pairs takes 8n + 4 bytes, as in v1; one whose n roots are
+all real takes 8n + 4 bytes plus n sign bits; a block with fewer roots
+stores fewer payload values.
 
 All stored reals are f32 and angles u32; compression rounds the law to
 what the file stores before fitting, so a decode of an in-memory
@@ -107,7 +108,7 @@ from .errors import (
     UnsupportedVersion,
     ZeroRoot,
 )
-from .fitting import _exponent_bases, _least_squares, _mode_bases
+from .fitting import _exponent_bases, _least_squares, _mode_bases, _mode_exponents
 from .lawforms import _degrees, _expand, _generate, _impulse_bases, _pairs, _roots
 from .signal_io import SynthSpec, synthesize
 # eigendecompose is unused here; perfbench's tracer test reads dynlaw.codec.eigendecompose
@@ -495,17 +496,13 @@ def _law_exponents(w: np.ndarray, stride: int):
     weights (blocks x (n + 1)), as a v2 file stores them, in the column
     layout of ``StoredExponents.columns``.
 
-    A block's lattice roots (``_roots``) are paired (``_pairs``); each
-    pair takes ln rho / stride and theta / stride of its lead root, with
-    0 < theta, and each real root q takes ln|q| / stride and angle pi
-    when q < 0, else 0: the principal stride-th root, with real roots
-    keeping their sign, as ``_per_sample_roots`` maps them.  Logs are
-    rounded to float32 and pair angles to the nearest multiple of
-    pi / 2^32 inside (0, pi), the values a v2 file stores.  Columns
-    hold the pairs first, a cosine and a sine column each, then the real
-    roots, each part in root order.  A law with no weight past lag 0
-    (``_degrees``) has no columns, and at stride > 1 a root at the
-    origin fails as ZeroRoot (``_zero_roots``).
+    The exponents of a block's lattice roots (``_roots``) are those of
+    ``_mode_exponents``, mapped to the principal stride-th root as
+    ``_per_sample_roots`` maps roots, then the pairs moved first in the
+    order of their lead roots.  Logs are rounded to float32 and pair
+    angles to the nearest multiple of pi / 2^32 inside (0, pi).  A law
+    with no weight past lag 0 (``_degrees``) has no columns, and at
+    stride > 1 a root at the origin fails as ZeroRoot (``_zero_roots``).
 
     Returns the layout (log_radius, angle, real, cosine), each
     (blocks x n) and empty in the rows of failed blocks, plus
@@ -523,27 +520,17 @@ def _law_exponents(w: np.ndarray, stride: int):
         if stride > 1:
             ok = fail.record(at, _zero_roots(q))
             at, q = at[ok], q[ok]
-        partner, lead, errors = _pairs(q)
-        ok = fail.record(at, errors)
-        at, q = at[ok], q[ok]
-        j = np.arange(d)
-        single = partner == j
-        # sources in column order: pair lead roots, real roots, then the rest
-        order = np.argsort(np.where(single, 1, np.where(lead, 0, 2)), axis=-1, kind="stable")
-        p = np.sum(lead & ~single, axis=-1, keepdims=True)
-        pair = j < 2 * p
-        rows = np.arange(len(q))[:, None]
-        z = q[rows, order[rows, np.where(pair, j // 2, j - p)]]
-        with np.errstate(divide="ignore"):  # a root at 0 gives -inf; its basis fails
-            # hypot rounds as abs() of one complex value; np.abs of a
-            # complex array can differ in the last bit
-            log_radius[at, :d] = (np.log(np.where(pair, np.hypot(z.real, z.imag),
-                                                  np.abs(z.real))) / stride).astype(np.float32)
-        code = np.clip(np.rint(np.arctan2(np.abs(z.imag), z.real) / stride / _ANGLE_UNIT),
-                       1, 2**32 - 1)
-        angle[at, :d] = np.where(pair, code * _ANGLE_UNIT, np.where(z.real < 0.0, np.pi, 0.0))
-        real[at, :d] = ~pair
-        cosine[at, :d] = pair & (j % 2 == 0)
+        (u, theta, single, cos), source, errors = _mode_exponents(q)
+        at = at[fail.record(at, errors)]
+        u, theta = u / stride, np.where(single, theta, theta / stride)
+        # pairs first, each at its lead root, then the real roots; a
+        # pair's cosine column stays before its sine column
+        order = np.arange(len(u))[:, None], np.argsort(source + d * single, axis=-1, kind="stable")
+        u, theta, single, cos = u[order], theta[order], single[order], cos[order]
+        code = np.clip(np.rint(theta / _ANGLE_UNIT), 1, 2**32 - 1)
+        log_radius[at, :d] = u.astype(np.float32)
+        angle[at, :d] = np.where(single, theta, code * _ANGLE_UNIT)
+        real[at, :d], cosine[at, :d] = single, cos
     return (log_radius, angle, real, cosine), fail.first
 
 
@@ -883,14 +870,14 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
 def rate_accuracy_slope(rows) -> float:
     """Least-squares slope of log A versus log R over the given rows.
 
-    Rows with R < 2 or A <= 0 are excluded; returns nan when fewer than
-    two usable points remain.
+    Rows with R < 2 or A <= 0 are excluded; returns nan, with no
+    warning, when the usable rows hold fewer than two distinct rates.
     """
     pts = [(np.log(r.R), np.log(r.A)) for r in rows if r.R >= 2.0 and r.A > 0.0]
-    if len(pts) < 2:
-        return float("nan")
     x = np.array([p[0] for p in pts])
     z = np.array([p[1] for p in pts])
+    if np.unique(x).size < 2:
+        return float("nan")
     x = x - x.mean()
     return float((x @ (z - z.mean())) / (x @ x))
 

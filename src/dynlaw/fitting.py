@@ -30,16 +30,18 @@ out of them.
 
 Every mode basis is built from the exponents of its roots, u = ln q
 (``_exponent_bases``): those of computed roots (``mode_basis``), or
-those a DLAW v2 file stores (``exponent_basis``).  A basis over N
-samples takes about 2 sqrt(N) exp, cos and sin evaluations per real
-root or conjugate pair, not N per column: sample k = a L + b
-(L = ceil(sqrt(N))) is the complex product of the powers z^(aL) and
-z^b of the root, which also yields a pair's sine column.  Each power
-takes the exact products k ln rho and k theta (a two-product carries
-the rounding error of each), so every column is within a few units in
-the last place of its peak of e^(-k ln rho) cos(theta k),
-e^(-k ln rho) sin(theta k) or q^-k in exact arithmetic, whatever N is,
-for the float64 exponents ln rho and theta.
+those a DLAW v2 file stores (``exponent_basis``), which its writer
+takes from the same rule (``_mode_exponents``): a v2 block's columns
+are ``mode_basis``'s columns of its per-sample roots, with the pairs
+moved first.  A basis over N samples takes about 2 sqrt(N) exp, cos
+and sin evaluations per real root or conjugate pair, not N per column:
+sample k = a L + b (L = ceil(sqrt(N))) is the complex product of the
+powers z^(aL) and z^b of the root, which also yields a pair's sine
+column.  Each power takes the exact products k ln rho and k theta (a
+two-product carries the rounding error of each), so every column is
+within a few units in the last place of its peak of
+e^(-k ln rho) cos(theta k), e^(-k ln rho) sin(theta k) or q^-k in exact
+arithmetic, whatever N is, for the float64 exponents ln rho and theta.
 """
 
 from __future__ import annotations
@@ -230,12 +232,19 @@ def exponent_basis(pair_exponents, real_exponents, count: int) -> np.ndarray:
 
 
 def _mode_bases(q: np.ndarray, count: int):
-    """``mode_basis`` of each root set of a stack (g, d): the bases
-    (d, count), one column per row, of the sets that pair up, laid out
-    by ``_columns``, plus ``{position: error}`` for the others.  Each column takes the
-    exponent of the root whose value it takes (``_exponent_bases``): a
-    pair's lead root rho e^(i theta) gives ln rho + i theta, a real root
-    q gives ln|q|, plus i pi when q < 0."""
+    """``mode_basis`` (d, count) of each root set of a stack (g, d) that
+    pairs up, one column per row, plus ``{position: error}``."""
+    columns, _, errors = _mode_exponents(q)
+    return _exponent_bases(*columns, count), errors
+
+
+def _mode_exponents(q: np.ndarray):
+    """The rule from roots to exponents u = ln q: the column layout
+    (log_radius, angle, real, cosine) of ``_exponent_bases`` and the
+    ``source`` root of each column (``_columns``), each (g, d), of the
+    root sets of a stack that pair up (``_pairs``), plus ``{position:
+    error}``.  A pair's lead root rho e^(i theta), 0 < theta < pi, gives
+    ln rho and theta; a real root q gives ln|q| and pi when q < 0, else 0."""
     partner, lead, errors = _pairs(q)
     q = q[survivors(len(q), errors)]
     source, real, cosine = _columns(partner, lead)
@@ -247,7 +256,7 @@ def _mode_bases(q: np.ndarray, count: int):
         # array can differ in the last bit
         log_radius = np.log(np.where(real, np.abs(z.real), np.hypot(z.real, z.imag)))
     angle = np.where(real, np.where(z.real < 0.0, np.pi, 0.0), np.angle(z))
-    return _exponent_bases(log_radius, angle, real, cosine, count), errors
+    return (log_radius, angle, real, cosine), source, errors
 
 
 def _exponent_bases(log_radius: np.ndarray, angle: np.ndarray, real: np.ndarray,

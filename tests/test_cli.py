@@ -305,6 +305,18 @@ def test_stdout_streaming(capsysbinary):
     np.testing.assert_allclose(series.samples, 0.5, atol=1.0 / 32768.0)
 
 
+def test_synth_refuses_a_signal_past_full_scale(tmp_path, capsys):
+    # two unit tones peak near 2, which a 16-bit WAV would clip to 1
+    out = tmp_path / "loud.wav"
+    assert run(["synth", "--kind", "multi_sine", "--length", "4096", "--rate", "8000",
+                "--freq", "440,1200", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: signal peak 1.98") and "--amp" in err
+    assert len(err.splitlines()) == 1 and not out.exists()
+    assert run(["synth", "--kind", "multi_sine", "--length", "4096", "--rate", "8000",
+                "--freq", "440,1200", "--amp", "0.5,0.4", "--output", str(out)]) == 0
+
+
 def test_aliased_tone_rejected(capsys):
     assert run(["synth", "--kind", "sine", "--length", "10",
                 "--rate", "8000", "--freq", "4000"]) == 2

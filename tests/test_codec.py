@@ -532,6 +532,29 @@ def test_a_block_whose_roots_do_not_pair_fails_alone(monkeypatch):
 
 
 @pytest.mark.parametrize("stride", [1, 2])
+def test_interleaved_pairs_are_stored_in_lead_root_order(stride, monkeypatch):
+    import types
+
+    import dynlaw.codec
+
+    # equal real parts sort two pairs' roots interleaved, x - ib, x - ia,
+    # x + ia, x + ib (a < b), which only the greedy pairing pairs; each
+    # pair leads with its later root, so pair a leads first though pair
+    # b opens first.  Companion roots never come out this exact, so the
+    # roots are planted
+    q = 0.5 + 1j * np.array([-0.6, -0.2, 0.2, 0.6])
+    monkeypatch.setattr(dynlaw.codec, "_roots", lambda w: (np.tile(q, (len(w), 1)), None, {}))
+    monkeypatch.setattr(reference_codec, "weights_to_roots", lambda w: types.SimpleNamespace(roots=q))
+    w = np.ones((1, 5))
+    (log_radius, angle, real, cosine), errors = dynlaw.codec._law_exponents(w, stride)
+    pair_u, real_u, _ = reference_codec.quantize_exponents(*reference_codec.law_exponents(w[0], stride))
+    assert not errors and not real.any() and real_u == []
+    assert angle[cosine].tolist() == [u.imag for u in pair_u]
+    assert log_radius[cosine].tolist() == [u.real for u in pair_u]
+    assert angle[0, 0] < angle[0, 2]  # pair a, nearer the real axis, first
+
+
+@pytest.mark.parametrize("stride", [1, 2])
 def test_v2_decode_finds_no_roots(stride, monkeypatch):
     import dynlaw.codec
     import dynlaw.fitting
@@ -544,7 +567,8 @@ def test_v2_decode_finds_no_roots(stride, monkeypatch):
         raise AssertionError("v2 decode must not find, pair or map roots")
 
     for module in (dynlaw.codec, dynlaw.lawforms, dynlaw.fitting):
-        for name in ("_roots", "_pairs", "_per_sample_roots", "_unit", "_mode_bases"):
+        for name in ("_roots", "_pairs", "_per_sample_roots", "_unit", "_mode_bases",
+                     "_mode_exponents"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
@@ -976,6 +1000,8 @@ def test_slope_helper_filters_and_fits():
     rows = [Row(np.exp(1), np.exp(-2)), Row(np.exp(2), np.exp(-4)), Row(1.0, 0.5)]
     assert abs(rate_accuracy_slope(rows) + 2.0) < 1e-12
     assert np.isnan(rate_accuracy_slope(rows[2:]))
+    # one rate twice: no slope, and no 0/0 warning
+    assert np.isnan(rate_accuracy_slope([rows[0], Row(np.exp(1), np.exp(-3)), rows[2]]))
 
 
 def test_codec_params_validation():
