@@ -46,7 +46,8 @@ def one_row(result: tuple) -> tuple:
 def survivors(count: int, errors: dict) -> np.ndarray:
     """Mask of the positions 0 .. count-1 that are not keys of ``errors``."""
     ok = np.ones(count, dtype=bool)
-    ok[list(errors)] = False
+    if errors:  # an empty fancy index costs more than the test
+        ok[list(errors)] = False
     return ok
 
 

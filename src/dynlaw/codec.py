@@ -17,14 +17,16 @@ this scheme is
 
 counting 2n stored reals per block against block_size original ones.
 
-``compress``, ``decompress`` and each ``sweep`` point make one pass over
-all blocks of a file: the windows of every block form one stacked
-array, and correlations, eigensolves, companion roots, bases and
-least-squares solves run as stacked numpy/LAPACK calls, grouped where
-blocks need different shapes (a trimmed degree, the zero law).  A
-block that fails drops out of the later stages with its first error
-kept (``_stack.Failures``), and the file raises the error of its
-lowest-index failed block, as a pass block by block would.  A block
+``compress`` and ``decompress`` make one pass over all blocks of a file,
+and ``sweep`` one pass per order over all blocks at every stride of the
+grid (a long file, one pass per stride): the windows of every block
+form one stacked array, and correlations, eigensolves, companion roots,
+bases and least-squares solves run as stacked numpy/LAPACK calls,
+grouped where blocks need different shapes (a trimmed degree, the zero
+law); only the correlations are taken stride by stride.  A block that
+fails drops out of the later stages with its first error kept
+(``_stack.Failures``), and the file, or the sweep point, raises the
+error of its lowest-index failed block, as a pass block by block would.  A block
 whose correlation leaves float range (a sample beyond about 1e154)
 fails with UnstableOverflow before any law is taken from it.
 
@@ -395,17 +397,17 @@ def _unit(weights32: np.ndarray) -> np.ndarray:
     return w / norms(w)[:, None]
 
 
-def _zero_roots(q: np.ndarray) -> dict:
+def _zero_roots(q: np.ndarray, far: np.ndarray) -> dict:
     """``{position: ZeroRoot}`` for the blocks of lattice roots q (g, d)
-    with a root at the origin, which has no fractional power: at
-    stride > 1 such a block has no per-sample roots."""
+    at stride > 1 (``far``, per block) with a root at the origin, which
+    has no fractional power: such a block has no per-sample roots."""
     return {int(i): ZeroRoot("cannot take a fractional power of a zero root")
-            for i in np.flatnonzero(np.any(np.abs(q) < 1e-300, axis=-1))}
+            for i in np.flatnonzero(far & np.any(np.abs(q) < 1e-300, axis=-1))}
 
 
-def _per_sample_roots(q: np.ndarray, stride: int):
+def _per_sample_roots(q: np.ndarray, stride: np.ndarray):
     """Map the lattice roots q of each block (g, d) to per-sample roots
-    q^{1/stride}.
+    q^{1/stride}, at each block's stride (g,), every one above 1.
 
     Principal branch for conjugate pairs (alias-free below the lattice
     Nyquist); real roots keep their sign, matching the odd-stride exact
@@ -414,19 +416,20 @@ def _per_sample_roots(q: np.ndarray, stride: int):
     """
     fail = Failures()
     pos = np.arange(len(q))
-    ok = fail.record(pos, _zero_roots(q))
-    pos, q = pos[ok], q[ok]
+    ok = fail.record(pos, _zero_roots(q, True))
+    pos, q, stride = pos[ok], q[ok], stride[ok]
     partner, lead, errors = _pairs(q)
-    q = q[fail.record(pos, errors)]
+    ok = fail.record(pos, errors)
+    q, stride = q[ok], np.broadcast_to(stride[ok, None], partner.shape)
     real = partner == np.arange(q.shape[1])
     p = np.empty_like(q)
     first = lead & ~real
-    p[first] = np.exp(np.log(q[first]) / stride)
+    p[first] = np.exp(np.log(q[first]) / stride[first])
     p[~lead] = np.conj(np.take_along_axis(p, partner, axis=-1)[~lead])
     x = q.real[real]
     # float_power rounds as C pow, like x ** y on one float; np.power on
     # an array can take a vector path that differs in the last bit
-    p[real] = np.sign(x) * np.float_power(np.abs(x), 1.0 / stride)
+    p[real] = np.sign(x) * np.float_power(np.abs(x), 1.0 / stride[real])
     return np.take_along_axis(p, np.lexsort((p.imag, p.real), axis=-1), axis=-1), fail.first
 
 
@@ -438,9 +441,10 @@ def _recursion_bases(w: np.ndarray, count: int):
                    if abs(w[pos, 0]) <= 1e-12 else exc for pos, exc in errors.items()}
 
 
-def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
+def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
     """Per-sample basis of each block from its law's float64 unit
-    weights (blocks x (n + 1)).
+    weights (blocks x (n + 1)) and its stride (one for all blocks, or
+    one per block), in amplitude mode (``modes``) or IC mode.
 
     Amplitude mode gives the modes of the per-sample roots
     (``mode_basis``), initial-condition mode the impulse responses of
@@ -455,7 +459,9 @@ def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
     a y = 0 law has no modes in amplitude mode, and in IC mode a direct
     block's basis is the stored law's own recursion, which for y = 0
     yields zeros after the seeds at any stride.  In IC mode a law with a
-    root at the origin fails as ZeroRoot (``_recursion_bases``).
+    root at the origin fails as ZeroRoot (``_recursion_bases``).  Only
+    the roots of blocks at stride > 1 are mapped (``_per_sample_roots``):
+    exp(ln q / 1) is not q to the last bit.
 
     Returns ``[(positions, bases)]``, one entry per group of blocks
     whose bases were built together (direct, or of one degree), plus
@@ -463,9 +469,9 @@ def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
     """
     fail = Failures()
     pos = np.arange(len(weights))
-    modes = params.fit_mode == AMPLITUDES
+    stride = np.full(len(weights), stride)
     # the degree of the roots each basis needs: none in IC mode at stride 1
-    degrees = _degrees(weights) if modes or params.stride > 1 else np.zeros(len(weights), int)
+    degrees = np.where(modes | (stride > 1), _degrees(weights), 0)
     direct = degrees < 1
     groups = []
     at = pos[direct]
@@ -478,9 +484,13 @@ def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
         at = pos[degrees == d]
         roots, _, errors = _roots(weights[at, : d + 1])
         at = at[fail.record(at, errors)]
-        if params.stride > 1:
-            roots, errors = _per_sample_roots(roots, params.stride)
-            at = at[fail.record(at, errors)]
+        far = np.flatnonzero(stride[at] > 1)
+        if far.size:
+            mapped, errors = _per_sample_roots(roots[far], stride[at[far]])
+            ok = np.ones(len(at), dtype=bool)
+            ok[far] = fail.record(at[far], errors)
+            roots[far[ok[far]]] = mapped
+            at, roots = at[ok], roots[ok]
         if modes:
             basis, errors = _mode_bases(roots, count)
         else:
@@ -491,10 +501,11 @@ def _block_bases(weights: np.ndarray, params: CodecParams, count: int):
     return groups, fail.first
 
 
-def _law_exponents(w: np.ndarray, stride: int):
+def _law_exponents(w: np.ndarray, stride):
     """Per-sample exponents of the law of each block, from its float64
-    weights (blocks x (n + 1)), as a v2 file stores them, in the column
-    layout of ``StoredExponents.columns``.
+    weights (blocks x (n + 1)) and its stride (one for all blocks, or one
+    per block), as a v2 file stores them, in the column layout of
+    ``StoredExponents.columns``.
 
     The exponents of a block's lattice roots (``_roots``) are those of
     ``_mode_exponents``, mapped to the principal stride-th root as
@@ -510,6 +521,7 @@ def _law_exponents(w: np.ndarray, stride: int):
     """
     fail = Failures()
     g, n = w.shape[0], w.shape[1] - 1
+    stride = np.full(g, stride)
     log_radius, angle = np.zeros((g, n)), np.zeros((g, n))
     real, cosine = np.zeros((g, n), dtype=bool), np.zeros((g, n), dtype=bool)
     degrees = _degrees(w)
@@ -517,12 +529,14 @@ def _law_exponents(w: np.ndarray, stride: int):
         at = np.flatnonzero(degrees == d)
         q, _, errors = _roots(w[at, : d + 1])
         at = at[fail.record(at, errors)]
-        if stride > 1:
-            ok = fail.record(at, _zero_roots(q))
+        far = stride[at] > 1
+        if far.any():
+            ok = fail.record(at, _zero_roots(q, far))
             at, q = at[ok], q[ok]
         (u, theta, single, cos), source, errors = _mode_exponents(q)
         at = at[fail.record(at, errors)]
-        u, theta = u / stride, np.where(single, theta, theta / stride)
+        s = stride[at, None]  # dividing by 1 leaves a stride-1 block's exponents as they are
+        u, theta = u / s, np.where(single, theta, theta / s)
         # pairs first, each at its lead root, then the real roots; a
         # pair's cosine column stays before its sine column
         order = np.arange(len(u))[:, None], np.argsort(source + d * single, axis=-1, kind="stable")
@@ -549,41 +563,54 @@ def _exponent_groups(columns, count: int, rows: np.ndarray):
     return groups
 
 
-def _encode(blocks: np.ndarray, params: CodecParams):
+def _encode(blocks: np.ndarray, params: CodecParams, strides=None):
     """Encode every block of a stack as a file of these params stores
     it: extract its law, round the law to what the file stores, fit the
     payload against exactly that law, and round the payload to float32.
 
+    The pass encodes the blocks at each stride of ``strides`` (default
+    ``params.stride`` alone) in place of ``params.stride``: its row
+    i * blocks + b is block b at ``strides[i]``.  Only the correlations
+    are taken stride by stride; every later stage runs once over all
+    rows, with the stride of each row.
+
     Returns (stored, eigenvalues, fits, failures): the stored laws of
-    the blocks that have one, in block order (the ``_law_exponents``
-    column layout when the file stores exponents, else float32 weights;
-    a palindromic law stays palindromic under the rounding); their
-    eigenvalues; ``[(blocks, bases, payload)]`` for the blocks fitted,
-    one entry per group of equal degree, the payload in float32; and
-    the per-block failure status.  A block whose payload leaves float32
-    range fails with UnstableOverflow.
+    the rows that have one, in row order (the ``_law_exponents`` column
+    layout when the file stores exponents, else float32 weights; a
+    palindromic law stays palindromic under the rounding); the
+    eigenvalue of each row's law (0 for a row with none);
+    ``[(rows, bases, payload)]`` for the rows fitted, one entry per group
+    of equal degree, the payload in float32; and the per-row failure
+    status.  A block whose payload leaves float32 range fails with
+    UnstableOverflow.
     """
+    strides = (params.stride,) if strides is None else strides
     fail = Failures()
     with np.errstate(over="ignore", invalid="ignore"):
-        c = _correlations(_delay_windows(blocks, params.order_n, params.stride))
+        c = np.concatenate([_correlations(_delay_windows(blocks, params.order_n, s))
+                            for s in strides])
+    stride = np.repeat(strides, len(blocks))
     # a finite (c + c^T) / 2 is exactly symmetric, so finiteness is all eigh needs
-    pos = np.arange(len(blocks))
+    pos = np.arange(len(c))
     pos = pos[fail.record(pos, {int(i): UnstableOverflow("correlation beyond float range")
                                 for i in np.flatnonzero(~np.all(np.isfinite(c), axis=(1, 2)))})]
     basis = _palindromic_basis(params.order_n) if params.symmetric else None
     laws, lam, errors = _laws(c[pos], basis)
     pos = pos[fail.record(pos, errors)]
+    eigenvalues = np.zeros(len(c))
+    eigenvalues[pos] = lam
+    modes = params.fit_mode == AMPLITUDES
     if _stores_exponents(params):
-        stored, errors = _law_exponents(laws, params.stride)
+        stored, errors = _law_exponents(laws, stride[pos])
         groups = _exponent_groups(stored, blocks.shape[1], np.flatnonzero(fail.record(pos, errors)))
     else:
         stored = laws.astype(np.float32)
-        groups, errors = _block_bases(_unit(stored), params, blocks.shape[1])
+        groups, errors = _block_bases(_unit(stored), stride[pos], modes, blocks.shape[1])
         fail.record(pos, errors)
     fits = []
     for at, basis in groups:
         rows = pos[at]
-        coef, errors = _least_squares(basis, blocks[rows], params.fit_mode == AMPLITUDES)
+        coef, errors = _least_squares(basis, blocks[rows % len(blocks)], modes)
         ok = fail.record(rows, errors)
         wide = ~_in_f32_range(coef, axis=-1)
         text = "payload coefficient beyond float32 range"
@@ -591,7 +618,7 @@ def _encode(blocks: np.ndarray, params: CodecParams):
         if not ok.all():  # indexing copies the basis
             rows, basis, coef = rows[ok], basis[ok], coef[~wide]
         fits.append((rows, basis, coef.astype(np.float32)))
-    return stored, lam, fits, fail
+    return stored, eigenvalues, fits, fail
 
 
 def _full_blocks(y: np.ndarray, block: int) -> np.ndarray:
@@ -646,7 +673,8 @@ def decompress(artifact: CompressionArtifact) -> TimeSeries:
     blocks = out[: block_count * block].reshape(block_count, block)
     fail = Failures()
     if artifact.exponents is None:
-        groups, errors = _block_bases(_unit(artifact.weights), params, block)
+        groups, errors = _block_bases(_unit(artifact.weights), params.stride,
+                                      params.fit_mode == AMPLITUDES, block)
         fail.record(np.arange(block_count), errors)
     else:
         groups = _exponent_groups(artifact.exponents.columns(params.order_n), block,
@@ -802,32 +830,51 @@ def _read_v2(data: bytes, params: CodecParams, rate: int, block_count: int, tail
                                tail=values[2 * p + r :], exponents=exponents)
 
 
-def _measure_point(blocks: np.ndarray, params: CodecParams) -> tuple[float, float]:
+# rows one sweep pass stacks: the strides of an order share a pass while
+# their rows fit.  Stacking pays while the fixed cost of each stage's
+# numpy calls dominates, as on a short clip, and stops paying past a few
+# hundred rows; a long file takes a pass per stride, so its peak memory
+# does not grow with the number of strides
+_ROW_BUDGET = 256
+
+
+def _measure(blocks: np.ndarray, energy: np.ndarray, params: CodecParams, strides) -> list:
     """Energy-weighted accuracy and mean smallest eigenvalue over the
-    full blocks of a series, all blocks at once.  Each block is encoded
-    as ``compress`` encodes it and generated from its float32 payload as
-    ``decompress`` generates it, so the accuracy is the decoded file's."""
-    with np.errstate(over="ignore"):  # inf beside a sample past ~1e154; _encode fails that block
-        energy = (blocks[:, None, :] @ blocks[:, :, None])[:, 0, 0]
+    full blocks of a series, of energy ``energy``, at each of
+    ``strides``, in one ``_encode`` pass over all of them.  Each block
+    is encoded as ``compress`` encodes it and generated from its float32
+    payload as ``decompress`` generates it, so the accuracy is the
+    decoded file's.
+
+    Returns per stride (A, lambda_min), or the error of its lowest-index
+    failed block; a failure at one stride leaves the others measured."""
     live = np.flatnonzero(energy != 0.0)  # a silent block's correlation matrix is zero
-    _, lam, fits, fail = _encode(blocks[live], params)
-    acc = np.empty(live.size)
+    _, lam, fits, fail = _encode(blocks[live], params, strides)
+    acc = np.empty(len(lam))
     for rows, basis, coef in fits:
         simulated, errors = _generate(basis, coef.astype(np.float64))
         rows = rows[fail.record(rows, errors)]
-        segment = blocks[live[rows]]
+        segment = blocks[live[rows % live.size]]
         with np.errstate(over="ignore", invalid="ignore"):  # a sample past ~1e154 no window saw
             acc[rows] = 1.0 - norms(segment - simulated) / norms(segment)
         fail.record(rows, {int(i): UnstableOverflow("block norm beyond float range")
                            for i in np.flatnonzero(~np.isfinite(acc[rows]))})
-    fail.raise_first()
-    if live.size == 0:
-        raise ValueError("every full block is identically zero")
+    failed = {}  # stride index: the error of its lowest-index failed block
+    for row in sorted(fail.first):
+        failed.setdefault(row // live.size, fail.first[row])
     lambdas = np.zeros(len(blocks))
-    lambdas[live] = lam
-    # block by block in order, as a running Python sum adds them
-    weighted = np.add.accumulate(energy[live] * acc)[-1]
-    return float(weighted / np.add.accumulate(energy[live])[-1]), float(np.mean(lambdas))
+    out = []
+    for i in range(len(strides)):
+        if i in failed:
+            out.append(failed[i])
+            continue
+        at = slice(i * live.size, (i + 1) * live.size)
+        lambdas[live] = lam[at]
+        # block by block in order, as a running Python sum adds them
+        weighted = np.add.accumulate(energy[live] * acc[at])[-1]
+        out.append((float(weighted / np.add.accumulate(energy[live])[-1]),
+                    float(np.mean(lambdas))))
+    return out
 
 
 def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
@@ -836,9 +883,12 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
 
     Each point encodes its blocks in amplitude mode as ``compress``
     does and measures the decoded file: the law and the float32 payload
-    the file stores.  Grid points ``CodecParams`` rejects and points
-    where a numerical step fails are recorded under ``skipped`` with the
-    error's text as the reason, instead of aborting the sweep.  Block
+    the file stores.  Each order is one pass over all of its strides,
+    unless the file is long: a pass stacks strides only while their rows
+    stay within a fixed budget.  Grid points ``CodecParams`` rejects and
+    points where a numerical step fails are recorded under ``skipped``
+    with the error's text as the reason, instead of aborting the sweep;
+    a failure at one stride leaves the other strides measured.  Block
     accuracies are averaged weighted by block energy, matching a
     concatenated-signal Euclidean accuracy when block errors are
     comparable.
@@ -846,24 +896,35 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
     blocks = _full_blocks(series.samples, block_size)
     if not series.samples.any():
         raise ValueError("sweep needs a nonzero signal")
+    with np.errstate(over="ignore"):  # inf beside a sample past ~1e154; _encode fails that block
+        energy = (blocks[:, None, :] @ blocks[:, :, None])[:, 0, 0]
+    per_pass = max(1, _ROW_BUDGET // max(np.count_nonzero(energy), 1))
     rows = []
     skipped = []
     for n in n_grid:
+        points = {}
         for s in stride_grid:
             try:
-                params = CodecParams(order_n=n, block_size=block_size, stride=s,
-                                     symmetric=symmetric)
+                points[s] = CodecParams(order_n=n, block_size=block_size, stride=s,
+                                        symmetric=symmetric)
             except ValueError as exc:
-                skipped.append((n, s, str(exc)))
-                continue
-            try:
-                acc, lam = _measure_point(blocks, params)
-            except NumericalError as exc:
-                skipped.append((n, s, f"{type(exc).__name__}: {exc}"))
-                continue
-            rows.append(
-                SweepRow(n=n, stride=s, R=params.rate, A=acc, lambda_min=lam)
-            )
+                points[s] = exc
+        feasible = [s for s, params in points.items() if isinstance(params, CodecParams)]
+        if feasible and not energy.any():
+            raise ValueError("every full block is identically zero")
+        measured = {}
+        for i in range(0, len(feasible), per_pass):
+            strides = feasible[i : i + per_pass]
+            measured.update(zip(strides, _measure(blocks, energy, points[strides[0]], strides)))
+        for s in stride_grid:
+            params, result = points[s], measured.get(s)
+            if isinstance(params, ValueError):
+                skipped.append((n, s, str(params)))
+            elif isinstance(result, NumericalError):
+                skipped.append((n, s, f"{type(result).__name__}: {result}"))
+            else:
+                rows.append(SweepRow(n=n, stride=s, R=params.rate, A=result[0],
+                                     lambda_min=result[1]))
     return SweepReport(rows=tuple(rows), skipped=tuple(skipped))
 
 

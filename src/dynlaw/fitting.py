@@ -205,10 +205,11 @@ def _columns(partner: np.ndarray, lead: np.ndarray):
     columns at the place of its earlier root, both from its lead root."""
     index = np.arange(partner.shape[-1])
     later = index > partner  # the later root of a pair
-    order = np.argsort(np.where(later, 2 * partner + 1, 2 * index), axis=-1)
-    source = np.take_along_axis(np.where(lead, index, partner), order, axis=-1)
-    real = np.take_along_axis(partner == index, order, axis=-1)
-    return source, real, ~real & ~np.take_along_axis(later, order, axis=-1)
+    # a row-indexed gather costs a fraction of np.take_along_axis
+    rows = np.arange(len(partner))[:, None]
+    order = rows, np.argsort(np.where(later, 2 * partner + 1, 2 * index), axis=-1)
+    real = (partner == index)[order]
+    return np.where(lead, index, partner)[order], real, ~real & ~later[order]
 
 
 def exponent_basis(pair_exponents, real_exponents, count: int) -> np.ndarray:
@@ -248,7 +249,7 @@ def _mode_exponents(q: np.ndarray):
     partner, lead, errors = _pairs(q)
     q = q[survivors(len(q), errors)]
     source, real, cosine = _columns(partner, lead)
-    z = np.take_along_axis(q, source, axis=-1)
+    z = q[np.arange(len(q))[:, None], source]
     # a root at the origin has log -inf; the basis is then not finite,
     # which callers test for and reject
     with np.errstate(divide="ignore"):
@@ -366,7 +367,7 @@ def _amplitudes_from_coefficients(q: np.ndarray, coef: np.ndarray) -> np.ndarray
     sine coefficients (a, b) give c = (a + i b)/2 on its positive-frequency
     root and the conjugate on the partner; a real root keeps its own."""
     partner, lead = one_row(_pairs(q[None]))
-    source, real, cosine = _columns(partner, lead)
+    source, real, cosine = (x[0] for x in _columns(partner[None], lead[None]))
     amplitudes = np.empty(q.size, dtype=np.complex128)
     amplitudes[source[real]] = coef[real]
     pair = np.flatnonzero(cosine)

@@ -645,6 +645,63 @@ def test_batched_codec_matches_block_by_block_reference(case):
         assert [(row.A, row.lambda_min) for row in report.rows] == [point]
 
 
+@settings(max_examples=100, deadline=None)
+@given(_codec_case(), st.lists(st.integers(1, 3), min_size=1, max_size=4), st.data())
+def test_multi_stride_sweep_matches_the_reference_point_by_point(case, strides, data):
+    # one pass measures every stride of an order; each point must come
+    # out as the block-by-block reference measures it alone, in grid
+    # order, duplicates and the infeasible stride included
+    series, params = case
+    n, block, symmetric = params.order_n, params.block_size, params.symmetric
+    if not series.samples[: series.samples.size // block * block].any():
+        return
+    grid = list(strides)
+    grid.insert(data.draw(st.integers(0, len(grid))), -(-block // n))  # stride * n >= block
+    report = sweep(series, (n,), grid, block, symmetric)
+    rows, skipped = iter(report.rows), iter(report.skipped)
+    for s in grid:
+        try:
+            point = CodecParams(order_n=n, block_size=block, stride=s, symmetric=symmetric)
+        except ValueError as exc:
+            assert next(skipped) == (n, s, str(exc))
+            continue
+        expected = _outcome(lambda: reference_codec.measure_point(series.samples, point))
+        if isinstance(expected[0], type):
+            assert next(skipped) == (n, s, f"{expected[0].__name__}: {expected[1]}")
+        else:
+            row = next(rows)
+            assert (row.stride, row.A, row.lambda_min) == (s, *expected)
+    assert next(rows, None) is None and next(skipped, None) is None
+
+
+def _zero_root_block(stride):
+    # a constant c but for the last sample the K windows at this stride
+    # see (n = 2, block 64), which is -(K - 1) c: the lag-0 correlations
+    # cancel exactly, so the law is (0, 1, -1)/sqrt(2), with a root at
+    # the origin, at this stride only
+    y = np.full(64, 1.0 / 64)
+    y[64 - stride] = -(64 // stride - 3) / 64
+    return TimeSeries(y, 8000.0)
+
+
+@pytest.mark.parametrize("grid", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("stride, text", [
+    (2, "ZeroRoot: cannot take a fractional power of a zero root"),
+    # a root at the origin has no mode at stride 1; the zero-root rule
+    # is for strides above 1 only
+    (1, "SingularNormalMatrix: mode basis overflowed; roots too far from the unit circle"),
+])
+def test_a_failed_stride_leaves_the_other_stride_of_its_pass_measured(stride, text, grid):
+    series = _zero_root_block(stride)
+    report = sweep(series, (2,), grid, 64)
+    assert report.skipped == ((2, stride, text),)
+    other = 3 - stride
+    alone = sweep(series, (2,), (other,), 64)
+    assert report.rows == alone.rows and len(alone.rows) == 1
+    assert (alone.rows[0].A, alone.rows[0].lambda_min) == reference_codec.measure_point(
+        series.samples, CodecParams(order_n=2, block_size=64, stride=other))
+
+
 def _ramp_tone(length=768):
     k = np.arange(length)
     return TimeSeries(np.round((k / length + 0.4 * np.sin(0.3 * k)) * 32767.0) / 32767.0, 8000.0)

@@ -1,5 +1,8 @@
 """Amplitude and initial-condition fits plus the accuracy metric."""
 
+import operator
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -317,6 +320,33 @@ def test_stacked_solve_isolates_failing_systems_and_retries_only_them():
     np.testing.assert_array_equal(lower, [np.eye(2), np.sqrt(2.0) * np.eye(2)])
 
 
+def _exact_least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of the rows of ``basis`` against ``y``,
+    solved in exact arithmetic and rounded once.  np.linalg.lstsq is no
+    oracle here: where y is nearly orthogonal to the basis, its own error
+    can exceed 1e-12 of the coefficients (1.8e-12 against 3e-13 for the
+    stacked fit at g=5, d=1, extra=43, seed=1)."""
+    # every float is an integer times a power of two: one shift makes all
+    # of them integers, and the normal equations keep their solution
+    ratios = [v.as_integer_ratio() for v in basis.ravel().tolist() + y.tolist()]
+    top = max(den.bit_length() for _, den in ratios)
+    ints = [num << (top - den.bit_length()) for num, den in ratios]
+    d, count = basis.shape
+    rows, target = [ints[i * count : (i + 1) * count] for i in range(d)], ints[d * count :]
+    system = [
+        [Fraction(sum(map(operator.mul, rows[i], other))) for other in rows + [target]]
+        for i in range(d)
+    ]
+    for k in range(d):
+        for i in range(k + 1, d):
+            f = system[i][k] / system[k][k]
+            system[i] = [u - f * v for u, v in zip(system[i], system[k])]
+    x = [Fraction(0)] * d
+    for k in reversed(range(d)):
+        x[k] = (system[k][d] - sum(system[k][j] * x[j] for j in range(k + 1, d))) / system[k][k]
+    return np.array([float(v) for v in x])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     g=st.integers(1, 6),
@@ -337,9 +367,10 @@ def test_stacked_fit_agrees_with_lstsq_and_with_one_row_fits(g, d, extra, seed):
     coef, errors = _least_squares(bases, ys, True)
     assert errors == {}
     for basis, y, got in zip(bases, ys, coef):
-        # lstsq is not invariant to column scale: it solves the unit-norm columns
+        # compared on unit-norm columns, where a solution's error is read
+        # against the fit's own size
         scale = np.linalg.norm(basis, axis=-1)
-        ref = np.linalg.lstsq((basis / scale[:, None]).T, y, rcond=None)[0]
+        ref = _exact_least_squares(basis, y) * scale
         np.testing.assert_allclose(got * scale, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
     for i in range(g):
         one, _ = _least_squares(bases[i : i + 1], ys[i : i + 1], True)
