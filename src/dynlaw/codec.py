@@ -854,15 +854,16 @@ def _measure(blocks: np.ndarray, energy: np.ndarray, params: CodecParams, stride
     for rows, basis, coef in fits:
         simulated, errors = _generate(basis, coef.astype(np.float64))
         rows = rows[fail.record(rows, errors)]
-        segment = blocks[live[rows % live.size]]
+        at = live[rows % live.size]
         with np.errstate(over="ignore", invalid="ignore"):  # a sample past ~1e154 no window saw
-            acc[rows] = 1.0 - norms(segment - simulated) / norms(segment)
+            acc[rows] = 1.0 - norms(blocks[at] - simulated) / np.sqrt(energy[at])
         fail.record(rows, {int(i): UnstableOverflow("block norm beyond float range")
                            for i in np.flatnonzero(~np.isfinite(acc[rows]))})
     failed = {}  # stride index: the error of its lowest-index failed block
     for row in sorted(fail.first):
         failed.setdefault(row // live.size, fail.first[row])
     lambdas = np.zeros(len(blocks))
+    total = np.add.accumulate(energy[live])[-1]
     out = []
     for i in range(len(strides)):
         if i in failed:
@@ -872,8 +873,7 @@ def _measure(blocks: np.ndarray, energy: np.ndarray, params: CodecParams, stride
         lambdas[live] = lam[at]
         # block by block in order, as a running Python sum adds them
         weighted = np.add.accumulate(energy[live] * acc[at])[-1]
-        out.append((float(weighted / np.add.accumulate(energy[live])[-1]),
-                    float(np.mean(lambdas))))
+        out.append((float(weighted / total), float(np.mean(lambdas))))
     return out
 
 

@@ -8,12 +8,12 @@ Two routes produce a reconstruction from the same law:
     output tracks the segment.  Its basis is the recursion's impulse
     responses, stepped for all n seeds at once (``impulse_basis``).
 
-Both minimize the residual 2-norm over the whole segment.  Normal
-equations are solved by Cholesky factorization on norm-scaled columns;
-a pivot below 1e-12 of the diagonal scale triggers one retry with a
-diagonal ridge of 1e-10 * trace, after which failure is final.  Column
-scaling is plain diagonal preconditioning, so the returned coefficients
-solve the raw normal equations.
+Both minimize the residual 2-norm over the whole segment.  The Cholesky
+factor of the normal equations on norm-scaled columns gates them, and one
+solve solves them; a pivot below 1e-12 of the diagonal scale triggers
+one retry with a diagonal ridge of 1e-10 * trace, after which failure is
+final.  Column scaling is plain diagonal preconditioning, so the
+returned coefficients solve the raw normal equations.
 
 A stack of blocks is fitted at once (``_least_squares``), the ridge
 retry only for the blocks whose first solve fails; the fits below call
@@ -101,7 +101,7 @@ def _samples_of(segment) -> np.ndarray:
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky solve of each system of a stack, (g, d, d) by (g, d).
+    """Each system of a stack, (g, d, d) by (g, d): Cholesky gates, one solve solves.
 
     Returns the solutions of the systems that pass, in order, and the
     mask of those: a system fails when Cholesky fails or a pivot falls
@@ -110,16 +110,13 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ok = survivors(len(gram), failed)
     ceiling = np.maximum(np.max(np.diagonal(gram[ok], axis1=-2, axis2=-1), axis=-1), 1e-300)
     pivots = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
-    kept = np.all(pivots > 1e-12 * ceiling[:, None], axis=-1)
-    ok[ok] = kept
-    lower = lower[kept]
-    x = np.linalg.solve(np.swapaxes(lower, -1, -2), np.linalg.solve(lower, rhs[ok][..., None]))
-    return x[..., 0], ok
+    ok[ok] = np.all(pivots > 1e-12 * ceiling[:, None], axis=-1)
+    return np.linalg.solve(gram[ok], rhs[ok][..., None])[..., 0], ok
 
 
 def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Coefficients minimizing ||y - basis @ coef||_2 by the scaled
-    Cholesky solve of the module docstring; raises SingularNormalMatrix
+    solve of the module docstring; raises SingularNormalMatrix
     when even the ridge retry fails."""
     return one_row(_least_squares(np.asarray(basis).T[None], np.asarray(y)[None]))[0]
 

@@ -100,7 +100,7 @@ class LinearLaw:
             raise ValueError("weights must be a vector of length n + 1 >= 2")
         if not abs(np.linalg.norm(w) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("weights must have unit norm")
-        if self.symmetric_flag and any(w[i] != w[w.size - 1 - i] for i in range(w.size)):
+        if self.symmetric_flag and not np.array_equal(w, w[::-1]):
             raise ValueError("symmetric law must be exactly palindromic")
 
     @property

@@ -198,6 +198,21 @@ def test_all_zero_block_decodes_to_zeros(mode, stride):
     assert accuracy(series.samples, from_file) > 0.999
 
 
+def test_v1_amplitude_block_with_no_lag_weight_decodes_to_zeros():
+    # a DLAW v1 file may store a non-symmetric amplitude-mode law as
+    # weights; (1, 0, 0) has no root, so its block has no mode to scale
+    w = np.array([1.0, -2.0 * np.cos(0.3), 1.0])
+    art = CompressionArtifact(params=CodecParams(order_n=2, block_size=64), sample_rate=8000,
+                              weights=[[1.0, 0.0, 0.0], w / np.linalg.norm(w)],
+                              payload=[[0.5, -0.25], [0.5, -0.25]])
+    back = deserialize(serialize(art))
+    assert back.version == 1
+    out = decompress(back).samples
+    assert np.all(out[:64] == 0.0)
+    assert out[64:].tobytes() == reference_codec.decompress(back)[64:].tobytes()
+    assert np.any(out[64:] != 0.0)
+
+
 def test_tail_ships_verbatim():
     series = two_tone(length=500)  # 3 blocks of 160 plus 20 spare samples
     art = compress(series, CodecParams(order_n=4, block_size=160))
@@ -928,6 +943,24 @@ def test_artifact_rejects_values_a_file_cannot_store(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite and within float32 range"):
         CompressionArtifact(params=CodecParams(order_n=1, block_size=8), sample_rate=8000,
                             **arrays)
+
+
+def test_artifact_rejects_arrays_of_the_wrong_layout():
+    params = CodecParams(order_n=2, block_size=8)
+    law, payload = [[0.6, 0.0, 0.8]], [[1.0, 2.0]]
+    exponents = StoredExponents(pairs=[1], reals=[0], log_radius=[0.0], angle=[5],
+                                log_magnitude=[], negative=[])
+    for arrays, reason in (
+        (dict(weights=[[0.6, 0.8]], payload=payload), "n \\+ 1 values per block"),
+        (dict(weights=law, payload=payload, exponents=exponents), "as weights or as exponents"),
+        (dict(weights=law, payload=[[1.0, 2.0, 3.0]]), "n values per block"),
+        (dict(weights=law, payload=[[1.0, 2.0]] * 2), "n values per block"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            CompressionArtifact(params=params, sample_rate=8000, **arrays)
+    with pytest.raises(ValueError, match="exact palindromes"):
+        CompressionArtifact(params=dataclasses.replace(params, symmetric=True), sample_rate=8000,
+                            weights=law, payload=payload)
 
 
 @pytest.mark.parametrize("rate", [8000.5, 8000.25, np.float32(44100.5), np.nan])

@@ -260,6 +260,15 @@ def test_law_rejects_non_finite_weights(bad):
         LinearLaw(weights=np.array([np.sqrt(0.5), np.sqrt(0.5), bad]), eigenvalue=0.0)
 
 
+def test_symmetric_law_rejects_weights_that_are_not_palindromes():
+    a = np.sqrt(0.5)
+    for w in ([0.6, 0.0, 0.8], [a, 0.0, np.nextafter(a, 1.0)]):
+        with pytest.raises(ValueError, match="exactly palindromic"):
+            LinearLaw(weights=np.array(w), eigenvalue=0.0, symmetric_flag=True)
+    # entries compare as floats compare: -0.0 == 0.0
+    LinearLaw(weights=np.array([-0.0, 1.0, 0.0]), eigenvalue=0.0, symmetric_flag=True)
+
+
 def test_law_residuals_direct_product():
     ds = embed(TimeSeries([1.0, 1.0]), EmbeddingConfig(n=1))
     law = LinearLaw(weights=np.array([1.0, 1.0]) / np.sqrt(2.0), eigenvalue=2.0)
