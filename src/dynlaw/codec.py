@@ -26,9 +26,9 @@ grouped where blocks need different shapes (a trimmed degree, the zero
 law); only the correlations are taken stride by stride.  A block that
 fails drops out of the later stages with its first error kept
 (``_stack.Failures``), and the file, or the sweep point, raises the
-error of its lowest-index failed block, as a pass block by block would.  A block
-whose correlation leaves float range (a sample beyond about 1e154)
-fails with UnstableOverflow before any law is taken from it.
+error of its lowest-index failed block, as a pass block by block
+would.  A block whose correlation leaves float range (a sample beyond
+about 1e154) fails with UnstableOverflow before it yields a law.
 
 Binary layout (DLAW, little-endian).  Both versions share the header::
 
@@ -83,8 +83,9 @@ Laws extracted at stride s > 1 live on a coarse lattice.  For full-rate
 reconstruction their roots are mapped to per-sample roots via the
 principal s-th root, ln q / s, which assumes the content sits below the
 lattice Nyquist frequency, sample_rate / (2 s); negative real roots
-keep their sign.  A v2 decoder builds each basis straight from the
-stored exponents; a v1 decoder finds the roots of the stored weights.
+keep their sign, and a root at the origin fails its block as ZeroRoot.
+A v2 decoder builds each basis straight from the stored exponents; a v1
+decoder finds the roots of the stored weights and maps each on its own.
 Measurement (sweep / random_baseline) runs the encode of ``compress``
 in amplitude mode and generates each block from its float32 payload:
 a sweep row's accuracy is that of its decoded file (v2, or v1 when
@@ -111,7 +112,7 @@ from .errors import (
     ZeroRoot,
 )
 from .fitting import _exponent_bases, _least_squares, _mode_bases, _mode_exponents
-from .lawforms import _degrees, _expand, _generate, _impulse_bases, _pairs, _roots
+from .lawforms import _degrees, _expand, _generate, _impulse_bases, _pair_limit, _roots
 from .signal_io import SynthSpec, synthesize
 # eigendecompose is unused here; perfbench's tracer test reads dynlaw.codec.eigendecompose
 from .spectral import _correlations, _laws, _palindromic_basis, eigendecompose  # noqa: F401
@@ -397,40 +398,45 @@ def _unit(weights32: np.ndarray) -> np.ndarray:
     return w / norms(w)[:, None]
 
 
-def _zero_roots(q: np.ndarray, far: np.ndarray) -> dict:
-    """``{position: ZeroRoot}`` for the blocks of lattice roots q (g, d)
-    at stride > 1 (``far``, per block) with a root at the origin, which
-    has no fractional power: such a block has no per-sample roots."""
-    return {int(i): ZeroRoot("cannot take a fractional power of a zero root")
-            for i in np.flatnonzero(far & np.any(np.abs(q) < 1e-300, axis=-1))}
+def _root_groups(w: np.ndarray, degrees: np.ndarray, stride: np.ndarray, fail: Failures):
+    """The lattice roots (``_roots``) of the laws of a stack (blocks x
+    (n + 1)) as ``(d, rows, roots)``, one group per degree d >= 1 of
+    ``degrees``.  At stride > 1 (per block) a root at the origin, which
+    has no fractional power, fails its block as ZeroRoot; failures go to
+    ``fail`` by block index."""
+    for d in np.unique(degrees[degrees > 0]).tolist():
+        at = np.flatnonzero(degrees == d)
+        q, _, errors = _roots(w[at, : d + 1])
+        at = at[fail.record(at, errors)]
+        far = stride[at] > 1
+        if far.any():
+            zero = far & np.any(np.abs(q) < 1e-300, axis=-1)
+            ok = fail.record(at, {int(i): ZeroRoot("cannot take a fractional power of a zero root")
+                                  for i in np.flatnonzero(zero)})
+            at, q = at[ok], q[ok]
+        yield d, at, q
 
 
-def _per_sample_roots(q: np.ndarray, stride: np.ndarray):
-    """Map the lattice roots q of each block (g, d) to per-sample roots
-    q^{1/stride}, at each block's stride (g,), every one above 1.
+def _per_sample_roots(q: np.ndarray, stride: np.ndarray) -> np.ndarray:
+    """Map the lattice roots q of each block (g, d), none at the origin,
+    to per-sample roots q^{1/stride}, at each block's stride (g,), every
+    one above 1, each root on its own; sorted by (real, imag).
 
-    Principal branch for conjugate pairs (alias-free below the lattice
-    Nyquist); real roots keep their sign, matching the odd-stride exact
-    root and documented as the convention otherwise.  Returns the
-    sorted roots of the blocks that map, plus ``{position: error}``.
+    A near-real root (``_pair_limit``) keeps its sign, matching the
+    odd-stride exact root and documented as the convention otherwise.
+    Any other takes the principal branch, exp(ln q / stride), alias-free
+    below the lattice Nyquist, which maps an exact conjugate pair, as
+    companion roots come, to an exact conjugate pair.
     """
-    fail = Failures()
-    pos = np.arange(len(q))
-    ok = fail.record(pos, _zero_roots(q, True))
-    pos, q, stride = pos[ok], q[ok], stride[ok]
-    partner, lead, errors = _pairs(q)
-    ok = fail.record(pos, errors)
-    q, stride = q[ok], np.broadcast_to(stride[ok, None], partner.shape)
-    real = partner == np.arange(q.shape[1])
+    s = np.broadcast_to(stride[:, None], q.shape)
+    real = np.abs(q.imag) <= _pair_limit(q)
     p = np.empty_like(q)
-    first = lead & ~real
-    p[first] = np.exp(np.log(q[first]) / stride[first])
-    p[~lead] = np.conj(np.take_along_axis(p, partner, axis=-1)[~lead])
+    p[~real] = np.exp(np.log(q[~real]) / s[~real])
     x = q.real[real]
     # float_power rounds as C pow, like x ** y on one float; np.power on
     # an array can take a vector path that differs in the last bit
-    p[real] = np.sign(x) * np.float_power(np.abs(x), 1.0 / stride[real])
-    return np.take_along_axis(p, np.lexsort((p.imag, p.real), axis=-1), axis=-1), fail.first
+    p[real] = np.sign(x) * np.float_power(np.abs(x), 1.0 / s[real])
+    return np.take_along_axis(p, np.lexsort((p.imag, p.real), axis=-1), axis=-1)
 
 
 def _recursion_bases(w: np.ndarray, count: int):
@@ -459,9 +465,10 @@ def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
     a y = 0 law has no modes in amplitude mode, and in IC mode a direct
     block's basis is the stored law's own recursion, which for y = 0
     yields zeros after the seeds at any stride.  In IC mode a law with a
-    root at the origin fails as ZeroRoot (``_recursion_bases``).  Only
-    the roots of blocks at stride > 1 are mapped (``_per_sample_roots``):
-    exp(ln q / 1) is not q to the last bit.
+    root at the origin fails as ZeroRoot (``_recursion_bases``).  The
+    other blocks take their lattice roots from ``_root_groups``; only
+    those at stride > 1 are mapped (``_per_sample_roots``): exp(ln q / 1)
+    is not q to the last bit.
 
     Returns ``[(positions, bases)]``, one entry per group of blocks
     whose bases were built together (direct, or of one degree), plus
@@ -480,23 +487,16 @@ def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
     elif at.size:
         basis, errors = _recursion_bases(weights[at], count)
         groups.append((at[fail.record(at, errors)], basis))
-    for d in np.unique(degrees[~direct]).tolist():
-        at = pos[degrees == d]
-        roots, _, errors = _roots(weights[at, : d + 1])
-        at = at[fail.record(at, errors)]
-        far = np.flatnonzero(stride[at] > 1)
-        if far.size:
-            mapped, errors = _per_sample_roots(roots[far], stride[at[far]])
-            ok = np.ones(len(at), dtype=bool)
-            ok[far] = fail.record(at[far], errors)
-            roots[far[ok[far]]] = mapped
-            at, roots = at[ok], roots[ok]
+    for _, at, roots in _root_groups(weights, degrees, stride, fail):
+        far = stride[at] > 1
+        if far.any():
+            roots[far] = _per_sample_roots(roots[far], stride[at[far]])
         if modes:
             basis, errors = _mode_bases(roots, count)
         else:
             w, errors = _expand(roots, 1.0)
             at = at[fail.record(at, errors)]
-            basis, errors = _recursion_bases(w / norms(w)[:, None], count)
+            basis, errors = _recursion_bases(_unit(w), count)
         groups.append((at[fail.record(at, errors)], basis))
     return groups, fail.first
 
@@ -507,13 +507,13 @@ def _law_exponents(w: np.ndarray, stride):
     per block), as a v2 file stores them, in the column layout of
     ``StoredExponents.columns``.
 
-    The exponents of a block's lattice roots (``_roots``) are those of
-    ``_mode_exponents``, mapped to the principal stride-th root as
-    ``_per_sample_roots`` maps roots, then the pairs moved first in the
-    order of their lead roots.  Logs are rounded to float32 and pair
+    The exponents of a block's lattice roots (``_root_groups``) are
+    those of ``_mode_exponents``, mapped to the principal stride-th root
+    as ``_per_sample_roots`` maps roots, then the pairs moved first in
+    the order of their lead roots.  Logs are rounded to float32 and pair
     angles to the nearest multiple of pi / 2^32 inside (0, pi).  A law
     with no weight past lag 0 (``_degrees``) has no columns, and at
-    stride > 1 a root at the origin fails as ZeroRoot (``_zero_roots``).
+    stride > 1 a root at the origin fails as ZeroRoot.
 
     Returns the layout (log_radius, angle, real, cosine), each
     (blocks x n) and empty in the rows of failed blocks, plus
@@ -524,15 +524,7 @@ def _law_exponents(w: np.ndarray, stride):
     stride = np.full(g, stride)
     log_radius, angle = np.zeros((g, n)), np.zeros((g, n))
     real, cosine = np.zeros((g, n), dtype=bool), np.zeros((g, n), dtype=bool)
-    degrees = _degrees(w)
-    for d in np.unique(degrees[degrees > 0]).tolist():
-        at = np.flatnonzero(degrees == d)
-        q, _, errors = _roots(w[at, : d + 1])
-        at = at[fail.record(at, errors)]
-        far = stride[at] > 1
-        if far.any():
-            ok = fail.record(at, _zero_roots(q, far))
-            at, q = at[ok], q[ok]
+    for d, at, q in _root_groups(w, _degrees(w), stride, fail):
         (u, theta, single, cos), source, errors = _mode_exponents(q)
         at = at[fail.record(at, errors)]
         s = stride[at, None]  # dividing by 1 leaves a stride-1 block's exponents as they are
@@ -723,13 +715,15 @@ def serialize(artifact: CompressionArtifact) -> bytes:
 
 
 def deserialize(data: bytes) -> CompressionArtifact:
-    """Decode and validate a DLAW byte string, version 1 or 2.
+    """Decode a DLAW byte string, version 1 or 2.
 
-    The header must describe a valid ``CodecParams`` and pass the header
-    check of ``CompressionArtifact``; the ValueError they raise becomes
-    InvariantViolation.  A v2 file must be in amplitude mode and not
-    symmetric.  Raises BadMagic / UnsupportedVersion / TruncatedPayload /
-    InvariantViolation as appropriate; all of them are CorruptArtifact.
+    The reader checks the layout: magic, version, flag bits, reserved
+    field, lengths, a v2 file's root counts and sign-bit padding, and a
+    v1 file's unit weight norm.  ``CodecParams``, ``StoredExponents`` and
+    ``CompressionArtifact`` validate the values (a v2 file must be in
+    amplitude mode and not symmetric); their ValueError becomes
+    InvariantViolation.  Raises BadMagic / UnsupportedVersion /
+    TruncatedPayload / InvariantViolation; all are CorruptArtifact.
     """
     if data[:4] != _MAGIC:
         raise BadMagic("missing DLAW signature")
@@ -742,8 +736,6 @@ def deserialize(data: bytes) -> CompressionArtifact:
         raise UnsupportedVersion(f"version {version}; this reader handles 1 and 2")
     if flags & ~0b11:
         raise InvariantViolation(f"unknown flag bits 0x{flags:04x}")
-    if version == 2 and flags:
-        raise InvariantViolation("a v2 file stores amplitude-mode laws that are not symmetric")
     if reserved != 0:
         raise InvariantViolation("reserved header field must be zero")
     symmetric = bool(flags & 1)
@@ -767,29 +759,23 @@ def _check_length(data: bytes, expected: int) -> None:
         raise InvariantViolation(f"{len(data) - expected} trailing bytes")
 
 
-def _f32s(data: bytes, offset: int, count: int) -> np.ndarray:
-    """``count`` finite little-endian float32 values at ``offset``."""
-    values = np.frombuffer(data, dtype="<f4", count=count, offset=offset).astype(np.float32)
-    if not np.all(np.isfinite(values)):
-        raise InvariantViolation("non-finite stored values")
-    return values
-
-
 def _read_v1(data: bytes, params: CodecParams, rate: int, block_count: int, tail_len: int):
     n, symmetric = params.order_n, params.symmetric
     count = _stored_weight_count(n, symmetric)
     _check_length(data, _HEADER_SIZE + 4 * (block_count * (count + n) + tail_len))
-    values = _f32s(data, _HEADER_SIZE, block_count * (count + n) + tail_len)
+    values = np.frombuffer(data, dtype="<f4", offset=_HEADER_SIZE)
     rows = values[: block_count * (count + n)].reshape(block_count, count + n)
     weights = rows[:, :count]
     if symmetric:
         lags = np.arange(n + 1)
         weights = weights[:, np.minimum(lags, n - lags)]
-    off = np.abs(np.linalg.norm(weights.astype(np.float64), axis=1) - 1.0)
+    artifact = CompressionArtifact(params=params, sample_rate=rate, weights=weights,
+                                   payload=rows[:, count:],
+                                   tail=values[block_count * (count + n) :])
+    off = np.abs(np.linalg.norm(artifact.weights.astype(np.float64), axis=1) - 1.0)
     if np.any(off > 1e-3):
         raise InvariantViolation(f"stored weights have a norm off 1 by {off.max():.6f}")
-    return CompressionArtifact(params=params, sample_rate=rate, weights=weights,
-                               payload=rows[:, count:], tail=values[block_count * (count + n) :])
+    return artifact
 
 
 def _read_v2(data: bytes, params: CodecParams, rate: int, block_count: int, tail_len: int):
@@ -806,23 +792,17 @@ def _read_v2(data: bytes, params: CodecParams, rate: int, block_count: int, tail
     sections = (8 * p, 4 * r, 4 * words, 4 * (2 * p + r), 4 * tail_len)
     _check_length(data, offset + sum(sections))
     pair_words = np.frombuffer(data, dtype="<u4", count=2 * p, offset=offset).reshape(p, 2)
-    log_radius = pair_words[:, 0].view("<f4").astype(np.float32)
-    angle = pair_words[:, 1].astype(np.uint32)
-    if not np.all(np.isfinite(log_radius)):
-        raise InvariantViolation("non-finite stored values")
-    if np.any(angle == 0):
-        raise InvariantViolation("a pair angle lies outside (0, pi)")
     offset += sections[0]
-    log_magnitude = _f32s(data, offset, r)
+    log_magnitude = np.frombuffer(data, dtype="<f4", count=r, offset=offset)
     offset += sections[1]
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=4 * words, offset=offset),
                          bitorder="little")
     if np.any(bits[r:]):
         raise InvariantViolation("sign bits past the last real root must be zero")
     offset += sections[2]
-    values = _f32s(data, offset, 2 * p + r + tail_len)
-    exponents = StoredExponents(pairs=pairs, reals=reals, log_radius=log_radius,
-                                angle=angle, log_magnitude=log_magnitude,
+    values = np.frombuffer(data, dtype="<f4", offset=offset)
+    exponents = StoredExponents(pairs=pairs, reals=reals, log_radius=pair_words[:, 0].view("<f4"),
+                                angle=pair_words[:, 1], log_magnitude=log_magnitude,
                                 negative=bits[:r].astype(bool))
     payload = np.zeros((block_count, params.order_n), dtype=np.float32)
     payload[np.arange(params.order_n) < exponents.degrees[:, None]] = values[: 2 * p + r]

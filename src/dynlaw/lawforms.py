@@ -246,7 +246,8 @@ def conjugate_pairs(roots) -> tuple[list[tuple[int, int]], list[int]]:
 def _pairs(q: np.ndarray):
     """Conjugate pairing of each root set of a stack (g, d).
 
-    Root i is near-real when |Im q_i| <= _PAIR_TOL * (1 + |q_i|).  In index
+    Root i is near-real when |Im q_i| <= _PAIR_TOL * (1 + |q_i|)
+    (``_pair_limit``, which the codec's stride map shares).  In index
     order, each root not yet taken as a partner that is not near-real
     takes the nearest later such root (near-real or not) to its
     conjugate, the first one on ties, which must lie within that same
@@ -264,9 +265,7 @@ def _pairs(q: np.ndarray):
     other sets take the loop over root index (``_greedy_pairs``).
     """
     g, d = q.shape
-    # hypot rounds as abs() of one complex value; np.abs of a complex
-    # array can differ in the last bit
-    limit = _PAIR_TOL * (1.0 + np.hypot(q.real, q.imag))
+    limit = _pair_limit(q)
     real = np.abs(q.imag) <= limit
     index = np.arange(d)
     # in a run of non-real roots the rule pairs them in order, so the
@@ -288,6 +287,14 @@ def _pairs(q: np.ndarray):
         errors = {int(slow[pos]): exc for pos, exc in errors.items()}
     ok = survivors(g, errors)
     return partner[ok], lead[ok], errors
+
+
+def _pair_limit(q: np.ndarray) -> np.ndarray:
+    """The pairing tolerance _PAIR_TOL * (1 + |q|) of each root: a root
+    whose imaginary part lies within it is near-real (``_pairs``)."""
+    # hypot rounds as abs() of one complex value; np.abs of a complex
+    # array can differ in the last bit
+    return _PAIR_TOL * (1.0 + np.hypot(q.real, q.imag))
 
 
 def _greedy_pairs(q: np.ndarray, limit: np.ndarray, real: np.ndarray):

@@ -82,6 +82,15 @@ def test_extract_csv_cells_are_plain_numbers(tmp_path):
     assert kinds == {"weight", "recursion", "root", "exponent"}
 
 
+def test_extract_symmetric_reports_a_palindromic_law(tmp_path):
+    wav = synth_sine(tmp_path)
+    out = tmp_path / "law.json"
+    assert run(["extract", "--input", str(wav), "--n", "4", "--symmetric",
+                "--output", str(out)]) == 0
+    w = json.loads(out.read_text())["weights"]
+    assert len(w) == 5 and w == w[::-1]
+
+
 def test_spectrum_lists_ascending_eigenvalues(tmp_path):
     wav = synth_sine(tmp_path)
     out = tmp_path / "spec.csv"
@@ -93,6 +102,10 @@ def test_spectrum_lists_ascending_eigenvalues(tmp_path):
     assert len(values) == 3
     assert values == sorted(values)
     assert values[0] < 1e-8 < values[-1]
+    out = tmp_path / "spec.json"
+    assert run(["spectrum", "--input", str(wav), "--n", "2", "--format", "json",
+                "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["eigenvalues"] == values
 
 
 def test_compress_decompress_round_trip(tmp_path):

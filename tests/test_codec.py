@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynlaw.codec import (
@@ -465,14 +465,14 @@ def test_v2_reader_rejects_a_non_finite_log(value):
     data = _v2_file(1)
     at, _, _, _ = _v2_sections(data)
     for offset in (at["pairs"], at["reals"]):  # a pair's ln rho, a real root's ln|q|
-        with pytest.raises(InvariantViolation, match="non-finite"):
+        with pytest.raises(InvariantViolation, match="must be finite"):
             deserialize(_patched(data, offset, "<f", value))
 
 
 def test_v2_reader_rejects_a_pair_angle_outside_the_open_interval():
     data = _v2_file(1)
     at, _, _, _ = _v2_sections(data)
-    with pytest.raises(InvariantViolation, match=r"outside \(0, pi\)"):
+    with pytest.raises(InvariantViolation, match="pair angles must be whole numbers in 1 "):
         deserialize(_patched(data, at["pairs"] + 4, "<I", 0))
     # the largest code is still inside: theta = pi (1 - 2^-32)
     deserialize(_patched(data, at["pairs"] + 4, "<I", 2**32 - 1))
@@ -498,7 +498,7 @@ def test_v2_reader_rejects_truncated_rows_and_stray_bits():
     assert r < 32  # so the last bit of the sign word pads
     with pytest.raises(InvariantViolation, match="sign bits past the last real root"):
         deserialize(_patched(data, at["signs"] + 3, "<B", 0x80))
-    with pytest.raises(InvariantViolation, match="v2 file"):
+    with pytest.raises(InvariantViolation, match="not symmetric store exponents"):
         deserialize(_patched(data, 6, "<H", 1))  # the symmetric flag
 
 
@@ -509,7 +509,8 @@ def test_v2_artifact_rejects_exponents_a_file_cannot_store():
                         exponents=StoredExponents(**good))
     for field, value, reason in (("angle", [0], "pair angles"), ("angle", [2**32], "pair angles"),
                                  ("log_radius", [np.nan], "finite"), ("reals", [-1], "counts"),
-                                 ("log_radius", [], "one value per pair")):
+                                 ("log_radius", [], "one value per pair"),
+                                 ("reals", [0, 0], "one count per block")):
         with pytest.raises(ValueError, match=reason):
             StoredExponents(**{**good, field: value})
     too_many = StoredExponents(**{**good, "reals": [1], "log_magnitude": [0.0], "negative": [True]})
@@ -567,6 +568,39 @@ def test_interleaved_pairs_are_stored_in_lead_root_order(stride, monkeypatch):
     assert angle[cosine].tolist() == [u.imag for u in pair_u]
     assert log_radius[cosine].tolist() == [u.real for u in pair_u]
     assert angle[0, 0] < angle[0, 2]  # pair a, nearer the real axis, first
+
+
+_LOG10 = st.floats(-3.0, 3.0)  # a root magnitude 10^x, 1e-3 .. 1e3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_LOG10, st.floats(1e-4, np.pi - 1e-4)), max_size=3),
+    reals=st.lists(st.tuples(_LOG10, st.booleans()), max_size=3),
+    # exact conjugates whose imaginary part is within the pairing
+    # tolerance, so both roots count as real
+    near=st.lists(st.tuples(_LOG10, st.booleans(), st.floats(0.0, 0.99)), max_size=2),
+    strides=st.lists(st.integers(2, 7), min_size=1, max_size=4),
+)
+def test_per_sample_roots_match_the_paired_reference(pairs, reals, near, strides):
+    # the codec maps each root on its own; the reference pairs the roots
+    # first and maps each pair's lead root, its partner taking the conjugate
+    from dynlaw.codec import _per_sample_roots
+    from dynlaw.lawforms import _PAIR_TOL
+
+    q = [10.0 ** e * np.exp(1j * theta) for e, theta in pairs]
+    q += [np.conj(z) for z in q]
+    q += [complex(-(10.0 ** e) if negative else 10.0 ** e) for e, negative in reals]
+    for e, negative, frac in near:
+        x = -(10.0 ** e) if negative else 10.0 ** e
+        z = complex(x, frac * _PAIR_TOL * (1.0 + abs(x)))
+        q += [z, np.conj(z)]
+    assume(q)
+    q = np.array(q)
+    q = q[np.lexsort((q.imag, q.real))]
+    got = _per_sample_roots(np.tile(q, (len(strides), 1)), np.array(strides))
+    for row, stride in zip(got, strides):
+        assert row.tobytes() == reference_codec.per_sample_roots(q, stride).tobytes()
 
 
 @pytest.mark.parametrize("stride", [1, 2])

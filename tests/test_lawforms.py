@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynlaw import lawforms
-from dynlaw.errors import NonRealCoefficients, UnstableOverflow, ZeroRoot
+from dynlaw.errors import NonRealCoefficients, RootFindingDiverged, UnstableOverflow, ZeroRoot
 from dynlaw.lawforms import (
     _pairs,
     ContinuousModel,
@@ -98,6 +98,16 @@ def test_huge_roots_pass_the_residual_gate():
         expected = expected[np.lexsort((expected.imag, expected.real))]
         np.testing.assert_allclose(rs.roots, expected, rtol=1e-12, atol=0)
         assert np.isfinite(rs.residual_bound)
+
+
+def test_roots_off_by_a_relative_1e_6_fail_the_residual_gate(monkeypatch):
+    # roots 2 and 3 of x^2 - 5x + 6, inside and outside the unit circle
+    # alike, moved by 1e-6 of their size leave residuals near 1e-6 scale
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eigvals(a) * (1.0 + 1e-6))
+    for w in ([6.0, -5.0, 1.0], [1.0, -5.0, 6.0]):
+        with pytest.raises(RootFindingDiverged, match="accepted roots leave residual"):
+            weights_to_roots(np.array(w))
 
 
 def test_root_at_origin_is_found_but_has_no_log():

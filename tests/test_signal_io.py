@@ -57,6 +57,11 @@ def test_malformed_containers_rejected():
         read_wav(no_data)
     with pytest.raises(MalformedHeader):
         read_wav(pack_wav(b"\x00\x00", rate=0))
+    with pytest.raises(MalformedHeader, match="chunk b'data' overruns the container"):
+        read_wav(good[:-1])
+    short_fmt = b"fmt " + struct.pack("<I", 14) + bytes(14) + b"data" + struct.pack("<I", 0)
+    with pytest.raises(MalformedHeader, match="fmt chunk too small"):
+        read_wav(b"RIFF" + struct.pack("<I", 4 + len(short_fmt)) + b"WAVE" + short_fmt)
 
 
 def test_round_trip_within_one_step():
