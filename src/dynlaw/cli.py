@@ -30,7 +30,7 @@ from .codec import (
 from .embedding import EmbeddingConfig, embed
 from .errors import DataError, NumericalError
 from .lawforms import weights_to_roots, roots_to_weights
-from .signal_io import _KINDS, SynthSpec, read_wav, synthesize, write_wav
+from .signal_io import _KINDS, SynthSpec, clamped_samples, read_wav, synthesize, write_wav
 from .spectral import correlation, eigendecompose, extract_law, extract_symmetric_law
 
 _MODES = {"amp": AMPLITUDES, "ic": INITIAL_CONDITIONS}
@@ -152,7 +152,7 @@ def _cmd_synth(args) -> int:
     )
     series = synthesize(spec)
     peak = float(np.max(np.abs(series.samples)))
-    # write_wav clamps silently, for a lossy decode's overshoot; a synthesized signal may not clip
+    # a lossy decode's overshoot is clamped (and reported); a synthesized signal may not clip
     if not peak <= 1.0:
         raise ValueError(f"signal peak {peak:g} is past WAV full scale 1; lower --amp or --value")
     _write_bytes(args.output, write_wav(series))
@@ -235,6 +235,10 @@ def _cmd_compress(args) -> int:
 def _cmd_decompress(args) -> int:
     series = decompress(deserialize(_read_bytes(args.input)))
     _write_bytes(args.output, write_wav(series))
+    clamped = clamped_samples(series)
+    if clamped:  # a lossy decode may overshoot full scale
+        print(f"clamped {clamped} of {series.samples.size} samples to 16-bit full scale",
+              file=sys.stderr)
     return 0
 
 

@@ -15,8 +15,12 @@ frequency of the law's sampling grid aliases, as it must.
 
 The recursion is stepped once per sample for all n unit seeds at once,
 and for every law of a stack at once: the impulse-response basis of
-``impulse_basis``.  Running the recursion from given seeds is that
-basis times the seeds, ``_generate``, which the codec's decoder shares.
+``impulse_basis``.  The stack is stepped sample-major, (samples, laws,
+seeds), so each step reads the n rows before it through window views
+made once, with no slicing per step; each sample is still one
+vector-matrix product per law.  Running the recursion from given seeds
+is that basis times the seeds, ``_generate``, which the codec's decoder
+shares.
 
 Roots, conjugate pairing, expansion and impulse bases are computed for
 a stack of laws at once (``_roots``, ``_pairs``, ``_expand``,
@@ -29,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._stack import Failures, lapack_rows, one_row, survivors, with_cause
 from .errors import (
@@ -388,11 +393,12 @@ def impulse_basis(law, count: int) -> np.ndarray:
     identity.  Memory is O(count * n) floats.
 
     Row k >= n is the recursion step itself, -(1/w_0) sum_i w_i B[k-i],
-    taken for all n columns at once: 2n flops per sample and column.
-    (Doubling by products of earlier rows would take fewer steps, but it
-    compounds rounding errors by the condition of the law's roots at
-    every level.)  Values beyond float range come out as inf or nan;
-    callers test for them.  The weights pass the checks of
+    taken for all n columns at once: 2n flops per sample and column, one
+    vector-matrix product per sample, stepped sample-major as
+    ``_impulse_bases`` says.  (Doubling by products of earlier rows would
+    take fewer steps, but it compounds rounding errors by the condition
+    of the law's roots at every level.)  Values beyond float range come
+    out as inf or nan; callers test for them.  The weights pass the checks of
     ``_impulse_bases`` (|w_0| > 1e-12, all finite), else ValueError.
     """
     if count < 0:
@@ -404,10 +410,18 @@ def _impulse_bases(w: np.ndarray, count: int):
     """``impulse_basis`` of each law of a stack (g, n + 1): the bases
     (n, count), one column per row, of the laws that have one, plus
     ``{position: ValueError}`` for laws with |w_0| <= 1e-12 or a
-    non-finite weight.  Each step of the recursion is one stacked
-    product over every law and seed column, so a row comes out the same
-    whatever else the stack holds.  The recursion steps rows of a
-    (g, count, n) array; the bases are its transposed view."""
+    non-finite weight.
+
+    The recursion steps a sample-major (count, g, n) array: step k reads
+    rows k - n .. k - 1 of every law as one (g, n, n) window and writes
+    row k.  The windows and the rows they write are views made once, so
+    a step builds no slice, and a window ends in memory before the row
+    it writes, so numpy's overlap check between them is a bounds test.
+    (In a block-major array the laws' rows interleave; slicing and the
+    overlap check took about 40% of a step at two laws, n = 32.)  Each
+    step is still one vector-matrix product per law on the same numbers,
+    so a row comes out the same whatever else the stack holds, bit for
+    bit the law stepped alone.  The bases are a transposed view."""
     n = w.shape[1] - 1
     fail = Failures()
     pos = np.arange(w.shape[0])
@@ -417,14 +431,17 @@ def _impulse_bases(w: np.ndarray, count: int):
     ok = fail.record(pos, {int(i): ValueError("recursion needs finite weights")
                            for i in np.flatnonzero(~np.all(np.isfinite(w), axis=-1))})
     w = w[ok]
-    basis = np.zeros((w.shape[0], count, n))
+    basis = np.zeros((count, w.shape[0], n))
     head = np.arange(min(count, n))
-    basis[:, head, head] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = (-w[:, :0:-1] / w[:, :1])[:, None, :]  # weights of y_{k-n} .. y_{k-1}
-        for k in range(n, count):
-            np.matmul(step, basis[:, k - n : k], out=basis[:, k : k + 1])
-    return basis.transpose(0, 2, 1), fail.first
+    basis[head, :, head] = 1.0
+    if count > n:
+        # window k - n holds rows k - n .. k - 1 of every law, (laws, n, n)
+        windows = sliding_window_view(basis[:-1], n, axis=0).swapaxes(-1, -2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = (-w[:, :0:-1] / w[:, :1])[:, None, :]  # weights of y_{k-n} .. y_{k-1}
+            for window, row in zip(windows, basis[n:, :, None, :]):
+                np.matmul(step, window, out=row)
+    return basis.transpose(1, 2, 0), fail.first
 
 
 def _generate(basis: np.ndarray, coef: np.ndarray):

@@ -26,7 +26,7 @@ import numpy as np
 from .embedding import TimeSeries
 from .errors import AliasedFrequency, MalformedHeader, UnsupportedFormat
 
-__all__ = ["SynthSpec", "read_wav", "write_wav", "synthesize", "lcg_uniform"]
+__all__ = ["SynthSpec", "read_wav", "write_wav", "clamped_samples", "synthesize", "lcg_uniform"]
 
 _KINDS = ("sine", "multi_sine", "damped_sine", "poly_exp", "uniform_noise", "constant")
 
@@ -179,8 +179,22 @@ def read_wav(data: bytes) -> TimeSeries:
     return TimeSeries(samples=values, sample_rate=float(rate))
 
 
+def _pcm16_codes(series: TimeSeries) -> np.ndarray:
+    """The 16-bit code of each sample, rint(x * 32768), before
+    ``write_wav`` clamps it to -32768 .. 32767."""
+    return np.rint(np.asarray(series.samples, dtype=np.float64) * 32768.0)
+
+
+def clamped_samples(series: TimeSeries) -> int:
+    """How many samples ``write_wav`` clamps: those whose code
+    (``_pcm16_codes``) falls outside -32768 .. 32767."""
+    codes = _pcm16_codes(series)
+    return int(np.count_nonzero((codes < -32768) | (codes > 32767)))
+
+
 def write_wav(series: TimeSeries) -> bytes:
-    """Encode a series as mono 16-bit PCM with ``wave``; values clamp to [-1, 1].
+    """Encode a series as mono 16-bit PCM with ``wave``; values clamp to
+    full scale (``clamped_samples`` counts the samples that do).
 
     Quantization error is at most one least step (1/32768) per sample,
     so read_wav(write_wav(s)) matches s to that tolerance.  An empty
@@ -189,9 +203,8 @@ def write_wav(series: TimeSeries) -> bytes:
     rate = int(round(series.sample_rate))
     if not 1 <= rate < 1 << 31:  # the header stores the byte rate, 2 * rate, as u32
         raise ValueError(f"sample rate rounds to {rate} Hz; a WAV file stores 1 .. 2^31 - 1 Hz")
-    x = np.asarray(series.samples, dtype=np.float64)
     # native int16: wave takes frames in the machine's byte order
-    quantized = np.clip(np.rint(x * 32768.0), -32768, 32767).astype(np.int16)
+    quantized = np.clip(_pcm16_codes(series), -32768, 32767).astype(np.int16)
     out = io.BytesIO()
     with wave.open(out, "wb") as container:
         container.setnchannels(1)

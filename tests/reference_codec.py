@@ -14,7 +14,7 @@ from dynlaw.codec import AMPLITUDES, INITIAL_CONDITIONS, CompressionArtifact, St
 from dynlaw.embedding import EmbeddingConfig, TimeSeries, embed
 from dynlaw.errors import SingularNormalMatrix, UnstableBasis, UnstableOverflow, ZeroRoot
 from dynlaw.fitting import accuracy, exponent_basis, least_squares, mode_basis
-from dynlaw.lawforms import conjugate_pairs, impulse_basis, roots_to_weights, weights_to_roots
+from dynlaw.lawforms import conjugate_pairs, roots_to_weights, weights_to_roots
 from dynlaw.spectral import correlation, eigendecompose, extract_law, extract_symmetric_law
 
 F32_MAX = float(np.finfo(np.float32).max)
@@ -41,12 +41,23 @@ def per_sample_roots(q, stride):
 
 
 def recursion_basis(weights, count):
-    try:
-        return impulse_basis(weights, count)
-    except ValueError as exc:
-        if abs(weights[0]) <= 1e-12:
-            raise ZeroRoot(f"law has a root at the origin: {exc}") from exc
-        raise
+    """Impulse responses (count, n) of one law's recursion, stepped one
+    sample at a time: row k is the step's weights times rows k-n .. k-1.
+    A root at the origin (|w_0| <= 1e-12) fails as ZeroRoot."""
+    w = np.asarray(weights, dtype=np.float64)
+    if abs(w[0]) <= 1e-12:
+        raise ZeroRoot("law has a root at the origin: recursion needs |w_0| > 1e-12")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("recursion needs finite weights")
+    n = w.size - 1
+    basis = np.zeros((count, n))
+    head = np.arange(min(count, n))
+    basis[head, head] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = -w[:0:-1] / w[0]  # weights of y_{k-n} .. y_{k-1}
+        for k in range(n, count):
+            np.matmul(step, basis[k - n : k], out=basis[k])
+    return basis
 
 
 def block_basis(weights, params, count):

@@ -13,6 +13,8 @@ from dynlaw.codec import (
     CodecParams,
     CompressionArtifact,
     compress,
+    decompress,
+    deserialize,
     serialize,
 )
 from dynlaw.embedding import TimeSeries
@@ -120,6 +122,26 @@ def test_compress_decompress_round_trip(tmp_path):
     rebuilt = read_wav(back.read_bytes())
     assert rebuilt.samples.size == original.samples.size
     assert accuracy(original.samples, rebuilt.samples) > 0.999
+
+
+@pytest.mark.parametrize("amp", [1.5, 0.5])
+def test_decompress_reports_clamped_samples(tmp_path, capsys, amp):
+    # a decode past full scale is clamped into the 16-bit file and counted
+    # on one stderr line, and the command still succeeds; a decode within
+    # full scale prints nothing
+    t = np.arange(1024) / 8000.0
+    series = TimeSeries(samples=amp * np.sin(2 * np.pi * 440.0 * t), sample_rate=8000.0)
+    art = tmp_path / "tone.dlaw"
+    art.write_bytes(serialize(compress(series, CodecParams(order_n=2, block_size=64))))
+    back = tmp_path / "back.wav"
+    capsys.readouterr()
+    assert run(["decompress", "--input", str(art), "--output", str(back)]) == 0
+    decoded = decompress(deserialize(art.read_bytes())).samples
+    # a sample is clamped when the file holds it more than half a step off
+    clamped = np.count_nonzero(np.abs(read_wav(back.read_bytes()).samples - decoded) > 0.5 / 32768)
+    assert (clamped > 0) == (amp > 1.0)
+    err = capsys.readouterr().err
+    assert err == (f"clamped {clamped} of 1024 samples to 16-bit full scale\n" if clamped else "")
 
 
 @pytest.mark.parametrize("mode", ["amp", "ic"])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynlaw import lawforms
@@ -20,6 +20,8 @@ from dynlaw.lawforms import (
     run_recursion,
     weights_to_roots,
 )
+
+import reference_codec
 
 
 def reference_recursion(w, initial, count):
@@ -435,6 +437,74 @@ def _root_condition(q):
     g = 1.0 / np.asarray(q)
     v = g[None, :] ** np.arange(g.size)[:, None]
     return float(np.linalg.cond(v / np.linalg.norm(v, axis=0)))
+
+
+
+_NOT_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def _law_stack(draw):
+    """(stack (g, n + 1), count, seeds (n,)): up to 6 laws of one order,
+    steep ones among them, and laws whose recursion cannot step."""
+    n = draw(st.integers(0, 12))
+    count = draw(st.integers(0, 3 * n + 5))
+    laws = []
+    for _ in range(draw(st.integers(0, 6))):
+        w = [draw(st.floats(1e-6, 10.0)) * draw(st.sampled_from([1.0, -1.0]))]
+        w += draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+        kind = draw(st.sampled_from(["steps", "steps", "w_0", "not finite"]))
+        if kind == "w_0":
+            w[0] = draw(st.sampled_from([0.0, -0.0, 1e-12, -1e-13, 5e-324]))
+        elif kind == "not finite":
+            w[draw(st.integers(0, n))] = draw(_NOT_FINITE)
+        laws.append(w)
+    seeds = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    return np.array(laws).reshape(-1, n + 1), count, np.array(seeds)
+
+
+def _expected_error(w):
+    if abs(w[0]) <= 1e-12:
+        return "1e-12"
+    return None if np.all(np.isfinite(w)) else "finite weights"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_law_stack())
+@example((np.array([[1.0, -0.5, 0.25, 0.125], [0.0, 1.0, 2.0, 3.0]]), 2, np.ones(3)))  # count < n
+@example((np.array([[1.0, -0.5, 0.25, 0.125], [1.0, np.nan, 0.0, 0.0]]), 3, np.ones(3)))  # count = n
+@example((np.array([[1.0, -0.5, 0.25, 0.125]]), 4, np.array([-0.0, 1.0, 2.0])))  # one generated row
+@example((np.zeros((0, 5)), 9, np.ones(4)))  # no law
+@example((np.array([[2.0], [0.0]]), 3, np.zeros(0)))  # n = 0
+def test_impulse_bases_rows_equal_single_law_and_stepped_reference(case):
+    stack, count, seeds = case
+    n = stack.shape[1] - 1
+    basis, errors = _impulse_bases(stack, count)
+    expected = {i: _expected_error(w) for i, w in enumerate(stack)}
+    failing = sorted(i for i, text in expected.items() if text)
+    assert sorted(errors) == failing
+    for i in failing:
+        assert type(errors[i]) is ValueError and expected[i] in str(errors[i])
+        with pytest.raises(ValueError):
+            impulse_basis(stack[i], count)
+    kept = [i for i in range(len(stack)) if i not in errors]
+    assert basis.shape == (len(kept), n, count)
+    head = min(n, count)
+    for row, i in zip(np.swapaxes(basis, -1, -2), kept):
+        assert row.tobytes() == impulse_basis(stack[i], count).tobytes()
+        assert row.tobytes() == reference_codec.recursion_basis(stack[i], count).tobytes()
+        np.testing.assert_array_equal(row[:head], np.eye(n)[:head])
+        with np.errstate(over="ignore", invalid="ignore"):
+            driven = row @ seeds
+        if np.all(np.abs(driven) <= 1e100):
+            # the head repeats the seeds verbatim, a -0.0 seed included,
+            # where the product sums it to 0.0
+            got = run_recursion(stack[i], seeds, count)
+            assert got[:head].tobytes() == seeds[:head].tobytes()
+            assert got[head:].tobytes() == driven[head:].tobytes()
+        else:
+            with pytest.raises(UnstableOverflow):
+                run_recursion(stack[i], seeds, count)
 
 
 @settings(max_examples=80, deadline=None)

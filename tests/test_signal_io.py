@@ -7,7 +7,7 @@ import pytest
 
 from dynlaw.embedding import EmbeddingConfig, TimeSeries, embed
 from dynlaw.errors import AliasedFrequency, MalformedHeader, UnsupportedFormat
-from dynlaw.signal_io import SynthSpec, lcg_uniform, read_wav, synthesize, write_wav
+from dynlaw.signal_io import SynthSpec, clamped_samples, lcg_uniform, read_wav, synthesize, write_wav
 from dynlaw.spectral import correlation, eigendecompose, extract_law
 
 
@@ -76,6 +76,18 @@ def test_write_clamps_out_of_range():
     back = read_wav(write_wav(TimeSeries(samples=np.array([1.5, -1.5]), sample_rate=8000.0)))
     np.testing.assert_array_equal(back.samples, [32767.0 / 32768.0, -1.0])
 
+
+
+def test_clamped_samples_counts_the_codes_write_wav_clamps():
+    # codes rint(x * 32768): 32768 and 32768 (half to even) clamp, 32767
+    # and -32768 fit, -32769 clamps; the file holds each clamped one at
+    # the end of the range
+    codes = np.array([32768.0, 32767.4, 32767.5, -32768.0, -32768.6])
+    series = TimeSeries(samples=codes / 32768.0, sample_rate=8000.0)
+    assert clamped_samples(series) == 3
+    back = read_wav(write_wav(series)).samples * 32768.0
+    np.testing.assert_array_equal(back, [32767, 32767, 32767, -32768, -32768])
+    assert clamped_samples(TimeSeries(samples=np.zeros(0), sample_rate=8000.0)) == 0
 
 def test_empty_series_round_trips():
     data = write_wav(TimeSeries(samples=np.array([]), sample_rate=8000.0))
