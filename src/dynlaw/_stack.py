@@ -43,6 +43,15 @@ def one_row(result: tuple) -> tuple:
     return tuple(x[0] for x in outputs)
 
 
+def drop(errors: dict, *arrays) -> tuple:
+    """The rows of each of ``arrays`` whose positions are not keys of
+    ``errors``: the arrays themselves, not copies, when there are none."""
+    if not errors:
+        return arrays
+    ok = survivors(len(arrays[0]), errors)
+    return tuple(a[ok] for a in arrays)
+
+
 def survivors(count: int, errors: dict) -> np.ndarray:
     """Mask of the positions 0 .. count-1 that are not keys of ``errors``."""
     ok = np.ones(count, dtype=bool)

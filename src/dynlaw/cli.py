@@ -151,10 +151,12 @@ def _cmd_synth(args) -> int:
         value=args.value,
     )
     series = synthesize(spec)
-    peak = float(np.max(np.abs(series.samples)))
     # a lossy decode's overshoot is clamped (and reported); a synthesized signal may not clip
-    if not peak <= 1.0:
-        raise ValueError(f"signal peak {peak:g} is past WAV full scale 1; lower --amp or --value")
+    clamped = clamped_samples(series)
+    if clamped:
+        peak = float(np.max(np.abs(series.samples)))
+        raise ValueError(f"signal peak {peak:g} clips {clamped} of {series.samples.size} samples "
+                         "at 16-bit WAV full scale (32767/32768); lower --amp or --value")
     _write_bytes(args.output, write_wav(series))
     return 0
 

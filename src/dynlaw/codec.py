@@ -18,17 +18,18 @@ this scheme is
 counting 2n stored reals per block against block_size original ones.
 
 ``compress`` and ``decompress`` make one pass over all blocks of a file,
-and ``sweep`` one pass per order over all blocks at every stride of the
-grid (a long file, one pass per stride): the windows of every block
-form one stacked array, and correlations, eigensolves, companion roots,
-bases and least-squares solves run as stacked numpy/LAPACK calls,
-grouped where blocks need different shapes (a trimmed degree, the zero
-law); only the correlations are taken stride by stride.  A block that
-fails drops out of the later stages with its first error kept
-(``_stack.Failures``), and the file, or the sweep point, raises the
-error of its lowest-index failed block, as a pass block by block
-would.  A block whose correlation leaves float range (a sample beyond
-about 1e154) fails with UnstableOverflow before it yields a law.
+and ``sweep`` one pass over all blocks at every point of its grid (a
+long file, one pass per point): the windows of every block form one
+stacked array, and correlations, eigensolves, companion roots, bases
+and least-squares solves run as stacked numpy/LAPACK calls, grouped
+where blocks need different shapes (an order, a trimmed degree, the
+zero law); only the correlations are taken point by point, and the
+eigensolves order by order.  A block that fails drops out of the later
+stages with its first error kept (``_stack.Failures``), and the file,
+or the sweep point, raises the error of its lowest-index failed block,
+as a pass block by block would.  A block whose correlation leaves float
+range (a sample beyond about 1e154) fails with UnstableOverflow before
+it yields a law.
 
 Binary layout (DLAW, little-endian).  Both versions share the header::
 
@@ -99,7 +100,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stack import Failures, norms, with_cause
+from ._stack import Failures, drop, norms, survivors, with_cause
 from .embedding import TimeSeries, _delay_windows
 from .errors import (
     BadMagic,
@@ -404,7 +405,7 @@ def _root_groups(w: np.ndarray, degrees: np.ndarray, stride: np.ndarray, fail: F
     ``degrees``.  At stride > 1 (per block) a root at the origin, which
     has no fractional power, fails its block as ZeroRoot; failures go to
     ``fail`` by block index."""
-    for d in np.unique(degrees[degrees > 0]).tolist():
+    for d in sorted(set(degrees.tolist()) - {0}):
         at = np.flatnonzero(degrees == d)
         q, _, errors = _roots(w[at, : d + 1])
         at = at[fail.record(at, errors)]
@@ -436,7 +437,7 @@ def _per_sample_roots(q: np.ndarray, stride: np.ndarray) -> np.ndarray:
     # float_power rounds as C pow, like x ** y on one float; np.power on
     # an array can take a vector path that differs in the last bit
     p[real] = np.sign(x) * np.float_power(np.abs(x), 1.0 / s[real])
-    return np.take_along_axis(p, np.lexsort((p.imag, p.real), axis=-1), axis=-1)
+    return p[np.arange(len(p))[:, None], np.lexsort((p.imag, p.real), axis=-1)]
 
 
 def _recursion_bases(w: np.ndarray, count: int):
@@ -447,10 +448,12 @@ def _recursion_bases(w: np.ndarray, count: int):
                    if abs(w[pos, 0]) <= 1e-12 else exc for pos, exc in errors.items()}
 
 
-def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
+def _block_bases(weights: np.ndarray, stride, modes: bool, count: int, order=None):
     """Per-sample basis of each block from its law's float64 unit
-    weights (blocks x (n + 1)) and its stride (one for all blocks, or
-    one per block), in amplitude mode (``modes``) or IC mode.
+    weights (blocks x (n + 1), a law of lower order padded with zero
+    weights), its stride and its order (each one for all blocks, or one
+    per block; the order defaults to n), in amplitude mode (``modes``)
+    or IC mode.
 
     Amplitude mode gives the modes of the per-sample roots
     (``mode_basis``), initial-condition mode the impulse responses of
@@ -464,11 +467,11 @@ def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
     y = 0, and in IC mode at stride 1 every block.  They take no roots:
     a y = 0 law has no modes in amplitude mode, and in IC mode a direct
     block's basis is the stored law's own recursion, which for y = 0
-    yields zeros after the seeds at any stride.  In IC mode a law with a
-    root at the origin fails as ZeroRoot (``_recursion_bases``).  The
-    other blocks take their lattice roots from ``_root_groups``; only
-    those at stride > 1 are mapped (``_per_sample_roots``): exp(ln q / 1)
-    is not q to the last bit.
+    yields zeros after the seeds at any stride, one seed per lag of its
+    order.  In IC mode a law with a root at the origin fails as ZeroRoot
+    (``_recursion_bases``).  The other blocks take their lattice roots
+    from ``_root_groups``; only those at stride > 1 are mapped
+    (``_per_sample_roots``): exp(ln q / 1) is not q to the last bit.
 
     Returns ``[(positions, bases)]``, one entry per group of blocks
     whose bases were built together (direct, or of one degree), plus
@@ -477,16 +480,18 @@ def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
     fail = Failures()
     pos = np.arange(len(weights))
     stride = np.full(len(weights), stride)
+    order = np.full(len(weights), weights.shape[1] - 1 if order is None else order)
     # the degree of the roots each basis needs: none in IC mode at stride 1
     degrees = np.where(modes | (stride > 1), _degrees(weights), 0)
     direct = degrees < 1
     groups = []
     at = pos[direct]
-    if at.size and modes:
+    if modes and at.size:
         groups.append((at, np.zeros((at.size, 0, count))))
-    elif at.size:
-        basis, errors = _recursion_bases(weights[at], count)
-        groups.append((at[fail.record(at, errors)], basis))
+    for n in () if modes else sorted(set(order[at].tolist())):  # IC: a recursion per order
+        rows = at[order[at] == n]
+        basis, errors = _recursion_bases(weights[rows, : n + 1], count)
+        groups.append((rows[fail.record(rows, errors)], basis))
     for _, at, roots in _root_groups(weights, degrees, stride, fail):
         far = stride[at] > 1
         if far.any():
@@ -548,61 +553,77 @@ def _exponent_groups(columns, count: int, rows: np.ndarray):
     log_radius, angle, real, cosine = columns
     degrees = np.sum(real, axis=1) + 2 * np.sum(cosine, axis=1)
     groups = []
-    for d in np.unique(degrees[rows]).tolist():
+    for d in sorted(set(degrees[rows].tolist())):
         at = rows[degrees[rows] == d]
         groups.append((at, _exponent_bases(log_radius[at, :d], angle[at, :d], real[at, :d],
                                            cosine[at, :d], count)))
     return groups
 
 
-def _encode(blocks: np.ndarray, params: CodecParams, strides=None):
-    """Encode every block of a stack as a file of these params stores
-    it: extract its law, round the law to what the file stores, fit the
-    payload against exactly that law, and round the payload to float32.
+def _encode(blocks: np.ndarray, points):
+    """Encode every block of a stack at each grid point of ``points``
+    (``CodecParams`` that share the block size, the fit mode and the
+    symmetric flag) as a file of that point stores it: extract its law,
+    round the law to what the file stores, fit the payload against
+    exactly that law, and round the payload to float32.
 
-    The pass encodes the blocks at each stride of ``strides`` (default
-    ``params.stride`` alone) in place of ``params.stride``: its row
-    i * blocks + b is block b at ``strides[i]``.  Only the correlations
-    are taken stride by stride; every later stage runs once over all
-    rows, with the stride of each row.
+    Row i * blocks + b of the pass is block b at ``points[i]``, and
+    carries that point's order and stride.  Windows and correlations are
+    taken point by point and laws order by order; each law is stored at
+    its own width and only then padded with zero weights to the widest
+    order, which leaves its degree, and so its roots, as they are.  Every
+    later stage runs once per degree over all rows.
 
     Returns (stored, eigenvalues, fits, failures): the stored laws of
     the rows that have one, in row order (the ``_law_exponents`` column
     layout when the file stores exponents, else float32 weights; a
-    palindromic law stays palindromic under the rounding); the
-    eigenvalue of each row's law (0 for a row with none);
-    ``[(rows, bases, payload)]`` for the rows fitted, one entry per group
-    of equal degree, the payload in float32; and the per-row failure
-    status.  A block whose payload leaves float32 range fails with
-    UnstableOverflow.
+    palindromic law stays palindromic under the rounding), padded to the
+    widest order; the eigenvalue of each row's law (0 for a row with
+    none); ``[(rows, bases, payload)]`` for the rows fitted, one entry
+    per group of equal degree, the payload in float32; and the per-row
+    failure status.  A block whose payload leaves float32 range fails
+    with UnstableOverflow.
     """
-    strides = (params.stride,) if strides is None else strides
+    count, first = len(blocks), points[0]
+    exponents, modes = _stores_exponents(first), first.fit_mode == AMPLITUDES
+    size, width = len(points) * count, max(p.order_n for p in points) + 1
+    stride = np.repeat([p.stride for p in points], count)
+    order = np.repeat([p.order_n for p in points], count)
     fail = Failures()
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.concatenate([_correlations(_delay_windows(blocks, params.order_n, s))
-                            for s in strides])
-    stride = np.repeat(strides, len(blocks))
-    # a finite (c + c^T) / 2 is exactly symmetric, so finiteness is all eigh needs
-    pos = np.arange(len(c))
-    pos = pos[fail.record(pos, {int(i): UnstableOverflow("correlation beyond float range")
-                                for i in np.flatnonzero(~np.all(np.isfinite(c), axis=(1, 2)))})]
-    basis = _palindromic_basis(params.order_n) if params.symmetric else None
-    laws, lam, errors = _laws(c[pos], basis)
-    pos = pos[fail.record(pos, errors)]
-    eigenvalues = np.zeros(len(c))
-    eigenvalues[pos] = lam
-    modes = params.fit_mode == AMPLITUDES
-    if _stores_exponents(params):
-        stored, errors = _law_exponents(laws, stride[pos])
+    eigenvalues = np.zeros(size)
+    laws = np.zeros((size, width))  # float64; in v1, the unit weights of the stored law
+    weights = None if exponents else np.zeros((size, width), dtype=np.float32)  # v1 stores these
+    for n in dict.fromkeys(p.order_n for p in points):
+        at = [i for i, p in enumerate(points) if p.order_n == n]
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = np.concatenate([_correlations(_delay_windows(blocks, n, points[i].stride))
+                                for i in at])
+        rows = (np.array(at)[:, None] * count + np.arange(count)).ravel()
+        # a finite (c + c^T) / 2 is exactly symmetric, so finiteness is all eigh needs
+        errors = {int(i): UnstableOverflow("correlation beyond float range")
+                  for i in np.flatnonzero(~np.all(np.isfinite(c), axis=(1, 2)))}
+        fail.record(rows, errors)
+        rows, c = drop(errors, rows, c)
+        w, lam, errors = _laws(c, _palindromic_basis(n) if first.symmetric else None)
+        rows = rows[fail.record(rows, errors)]
+        eigenvalues[rows] = lam
+        if exponents:
+            laws[rows, : n + 1] = w
+        else:
+            weights[rows, : n + 1] = w = w.astype(np.float32)
+            laws[rows, : n + 1] = _unit(w)  # a norm over the law's own width
+    pos = np.flatnonzero(survivors(size, fail.first))
+    if exponents:
+        stored, errors = _law_exponents(laws[pos], stride[pos])
         groups = _exponent_groups(stored, blocks.shape[1], np.flatnonzero(fail.record(pos, errors)))
     else:
-        stored = laws.astype(np.float32)
-        groups, errors = _block_bases(_unit(stored), stride[pos], modes, blocks.shape[1])
+        stored = weights[pos]
+        groups, errors = _block_bases(laws[pos], stride[pos], modes, blocks.shape[1], order[pos])
         fail.record(pos, errors)
     fits = []
     for at, basis in groups:
         rows = pos[at]
-        coef, errors = _least_squares(basis, blocks[rows % len(blocks)], modes)
+        coef, errors = _least_squares(basis, blocks[rows % count], modes)
         ok = fail.record(rows, errors)
         wide = ~_in_f32_range(coef, axis=-1)
         text = "payload coefficient beyond float32 range"
@@ -636,7 +657,7 @@ def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
     """
     blocks = _full_blocks(series.samples, params.block_size)
     rate = _check_header(params, series.sample_rate)
-    stored, _, fits, fail = _encode(blocks, params)
+    stored, _, fits, fail = _encode(blocks, [params])
     payload = np.zeros((len(blocks), params.order_n), dtype=np.float32)
     for rows, _, coef in fits:
         payload[rows, : coef.shape[1]] = coef
@@ -810,26 +831,26 @@ def _read_v2(data: bytes, params: CodecParams, rate: int, block_count: int, tail
                                tail=values[2 * p + r :], exponents=exponents)
 
 
-# rows one sweep pass stacks: the strides of an order share a pass while
-# their rows fit.  Stacking pays while the fixed cost of each stage's
-# numpy calls dominates, as on a short clip, and stops paying past a few
-# hundred rows; a long file takes a pass per stride, so its peak memory
-# does not grow with the number of strides
+# rows one sweep pass stacks: grid points share a pass while their rows
+# fit.  Stacking pays while the fixed cost of each stage's numpy calls
+# dominates, as on a short clip, and stops paying past a few hundred
+# rows; a long file takes a pass per point, so its peak memory does not
+# grow with the size of the grid
 _ROW_BUDGET = 256
 
 
-def _measure(blocks: np.ndarray, energy: np.ndarray, params: CodecParams, strides) -> list:
+def _measure(blocks: np.ndarray, energy: np.ndarray, points) -> list:
     """Energy-weighted accuracy and mean smallest eigenvalue over the
-    full blocks of a series, of energy ``energy``, at each of
-    ``strides``, in one ``_encode`` pass over all of them.  Each block
-    is encoded as ``compress`` encodes it and generated from its float32
+    full blocks of a series, of energy ``energy``, at each grid point of
+    ``points``, in one ``_encode`` pass over all of them.  Each block is
+    encoded as ``compress`` encodes it and generated from its float32
     payload as ``decompress`` generates it, so the accuracy is the
     decoded file's.
 
-    Returns per stride (A, lambda_min), or the error of its lowest-index
-    failed block; a failure at one stride leaves the others measured."""
+    Returns per point (A, lambda_min), or the error of its lowest-index
+    failed block; a failure at one point leaves the others measured."""
     live = np.flatnonzero(energy != 0.0)  # a silent block's correlation matrix is zero
-    _, lam, fits, fail = _encode(blocks[live], params, strides)
+    _, lam, fits, fail = _encode(blocks[live], points)
     acc = np.empty(len(lam))
     for rows, basis, coef in fits:
         simulated, errors = _generate(basis, coef.astype(np.float64))
@@ -839,13 +860,13 @@ def _measure(blocks: np.ndarray, energy: np.ndarray, params: CodecParams, stride
             acc[rows] = 1.0 - norms(blocks[at] - simulated) / np.sqrt(energy[at])
         fail.record(rows, {int(i): UnstableOverflow("block norm beyond float range")
                            for i in np.flatnonzero(~np.isfinite(acc[rows]))})
-    failed = {}  # stride index: the error of its lowest-index failed block
+    failed = {}  # point index: the error of its lowest-index failed block
     for row in sorted(fail.first):
         failed.setdefault(row // live.size, fail.first[row])
     lambdas = np.zeros(len(blocks))
     total = np.add.accumulate(energy[live])[-1]
     out = []
-    for i in range(len(strides)):
+    for i in range(len(points)):
         if i in failed:
             out.append(failed[i])
             continue
@@ -863,41 +884,41 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
 
     Each point encodes its blocks in amplitude mode as ``compress``
     does and measures the decoded file: the law and the float32 payload
-    the file stores.  Each order is one pass over all of its strides,
-    unless the file is long: a pass stacks strides only while their rows
-    stay within a fixed budget.  Grid points ``CodecParams`` rejects and
-    points where a numerical step fails are recorded under ``skipped``
-    with the error's text as the reason, instead of aborting the sweep;
-    a failure at one stride leaves the other strides measured.  Block
-    accuracies are averaged weighted by block energy, matching a
-    concatenated-signal Euclidean accuracy when block errors are
-    comparable.
+    the file stores.  The whole grid is one pass, unless the file is
+    long: a pass stacks grid points only while their rows stay within a
+    fixed budget.  Grid points ``CodecParams`` rejects and points where
+    a numerical step fails are recorded under ``skipped`` with the
+    error's text as the reason, instead of aborting the sweep; a failure
+    at one point leaves the other points measured.  Block accuracies are
+    averaged weighted by block energy, matching a concatenated-signal
+    Euclidean accuracy when block errors are comparable.
     """
     blocks = _full_blocks(series.samples, block_size)
     if not series.samples.any():
         raise ValueError("sweep needs a nonzero signal")
     with np.errstate(over="ignore"):  # inf beside a sample past ~1e154; _encode fails that block
         energy = (blocks[:, None, :] @ blocks[:, :, None])[:, 0, 0]
+    points = {}  # (n, stride): its CodecParams, or why it has none
+    for n in n_grid:
+        for s in stride_grid:
+            try:
+                points[n, s] = CodecParams(order_n=n, block_size=block_size, stride=s,
+                                           symmetric=symmetric)
+            except ValueError as exc:
+                points[n, s] = exc
+    feasible = [key for key, params in points.items() if isinstance(params, CodecParams)]
+    if feasible and not energy.any():
+        raise ValueError("every full block is identically zero")
     per_pass = max(1, _ROW_BUDGET // max(np.count_nonzero(energy), 1))
+    measured = {}
+    for i in range(0, len(feasible), per_pass):
+        keys = feasible[i : i + per_pass]
+        measured.update(zip(keys, _measure(blocks, energy, [points[key] for key in keys])))
     rows = []
     skipped = []
     for n in n_grid:
-        points = {}
         for s in stride_grid:
-            try:
-                points[s] = CodecParams(order_n=n, block_size=block_size, stride=s,
-                                        symmetric=symmetric)
-            except ValueError as exc:
-                points[s] = exc
-        feasible = [s for s, params in points.items() if isinstance(params, CodecParams)]
-        if feasible and not energy.any():
-            raise ValueError("every full block is identically zero")
-        measured = {}
-        for i in range(0, len(feasible), per_pass):
-            strides = feasible[i : i + per_pass]
-            measured.update(zip(strides, _measure(blocks, energy, points[strides[0]], strides)))
-        for s in stride_grid:
-            params, result = points[s], measured.get(s)
+            params, result = points[n, s], measured.get((n, s))
             if isinstance(params, ValueError):
                 skipped.append((n, s, str(params)))
             elif isinstance(result, NumericalError):

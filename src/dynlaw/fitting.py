@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stack import lapack_rows, one_row, survivors
+from ._stack import drop, lapack_rows, one_row, survivors
 from .errors import SingularNormalMatrix, UnstableBasis, ZeroSignal
 from .lawforms import (
     ContinuousModel,
@@ -108,10 +108,13 @@ def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     below 1e-12 of the largest diagonal entry."""
     (lower,), failed = lapack_rows(lambda a: (np.linalg.cholesky(a),), gram)
     ok = survivors(len(gram), failed)
-    ceiling = np.maximum(np.max(np.diagonal(gram[ok], axis1=-2, axis2=-1), axis=-1), 1e-300)
+    (passed,) = drop(failed, gram)
+    ceiling = np.maximum(np.max(np.diagonal(passed, axis1=-2, axis2=-1), axis=-1), 1e-300)
     pivots = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
     ok[ok] = np.all(pivots > 1e-12 * ceiling[:, None], axis=-1)
-    return np.linalg.solve(gram[ok], rhs[ok][..., None])[..., 0], ok
+    if not ok.all():
+        gram, rhs = gram[ok], rhs[ok]
+    return np.linalg.solve(gram, rhs[..., None])[..., 0], ok
 
 
 def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -244,7 +247,7 @@ def _mode_exponents(q: np.ndarray):
     error}``.  A pair's lead root rho e^(i theta), 0 < theta < pi, gives
     ln rho and theta; a real root q gives ln|q| and pi when q < 0, else 0."""
     partner, lead, errors = _pairs(q)
-    q = q[survivors(len(q), errors)]
+    (q,) = drop(errors, q)
     source, real, cosine = _columns(partner, lead)
     z = q[np.arange(len(q))[:, None], source]
     # a root at the origin has log -inf; the basis is then not finite,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._stack import Failures, lapack_rows, one_row, survivors, with_cause
+from ._stack import Failures, drop, lapack_rows, one_row, with_cause
 from .errors import (
     NonRealCoefficients,
     RootFindingDiverged,
@@ -151,7 +151,7 @@ def _roots(w: np.ndarray):
     p = monic[:, ::-1]  # highest power first, as np.roots takes it
     size = d - np.argmax(monic != 0, axis=-1)
     z = np.zeros((g, d), dtype=np.complex128)
-    for k in np.unique(size[size > 0]).tolist():
+    for k in sorted(set(size.tolist()) - {0}):
         at = np.flatnonzero(size == k)
         companion = np.zeros((at.size, k, k))
         companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
@@ -162,11 +162,11 @@ def _roots(w: np.ndarray):
             for pos, exc in failed.items()
         })
         z[at[kept], :k] = eig
-    alive = survivors(g, fail.first)
-    pos, w, z = np.flatnonzero(alive), w[alive], z[alive]
-    ok = fail.record(pos, {int(i): RootFindingDiverged("companion eigenvalues are not finite")
-                           for i in np.flatnonzero(~np.all(np.isfinite(z), axis=-1))})
-    pos, w, z = pos[ok], w[ok], z[ok]
+    pos, w, z = drop(fail.first, np.arange(g), w, z)
+    errors = {int(i): RootFindingDiverged("companion eigenvalues are not finite")
+              for i in np.flatnonzero(~np.all(np.isfinite(z), axis=-1))}
+    fail.record(pos, errors)
+    pos, w, z = drop(errors, pos, w, z)
 
     # P(q) cannot be evaluated better than eps * sum_i |w_i| |q|^i, so
     # roots far from the unit circle are gated against that floor instead
@@ -188,14 +188,16 @@ def _roots(w: np.ndarray):
     worst = residual.max(axis=-1)
     bad = np.any(residual >= 1e-8 * np.where(outer, floor, np.maximum(scale[:, None], floor)),
                  axis=-1)
-    ok = fail.record(pos, {
+    errors = {
         int(i): RootFindingDiverged(
             f"accepted roots leave residual {float(worst[i]):.3e} against scale {scale[i]:.3e}"
         )
         for i in np.flatnonzero(bad)
-    })
-    z = z[ok]
-    return np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=-1), axis=-1), worst[ok], fail.first
+    }
+    fail.record(pos, errors)
+    z, worst = drop(errors, z, worst)
+    # a row-indexed gather costs a fraction of np.take_along_axis
+    return z[np.arange(len(z))[:, None], np.lexsort((z.imag, z.real), axis=-1)], worst, fail.first
 
 
 def roots_to_weights(roots, scale: float = 1.0) -> np.ndarray:
@@ -290,8 +292,7 @@ def _pairs(q: np.ndarray):
     if slow.size:
         partner[slow], lead[slow], errors = _greedy_pairs(q[slow], limit[slow], real[slow])
         errors = {int(slow[pos]): exc for pos, exc in errors.items()}
-    ok = survivors(g, errors)
-    return partner[ok], lead[ok], errors
+    return (*drop(errors, partner, lead), errors)
 
 
 def _pair_limit(q: np.ndarray) -> np.ndarray:

@@ -352,6 +352,20 @@ def test_synth_refuses_a_signal_past_full_scale(tmp_path, capsys):
                 "--freq", "440,1200", "--amp", "0.5,0.4", "--output", str(out)]) == 0
 
 
+def test_synth_refuses_a_constant_at_exactly_full_scale(tmp_path, capsys):
+    # 1.0 is code 32768, one past the largest 16-bit code: write_wav would
+    # clamp every sample to 32767/32768
+    out = tmp_path / "full.wav"
+    assert run(["synth", "--kind", "constant", "--length", "4", "--value", "1",
+                "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: signal peak 1 clips 4 of 4 samples") and "--value" in err
+    assert len(err.splitlines()) == 1 and not out.exists()
+    assert run(["synth", "--kind", "constant", "--length", "4", "--value", "0.99",
+                "--output", str(out)]) == 0
+    np.testing.assert_allclose(read_wav(out.read_bytes()).samples, 0.99, atol=1.0 / 32768.0)
+
+
 def test_aliased_tone_rejected(capsys):
     assert run(["synth", "--kind", "sine", "--length", "10",
                 "--rate", "8000", "--freq", "4000"]) == 2

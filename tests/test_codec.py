@@ -10,12 +10,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import dynlaw.codec
 from dynlaw.codec import (
     AMPLITUDES,
     INITIAL_CONDITIONS,
     CodecParams,
     CompressionArtifact,
     StoredExponents,
+    SweepReport,
     compress,
     decompress,
     deserialize,
@@ -749,6 +751,76 @@ def test_a_failed_stride_leaves_the_other_stride_of_its_pass_measured(stride, te
     assert report.rows == alone.rows and len(alone.rows) == 1
     assert (alone.rows[0].A, alone.rows[0].lambda_min) == reference_codec.measure_point(
         series.samples, CodecParams(order_n=2, block_size=64, stride=other))
+
+
+def _tones(length):
+    return synthesize(SynthSpec(kind="multi_sine", length=length, sample_rate=8000.0,
+                                amplitudes=(0.3, 0.3, 0.3), frequencies=(300.0, 900.0, 1500.0)))
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("series, n_grid, stride_grid, block", [
+    # orders whose laws have different degrees share one pass
+    (_tones(4096), (2, 4, 6, 8), (1, 2), 128),
+    # a law's norm is taken over its own width: zero padding to n = 16
+    # moves the symmetric rows of this grid in the last bit
+    (noise(2048, seed=2), (2, 4, 8, 16), (1, 2, 3), 256),
+    # a point that fails numerically (ZeroRoot at n = 2, stride 2) beside
+    # points of another order, an infeasible stride and a duplicate
+    (_zero_root_block(2), (3, 2, 3), (2, 1, 40), 64),
+], ids=["tones", "noise", "zero-root"])
+def test_grid_sweep_equals_one_point_sweeps(series, n_grid, stride_grid, block, symmetric):
+    rows, skipped = [], []
+    for n in n_grid:
+        for s in stride_grid:
+            alone = sweep(series, (n,), (s,), block, symmetric)
+            rows += alone.rows
+            skipped += alone.skipped
+    report = sweep(series, n_grid, stride_grid, block, symmetric)
+    # repr writes each float so that it reads back to the same bits
+    assert repr(report) == repr(SweepReport(rows=tuple(rows), skipped=tuple(skipped)))
+    numerical = [reason for _, _, reason in report.skipped if reason.startswith("ZeroRoot")]
+    assert len(numerical) == (1 if block == 64 and not symmetric else 0)
+
+
+@pytest.mark.parametrize("length, block, passes", [(2048, 128, 1), (2048, 8, 6)])
+def test_a_grid_takes_one_pass_per_row_budget(length, block, passes, monkeypatch):
+    # 2,048 samples in blocks of 128 give 6 x 16 rows, within the budget;
+    # blocks of 8 give 256 rows per point, so each point takes its own pass
+    calls = []
+    encode = dynlaw.codec._encode
+    monkeypatch.setattr(dynlaw.codec, "_encode",
+                        lambda blocks, points: calls.append(len(points)) or encode(blocks, points))
+    report = sweep(_tones(length), (2, 3, 1), (1, 2), block)
+    assert len(report.rows) + len(report.skipped) == 6 and not report.skipped
+    assert len(calls) == passes and sum(calls) == 6
+
+
+@pytest.mark.parametrize("mode, symmetric", [(AMPLITUDES, False), (AMPLITUDES, True),
+                                             (INITIAL_CONDITIONS, False)],
+                         ids=["v2-exponents", "v1-symmetric", "v1-ic"])
+def test_one_pass_over_mixed_orders_stores_what_compress_stores(mode, symmetric):
+    series = _tones(1024)
+    points = [CodecParams(order_n=n, block_size=128, stride=s, fit_mode=mode, symmetric=symmetric)
+              for n, s in ((4, 2), (2, 1), (6, 3), (2, 2), (6, 1))]
+    blocks = series.samples.reshape(-1, 128)
+    stored, _, fits, fail = dynlaw.codec._encode(blocks, points)
+    assert not fail.first
+    payload = np.zeros((len(points) * len(blocks), 6), dtype=np.float32)
+    for rows, _, coef in fits:
+        payload[rows, : coef.shape[1]] = coef
+    for i, params in enumerate(points):
+        n, rows = params.order_n, slice(i * len(blocks), (i + 1) * len(blocks))
+        laws = {"payload": payload[rows, :n]}
+        assert not payload[rows, n:].any()
+        if mode == AMPLITUDES and not symmetric:
+            assert not any(column[rows, n:].any() for column in stored)
+            laws["exponents"] = dynlaw.codec._stored(tuple(column[rows, :n] for column in stored))
+        else:
+            assert not stored[rows, n + 1 :].any()
+            laws["weights"] = stored[rows, : n + 1]
+        one = CompressionArtifact(params=params, sample_rate=8000, **laws)
+        assert serialize(one) == serialize(compress(series, params))
 
 
 def _ramp_tone(length=768):
