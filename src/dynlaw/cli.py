@@ -68,68 +68,64 @@ def _write_bytes(path: str, data: bytes) -> None:
             handle.write(data)
 
 
+def _command(sub, name: str, text: str, reads=True, law=False, table=None):
+    """A subcommand parser with the options commands share: --input if it
+    ``reads``, --n and --stride for a ``law``, --format (default ``table``)
+    and --output, each declared anew, so no default leaks between commands."""
+    parser = sub.add_parser(name, help=text)
+    if reads:
+        parser.add_argument("--input", default="-")
+    if law:
+        parser.add_argument("--n", type=int, required=True)
+        parser.add_argument("--stride", type=int, default=1)
+    if table:
+        parser.add_argument("--format", choices=["csv", "json"], default=table)
+    parser.add_argument("--output", default="-")
+    return parser
+
+
 @functools.cache  # built once per process; parse_args leaves the tree unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dynlaw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", help="generate a test signal as WAV")
+    synth = _command(sub, "synth", "generate a test signal as WAV", reads=False)
     synth.add_argument("--kind", required=True, choices=_KINDS)
     synth.add_argument("--length", type=int, required=True)
     synth.add_argument("--rate", type=float, default=8000.0)
-    synth.add_argument("--amp", default="1.0", help="amplitude or comma list")
+    synth.add_argument("--amp", default="0.9",
+                       help="amplitude or comma list (default %(default)s per tone)")
     synth.add_argument("--freq", default="", help="frequency in Hz or comma list")
     synth.add_argument("--phase", default="", help="phase in radians or comma list")
     synth.add_argument("--decay", type=float, default=0.0)
     synth.add_argument("--degree", type=int, default=0)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--value", type=float, default=0.0)
-    synth.add_argument("--output", default="-")
 
-    spectrum = sub.add_parser("spectrum", help="eigenvalues of the correlation matrix")
-    spectrum.add_argument("--input", default="-")
-    spectrum.add_argument("--n", type=int, required=True)
-    spectrum.add_argument("--stride", type=int, default=1)
-    spectrum.add_argument("--format", choices=["csv", "json"], default="csv")
-    spectrum.add_argument("--output", default="-")
+    _command(sub, "spectrum", "eigenvalues of the correlation matrix", law=True, table="csv")
 
-    extract = sub.add_parser("extract", help="best law in all representations")
-    extract.add_argument("--input", default="-")
-    extract.add_argument("--n", type=int, required=True)
-    extract.add_argument("--stride", type=int, default=1)
+    extract = _command(sub, "extract", "best law in all representations", law=True, table="json")
     extract.add_argument("--symmetric", action="store_true")
-    extract.add_argument("--format", choices=["csv", "json"], default="json")
-    extract.add_argument("--output", default="-")
 
-    comp = sub.add_parser("compress", help="WAV in, DLAW artifact out")
-    comp.add_argument("--input", default="-")
-    comp.add_argument("--output", default="-")
-    comp.add_argument("--n", type=int, required=True)
-    comp.add_argument("--stride", type=int, default=1)
+    comp = _command(sub, "compress", "WAV in, DLAW artifact out", law=True)
     comp.add_argument("--block", type=int, required=True)
     comp.add_argument("--mode", choices=sorted(_MODES), default="amp")
     comp.add_argument("--symmetric", action="store_true")
 
-    dec = sub.add_parser("decompress", help="DLAW artifact in, WAV out")
-    dec.add_argument("--input", default="-")
-    dec.add_argument("--output", default="-")
+    _command(sub, "decompress", "DLAW artifact in, WAV out")
 
-    swp = sub.add_parser("sweep", help="accuracy vs rate over an (n, stride) grid")
-    swp.add_argument("--input", default="-")
+    swp = _command(sub, "sweep", "accuracy vs rate over an (n, stride) grid", table="csv")
     swp.add_argument("--grid-n", type=_parse_grid, required=True)
     swp.add_argument("--grid-stride", type=_parse_grid, default=(1,))
     swp.add_argument("--block", type=int, required=True)
     swp.add_argument("--symmetric", action="store_true")
-    swp.add_argument("--format", choices=["csv", "json"], default="csv")
-    swp.add_argument("--output", default="-")
 
-    base = sub.add_parser("baseline", help="noise baseline with log-log slope")
+    base = _command(sub, "baseline", "noise baseline with log-log slope", reads=False,
+                    table="csv")
     base.add_argument("--length", type=int, required=True)
     base.add_argument("--seed", type=int, default=0)
     base.add_argument("--grid-n", type=_parse_grid, required=True)
     base.add_argument("--block", type=int, required=True)
-    base.add_argument("--format", choices=["csv", "json"], default="csv")
-    base.add_argument("--output", default="-")
     return parser
 
 
@@ -142,7 +138,7 @@ def _cmd_synth(args) -> int:
         kind=args.kind,
         length=args.length,
         sample_rate=args.rate,
-        amplitudes=_floats(args.amp) or (1.0,),
+        amplitudes=_floats(args.amp),
         frequencies=_floats(args.freq),
         phases=_floats(args.phase),
         decay=args.decay,

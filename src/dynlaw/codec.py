@@ -448,12 +448,11 @@ def _recursion_bases(w: np.ndarray, count: int):
                    if abs(w[pos, 0]) <= 1e-12 else exc for pos, exc in errors.items()}
 
 
-def _block_bases(weights: np.ndarray, stride, modes: bool, count: int, order=None):
+def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
     """Per-sample basis of each block from its law's float64 unit
-    weights (blocks x (n + 1), a law of lower order padded with zero
-    weights), its stride and its order (each one for all blocks, or one
-    per block; the order defaults to n), in amplitude mode (``modes``)
-    or IC mode.
+    weights (blocks x (n + 1); in amplitude mode a law of lower order may
+    come padded with zero weights) and its stride (one for all blocks, or
+    one per block), in amplitude mode (``modes``) or IC mode.
 
     Amplitude mode gives the modes of the per-sample roots
     (``mode_basis``), initial-condition mode the impulse responses of
@@ -466,12 +465,13 @@ def _block_bases(weights: np.ndarray, stride, modes: bool, count: int, order=Non
     ``weights_to_roots`` (an all-zero block gives one), which states
     y = 0, and in IC mode at stride 1 every block.  They take no roots:
     a y = 0 law has no modes in amplitude mode, and in IC mode a direct
-    block's basis is the stored law's own recursion, which for y = 0
-    yields zeros after the seeds at any stride, one seed per lag of its
-    order.  In IC mode a law with a root at the origin fails as ZeroRoot
-    (``_recursion_bases``).  The other blocks take their lattice roots
-    from ``_root_groups``; only those at stride > 1 are mapped
-    (``_per_sample_roots``): exp(ln q / 1) is not q to the last bit.
+    block's basis is the stored law's own recursion, with one seed per
+    lag of the stored width n, which for y = 0 yields zeros after the
+    seeds at any stride.  In IC mode a law with a root at the origin
+    fails as ZeroRoot (``_recursion_bases``).  The other blocks take
+    their lattice roots from ``_root_groups``; only those at stride > 1
+    are mapped (``_per_sample_roots``): exp(ln q / 1) is not q to the
+    last bit.
 
     Returns ``[(positions, bases)]``, one entry per group of blocks
     whose bases were built together (direct, or of one degree), plus
@@ -480,18 +480,15 @@ def _block_bases(weights: np.ndarray, stride, modes: bool, count: int, order=Non
     fail = Failures()
     pos = np.arange(len(weights))
     stride = np.full(len(weights), stride)
-    order = np.full(len(weights), weights.shape[1] - 1 if order is None else order)
     # the degree of the roots each basis needs: none in IC mode at stride 1
     degrees = np.where(modes | (stride > 1), _degrees(weights), 0)
-    direct = degrees < 1
     groups = []
-    at = pos[direct]
-    if modes and at.size:
+    at = pos[degrees < 1]  # the direct blocks
+    if at.size and modes:
         groups.append((at, np.zeros((at.size, 0, count))))
-    for n in () if modes else sorted(set(order[at].tolist())):  # IC: a recursion per order
-        rows = at[order[at] == n]
-        basis, errors = _recursion_bases(weights[rows, : n + 1], count)
-        groups.append((rows[fail.record(rows, errors)], basis))
+    elif at.size:
+        basis, errors = _recursion_bases(weights[at], count)
+        groups.append((at[fail.record(at, errors)], basis))
     for _, at, roots in _root_groups(weights, degrees, stride, fail):
         far = stride[at] > 1
         if far.any():
@@ -568,11 +565,14 @@ def _encode(blocks: np.ndarray, points):
     exactly that law, and round the payload to float32.
 
     Row i * blocks + b of the pass is block b at ``points[i]``, and
-    carries that point's order and stride.  Windows and correlations are
-    taken point by point and laws order by order; each law is stored at
-    its own width and only then padded with zero weights to the widest
-    order, which leaves its degree, and so its roots, as they are.  Every
-    later stage runs once per degree over all rows.
+    carries that point's order and stride.  An IC pass holds one point
+    (``compress``): ``_block_bases`` steps a direct IC row's recursion at
+    the stored width, which is then that point's order.  Windows and
+    correlations are taken point by point and laws order by order; each
+    law is stored at its own width and only then padded with zero
+    weights to the widest order, which leaves its degree, and so its
+    roots, as they are.  Every later stage runs once per degree over all
+    rows.
 
     Returns (stored, eigenvalues, fits, failures): the stored laws of
     the rows that have one, in row order (the ``_law_exponents`` column
@@ -588,7 +588,6 @@ def _encode(blocks: np.ndarray, points):
     exponents, modes = _stores_exponents(first), first.fit_mode == AMPLITUDES
     size, width = len(points) * count, max(p.order_n for p in points) + 1
     stride = np.repeat([p.stride for p in points], count)
-    order = np.repeat([p.order_n for p in points], count)
     fail = Failures()
     eigenvalues = np.zeros(size)
     laws = np.zeros((size, width))  # float64; in v1, the unit weights of the stored law
@@ -618,7 +617,7 @@ def _encode(blocks: np.ndarray, points):
         groups = _exponent_groups(stored, blocks.shape[1], np.flatnonzero(fail.record(pos, errors)))
     else:
         stored = weights[pos]
-        groups, errors = _block_bases(laws[pos], stride[pos], modes, blocks.shape[1], order[pos])
+        groups, errors = _block_bases(laws[pos], stride[pos], modes, blocks.shape[1])
         fail.record(pos, errors)
     fits = []
     for at, basis in groups:
@@ -704,9 +703,7 @@ def decompress(artifact: CompressionArtifact) -> TimeSeries:
 def serialize(artifact: CompressionArtifact) -> bytes:
     """Encode an artifact in the DLAW byte layout of its version."""
     params = artifact.params
-    flags = (1 if params.symmetric else 0) | (
-        2 if params.fit_mode == INITIAL_CONDITIONS else 0
-    )
+    flags = params.symmetric | 2 * (params.fit_mode == INITIAL_CONDITIONS)
     head = struct.pack(
         _HEADER,
         _MAGIC,
@@ -759,15 +756,11 @@ def deserialize(data: bytes) -> CompressionArtifact:
         raise InvariantViolation(f"unknown flag bits 0x{flags:04x}")
     if reserved != 0:
         raise InvariantViolation("reserved header field must be zero")
-    symmetric = bool(flags & 1)
-    try:
-        params = CodecParams(n, block_size, stride, INITIAL_CONDITIONS if flags & 2 else AMPLITUDES,
-                             symmetric)
-        _check_header(params, rate)
-    except ValueError as exc:
-        raise InvariantViolation(str(exc)) from exc
     reader = _read_v1 if version == 1 else _read_v2
     try:
+        params = CodecParams(n, block_size, stride, INITIAL_CONDITIONS if flags & 2 else AMPLITUDES,
+                             bool(flags & 1))
+        _check_header(params, rate)
         return reader(data, params, rate, block_count, tail_len)
     except ValueError as exc:
         raise InvariantViolation(str(exc)) from exc

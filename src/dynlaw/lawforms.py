@@ -424,14 +424,11 @@ def _impulse_bases(w: np.ndarray, count: int):
     so a row comes out the same whatever else the stack holds, bit for
     bit the law stepped alone.  The bases are a transposed view."""
     n = w.shape[1] - 1
-    fail = Failures()
-    pos = np.arange(w.shape[0])
-    ok = fail.record(pos, {int(i): ValueError("recursion needs |w_0| > 1e-12")
-                           for i in np.flatnonzero(np.abs(w[:, 0]) <= 1e-12)})
-    pos, w = pos[ok], w[ok]
-    ok = fail.record(pos, {int(i): ValueError("recursion needs finite weights")
-                           for i in np.flatnonzero(~np.all(np.isfinite(w), axis=-1))})
-    w = w[ok]
+    small = np.abs(w[:, 0]) <= 1e-12  # NaN is not small; it fails as not finite
+    errors = {int(i): ValueError("recursion needs |w_0| > 1e-12" if small[i]
+                                 else "recursion needs finite weights")
+              for i in np.flatnonzero(small | ~np.all(np.isfinite(w), axis=-1))}
+    (w,) = drop(errors, w)
     basis = np.zeros((count, w.shape[0], n))
     head = np.arange(min(count, n))
     basis[head, :, head] = 1.0
@@ -442,7 +439,7 @@ def _impulse_bases(w: np.ndarray, count: int):
             step = (-w[:, :0:-1] / w[:, :1])[:, None, :]  # weights of y_{k-n} .. y_{k-1}
             for window, row in zip(windows, basis[n:, :, None, :]):
                 np.matmul(step, window, out=row)
-    return basis.transpose(1, 2, 0), fail.first
+    return basis.transpose(1, 2, 0), errors
 
 
 def _generate(basis: np.ndarray, coef: np.ndarray):

@@ -39,8 +39,9 @@ def test_synth_writes_playable_wav(tmp_path):
     series = read_wav(path.read_bytes())
     assert series.sample_rate == 6.0
     assert series.samples.size == 300
+    # --amp defaults to 0.9 per tone
     np.testing.assert_allclose(
-        series.samples, np.sin(np.pi / 3 * np.arange(300)), atol=1.1 / 32768.0
+        series.samples, 0.9 * np.sin(np.pi / 3 * np.arange(300)), atol=1.1 / 32768.0
     )
 
 
@@ -211,6 +212,8 @@ def test_usage_errors_exit_1(capsys):
     assert run(["compress", "--n", "2", "--block", "64", "--index", "1"]) == 1
     assert run(["extract", "--n", "2", "--index", "1"]) == 1
     capsys.readouterr()  # swallow argparse noise
+    assert run(["baseline", "--length", "256", "--grid-n", "1:5", "--block", "64"]) == 1
+    assert "grid '1:5' is not a:b:step" in capsys.readouterr().err
 
 
 def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
@@ -341,15 +344,29 @@ def test_stdout_streaming(capsysbinary):
 
 
 def test_synth_refuses_a_signal_past_full_scale(tmp_path, capsys):
-    # two unit tones peak near 2, which a 16-bit WAV would clip to 1
+    # two tones at the default 0.9 each peak near 1.8, which a 16-bit WAV
+    # would clip to 1
     out = tmp_path / "loud.wav"
     assert run(["synth", "--kind", "multi_sine", "--length", "4096", "--rate", "8000",
                 "--freq", "440,1200", "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: signal peak 1.98") and "--amp" in err
+    assert err.startswith("error: signal peak 1.78") and "--amp" in err
     assert len(err.splitlines()) == 1 and not out.exists()
     assert run(["synth", "--kind", "multi_sine", "--length", "4096", "--rate", "8000",
                 "--freq", "440,1200", "--amp", "0.5,0.4", "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "sine", "--length", "4096", "--rate", "8000", "--freq", "440"],
+    ["--kind", "poly_exp", "--length", "16"],
+], ids=["sine", "poly_exp"])
+def test_synth_writes_its_default_amplitude(tmp_path, argv):
+    # a unit tone or a constant 1 would clip; the default 0.9 does not
+    out = tmp_path / "default.wav"
+    assert run(["synth", *argv, "--output", str(out)]) == 0
+    series = read_wav(out.read_bytes())
+    assert series.samples.size == int(argv[3])
+    assert 0.8 < np.max(np.abs(series.samples)) <= 0.9 + 0.5 / 32768
 
 
 def test_synth_refuses_a_constant_at_exactly_full_scale(tmp_path, capsys):

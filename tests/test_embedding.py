@@ -83,6 +83,8 @@ def test_series_validation():
         TimeSeries([1.0, np.nan])
     with pytest.raises(ValueError):
         TimeSeries([0.0], sample_rate=0.0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        TimeSeries(np.zeros((2, 3)))
     # empty container is legal; embedding it is not
     empty = TimeSeries([])
     assert len(empty) == 0

@@ -293,6 +293,11 @@ def test_exploding_law_rejected_for_ic_fit():
         fit_initial_conditions(law, 2.0 ** np.arange(400))
 
 
+def test_reconstruct_rejects_an_object_that_is_not_a_fit():
+    with pytest.raises(TypeError, match="cannot reconstruct from object"):
+        reconstruct(object(), 4)
+
+
 def test_segment_shorter_than_mode_count_rejected():
     q = np.array([np.exp(0.5j), np.exp(-0.5j)])
     with pytest.raises(ValueError):

@@ -128,6 +128,20 @@ def test_degenerate_inputs_rejected():
         weights_to_roots(np.array([5.0, 0.0, 0.0]))  # degree 0 after trim
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ContinuousModel(exponents=[0.1, 0.2], amplitudes=[1.0]), "one amplitude per exponent"),
+    (lambda: ContinuousModel(exponents=[0.1], amplitudes=[1.0], dt=0.0), "dt must be positive"),
+    (lambda: ContinuousModel(exponents=[0.1], amplitudes=[1.0], dt=np.nan), "dt must be positive"),
+    (lambda: roots_to_model([0.5, 2.0], [1.0], dt=1.0), "one amplitude per root"),
+    (lambda: impulse_basis([1.0, -1.0], -1), "count must be >= 0"),
+    (lambda: companion_matrix([0.0, 1.0, -1.0]), r"\|w_0\| > 1e-12"),
+], ids=["model-shapes", "model-dt-zero", "model-dt-nan", "amplitude-count", "negative-count",
+        "companion-w0"])
+def test_malformed_arguments_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_roots_to_weights_examples():
     np.testing.assert_allclose(roots_to_weights([2.0, 3.0], 1.0), [6, -5, 1], atol=1e-12)
     np.testing.assert_allclose(roots_to_weights([1j, -1j], 1.0), [1, 0, 1], atol=1e-12)
@@ -476,6 +490,7 @@ def _expected_error(w):
 @example((np.array([[1.0, -0.5, 0.25, 0.125]]), 4, np.array([-0.0, 1.0, 2.0])))  # one generated row
 @example((np.zeros((0, 5)), 9, np.ones(4)))  # no law
 @example((np.array([[2.0], [0.0]]), 3, np.zeros(0)))  # n = 0
+@example((np.array([[0.0, np.inf, 1.0], [1e-13, 1.0, np.nan]]), 5, np.ones(2)))  # both: w_0 wins
 def test_impulse_bases_rows_equal_single_law_and_stepped_reference(case):
     stack, count, seeds = case
     n = stack.shape[1] - 1

@@ -167,6 +167,17 @@ def test_spec_validation():
         synthesize(SynthSpec(kind="sine", length=10, frequencies=(0.1, 0.2)))
     with pytest.raises(ValueError):
         synthesize(SynthSpec(kind="multi_sine", length=10))
+    with pytest.raises(ValueError, match="sample_rate must be positive"):
+        SynthSpec(kind="sine", length=10, sample_rate=0.0, frequencies=(0.1,))
+    with pytest.raises(ValueError, match="frequencies must be >= 0"):
+        SynthSpec(kind="sine", length=10, frequencies=(-0.1,))
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        SynthSpec(kind="poly_exp", length=10, degree=-1)
+    for amplitudes, phases in (((1.0, 0.5, 0.2), ()), ((1.0,), (0.0,))):
+        spec = SynthSpec(kind="multi_sine", length=10, amplitudes=amplitudes,
+                         frequencies=(0.1, 0.2), phases=phases)
+        with pytest.raises(ValueError, match="must align"):
+            synthesize(spec)
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])

@@ -252,6 +252,15 @@ def test_correlation_beyond_float_range_is_rejected(spike):
         extract_law(eigendecompose(c), cfg)
 
 
+def test_matrix_and_law_shapes_are_validated():
+    for entries in (np.zeros((2, 3)), np.zeros(3)):
+        with pytest.raises(ValueError, match="must be square"):
+            CorrelationMatrix(entries=entries, sample_count=1)
+    for weights in ([1.0], np.eye(2) / np.sqrt(2.0)):
+        with pytest.raises(ValueError, match="length n \\+ 1 >= 2"):
+            LinearLaw(weights=np.array(weights), eigenvalue=0.0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_law_rejects_non_finite_weights(bad):
     with pytest.raises(ValueError, match="unit norm"):
