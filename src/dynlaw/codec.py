@@ -108,6 +108,7 @@ from .errors import (
     NumericalError,
     SeriesTooShort,
     TruncatedPayload,
+    UnstableBasis,
     UnstableOverflow,
     UnsupportedVersion,
     ZeroRoot,
@@ -153,10 +154,12 @@ def _in_f32_range(values: np.ndarray, axis=None) -> np.ndarray:
 class CodecParams:
     """Knobs of the block codec.
 
-    ``block_size >= 2 * order_n`` keeps the nominal rate at or above 1
-    (equality is the lossless point where the correlation matrix is
-    rank deficient), and ``stride * order_n < block_size`` keeps at
-    least one embedding window inside a block.
+    ``order_n``, ``block_size`` and ``stride`` are integers (Python or
+    numpy; not bool).  ``block_size >= 2 * order_n`` keeps the nominal
+    rate at or above 1 (equality is the lossless point where the
+    correlation matrix is rank deficient), and ``stride * order_n <
+    block_size`` keeps at least one embedding window inside a block.
+    ValueError otherwise.
     """
 
     order_n: int
@@ -166,6 +169,10 @@ class CodecParams:
     symmetric: bool = False
 
     def __post_init__(self):
+        for name in ("order_n", "block_size", "stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.order_n < 1:
             raise ValueError("order_n must be >= 1")
         if self.stride < 1:
@@ -440,14 +447,6 @@ def _per_sample_roots(q: np.ndarray, stride: np.ndarray) -> np.ndarray:
     return p[np.arange(len(p))[:, None], np.lexsort((p.imag, p.real), axis=-1)]
 
 
-def _recursion_bases(w: np.ndarray, count: int):
-    """``_impulse_bases``, where a law with a root at the origin
-    (|w_0| <= 1e-12), whose recursion cannot step, fails as ZeroRoot."""
-    basis, errors = _impulse_bases(w, count)
-    return basis, {pos: with_cause(ZeroRoot(f"law has a root at the origin: {exc}"), exc)
-                   if abs(w[pos, 0]) <= 1e-12 else exc for pos, exc in errors.items()}
-
-
 def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
     """Per-sample basis of each block from its law's float64 unit
     weights (blocks x (n + 1); in amplitude mode a law of lower order may
@@ -467,11 +466,14 @@ def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
     a y = 0 law has no modes in amplitude mode, and in IC mode a direct
     block's basis is the stored law's own recursion, with one seed per
     lag of the stored width n, which for y = 0 yields zeros after the
-    seeds at any stride.  In IC mode a law with a root at the origin
-    fails as ZeroRoot (``_recursion_bases``).  The other blocks take
-    their lattice roots from ``_root_groups``; only those at stride > 1
-    are mapped (``_per_sample_roots``): exp(ln q / 1) is not q to the
-    last bit.
+    seeds at any stride.  A direct IC block whose recursion cannot step
+    (``_impulse_bases``), a stored law with w_0 ~ 0, fails as ZeroRoot.
+    The other blocks take their lattice roots from ``_root_groups``;
+    only those at stride > 1 are mapped (``_per_sample_roots``):
+    exp(ln q / 1) is not q to the last bit.  In IC mode such a block
+    steps the per-sample law its mapped roots expand to, unit-scaled as
+    a stored law is; where that law leaves float range or cannot step,
+    the block fails as UnstableBasis.
 
     Returns ``[(positions, bases)]``, one entry per group of blocks
     whose bases were built together (direct, or of one degree), plus
@@ -487,7 +489,8 @@ def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
     if at.size and modes:
         groups.append((at, np.zeros((at.size, 0, count))))
     elif at.size:
-        basis, errors = _recursion_bases(weights[at], count)
+        basis, errors = _impulse_bases(weights[at], count)
+        errors = _relabel(errors, ZeroRoot, "law has a root at the origin")
         groups.append((at[fail.record(at, errors)], basis))
     for _, at, roots in _root_groups(weights, degrees, stride, fail):
         far = stride[at] > 1
@@ -496,11 +499,21 @@ def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
         if modes:
             basis, errors = _mode_bases(roots, count)
         else:
-            w, errors = _expand(roots, 1.0)
-            at = at[fail.record(at, errors)]
-            basis, errors = _recursion_bases(_unit(w), count)
+            # the law of the mapped roots may leave float range, or have a
+            # w_0 too small against its norm to step
+            text = "per-sample law of the stride map cannot be stepped"
+            with np.errstate(over="ignore", invalid="ignore"):
+                w, errors = _expand(roots, 1.0)
+                at = at[fail.record(at, _relabel(errors, UnstableBasis, text))]
+                basis, errors = _impulse_bases(_unit(w), count)
+            errors = _relabel(errors, UnstableBasis, text)
         groups.append((at[fail.record(at, errors)], basis))
     return groups, fail.first
+
+
+def _relabel(errors: dict, kind, text: str) -> dict:
+    """``errors`` raised again as ``kind``, each prefixed by ``text``."""
+    return {pos: with_cause(kind(f"{text}: {exc}"), exc) for pos, exc in errors.items()}
 
 
 def _law_exponents(w: np.ndarray, stride):

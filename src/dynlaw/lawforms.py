@@ -236,12 +236,10 @@ def _expand(q: np.ndarray, scale: float = 1.0):
 
 
 def conjugate_pairs(roots) -> tuple[list[tuple[int, int]], list[int]]:
-    """Match a conjugation-closed multiset into (pairs, reals).
-
-    Pairs are index tuples (i, j) with Im(roots[i]) > 0 and
-    roots[j] ~ conj(roots[i]); reals are indices of near-real roots.
-    Raises NonRealCoefficients when some complex root has no partner
-    within 1e-8 * (1 + |root|).
+    """Match a conjugation-closed multiset into (pairs, reals) by the
+    rule of ``_pairs``: pairs are index tuples (i, j) that lead with the
+    root above the axis, reals the indices of near-real roots.  Raises
+    NonRealCoefficients when some complex root has no partner.
     """
     q = np.asarray(getattr(roots, "roots", roots), dtype=np.complex128)
     partner, lead = one_row(_pairs(q[None]))
@@ -253,46 +251,40 @@ def conjugate_pairs(roots) -> tuple[list[tuple[int, int]], list[int]]:
 def _pairs(q: np.ndarray):
     """Conjugate pairing of each root set of a stack (g, d).
 
-    Root i is near-real when |Im q_i| <= _PAIR_TOL * (1 + |q_i|)
-    (``_pair_limit``, which the codec's stride map shares).  In index
-    order, each root not yet taken as a partner that is not near-real
-    takes the nearest later such root (near-real or not) to its
-    conjugate, the first one on ties, which must lie within that same
-    tolerance.  Returns ``partner`` (g, d), the index each
-    root is paired with (its own for a real root), and ``lead`` (g, d),
-    true for real roots and for the root of each pair that
-    ``conjugate_pairs`` lists first: the earlier one when its imaginary
-    part is positive, else the later one.  Sets that fail are left
-    out, with ``{position: error}``.
+    Root i is near-real when |Im q_i| <= _PAIR_TOL * (1 + |q_i|) =
+    limit_i (``_pair_limit``, which the codec's stride map shares).  In
+    index order, each root not yet taken as a partner that is not
+    near-real takes the nearest later such root (near-real or not) to
+    its conjugate, the first one on ties, which must lie within limit_i.
+    Returns ``partner`` (g, d), the index each root is paired with (its
+    own for a near-real root), and ``lead`` (g, d), true for near-real
+    roots and for the root of each pair above the real axis, which
+    ``conjugate_pairs`` lists first.  Exactly one root of a pair lies
+    above the axis: |Im q_j + Im q_i| <= |q_j - conj q_i| <= limit_i <
+    |Im q_i|.  Sets that fail are left out, with ``{position: error}``.
 
-    A set in which each pair-opening root is directly followed by its
-    exact conjugate, as the (real, imag) sort of exactly conjugate roots
-    leaves them, is paired in one vectorized step: that conjugate is at
-    distance 0 and the first candidate, so the rule picks it.  Only the
-    other sets take the loop over root index (``_greedy_pairs``).
+    A set in which each root that is not near-real lies below the axis
+    with its exact conjugate right after it, or is that conjugate, as
+    the (real, imag) sort of exactly conjugate roots leaves them, is
+    paired in one vectorized step: that conjugate is at distance 0 and
+    the first candidate, so the rule picks it.  Only the other sets take
+    the loop over root index (``_greedy_pairs``).
     """
     g, d = q.shape
     limit = _pair_limit(q)
     real = np.abs(q.imag) <= limit
     index = np.arange(d)
-    # in a run of non-real roots the rule pairs them in order, so the
-    # openers sit at even offsets from the run's first root
-    first = ~real
-    first[:, 1:] &= real[:, :-1]
-    opens = ~real & ((index - np.maximum.accumulate(np.where(first, index, 0), axis=-1)) % 2 == 0)
-    # an opener closed by the next root, its exact conjugate (err 0)
-    closed = np.zeros((g, d), dtype=bool)
-    closed[:, :-1] = opens[:, :-1] & (q[:, 1:] == np.conj(q[:, :-1])) & np.isfinite(q[:, :-1])
-    slow = np.flatnonzero(np.any(opens & ~closed, axis=-1))
-    partner = np.where(closed, index + 1, index)
-    partner[:, 1:] = np.where(closed[:, :-1], index[:-1], partner[:, 1:])
-    lead = real | (closed & (q.imag > 0))
-    lead[:, 1:] |= closed[:, :-1] & ~lead[:, :-1]
+    # pair[:, i + 1]: root i lies below the axis and root i + 1 is its exact conjugate
+    pair = np.zeros((g, d + 1), dtype=bool)
+    pair[:, 1:-1] = ~real[:, :-1] & (q.imag[:, :-1] < 0) & (q[:, 1:] == np.conj(q[:, :-1]))
+    opens, closes = pair[:, 1:], pair[:, :-1]
+    partner = index + opens - closes
+    slow = np.flatnonzero(np.any(~(real | opens | closes), axis=-1))
     errors = {}
     if slow.size:
-        partner[slow], lead[slow], errors = _greedy_pairs(q[slow], limit[slow], real[slow])
+        partner[slow], errors = _greedy_pairs(q[slow], limit[slow], real[slow])
         errors = {int(slow[pos]): exc for pos, exc in errors.items()}
-    return (*drop(errors, partner, lead), errors)
+    return (*drop(errors, partner, (partner == index) | (q.imag > 0)), errors)
 
 
 def _pair_limit(q: np.ndarray) -> np.ndarray:
@@ -306,12 +298,11 @@ def _pair_limit(q: np.ndarray) -> np.ndarray:
 def _greedy_pairs(q: np.ndarray, limit: np.ndarray, real: np.ndarray):
     """The pairing rule of ``_pairs`` stepped over root index, for each
     set of a stack (g, d) at once, given each root's tolerance and
-    near-real flag.  Returns ``partner`` and ``lead`` of every set
-    (unspecified for the sets that fail) and ``{position: error}``."""
+    near-real flag.  Returns ``partner`` of every set (unspecified for
+    the sets that fail) and ``{position: error}``."""
     g, d = q.shape
     fail = Failures()
     partner = np.tile(np.arange(d), (g, 1))
-    lead = real.copy()
     taken = np.zeros((g, d), dtype=bool)
     for i in range(d):
         at = np.flatnonzero(~taken[:, i])
@@ -324,7 +315,10 @@ def _greedy_pairs(q: np.ndarray, limit: np.ndarray, real: np.ndarray):
             err = np.hypot(diff.real, diff.imag)
         err[taken[at] | np.isnan(err)] = np.inf
         best = np.argmin(err, axis=-1)
-        bad = ~(err[np.arange(at.size), best] <= limit[at, i])
+        nearest = err[np.arange(at.size), best]
+        # a partner lies at a finite distance, also within the infinite
+        # tolerance of a root of infinite modulus
+        bad = ~(nearest <= limit[at, i]) | np.isinf(nearest)
         fail.record(at, {
             int(r): NonRealCoefficients(
                 f"root {q[at[r], i]} has no conjugate partner within {_PAIR_TOL:g}")
@@ -335,9 +329,7 @@ def _greedy_pairs(q: np.ndarray, limit: np.ndarray, real: np.ndarray):
         partner[at, i] = best
         partner[at, best] = i
         taken[at, best] = True
-        lead[at, i] = q[at, i].imag > 0
-        lead[at, best] = ~lead[at, i]
-    return partner, lead, fail.first
+    return partner, fail.first
 
 
 def roots_to_model(roots, amplitudes, dt: float) -> ContinuousModel:

@@ -28,7 +28,8 @@ from .errors import AliasedFrequency, MalformedHeader, UnsupportedFormat
 
 __all__ = ["SynthSpec", "read_wav", "write_wav", "clamped_samples", "synthesize", "lcg_uniform"]
 
-_KINDS = ("sine", "multi_sine", "damped_sine", "poly_exp", "uniform_noise", "constant")
+_SCALED_KINDS = ("sine", "multi_sine", "damped_sine", "poly_exp")  # they read ``amplitudes``
+_KINDS = _SCALED_KINDS + ("uniform_noise", "constant")
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -54,9 +55,10 @@ class SynthSpec:
     ``kind`` selects the generator; the remaining fields are read as
     that kind needs them.  Tones use ``amplitudes[j] * sin(2 pi
     frequencies[j] t + phases[j])``; ``damped_sine`` multiplies by
-    exp(-decay * t); ``poly_exp`` is amplitude * t^degree *
+    exp(-decay * t); ``poly_exp`` is amplitudes[0] * t^degree *
     exp(-decay * t); ``uniform_noise`` is seeded LCG noise; ``constant``
-    repeats ``value``.
+    repeats ``value``.  The tone kinds and ``poly_exp`` refuse an empty
+    ``amplitudes``.
     """
 
     kind: str
@@ -80,6 +82,8 @@ class SynthSpec:
         object.__setattr__(self, "amplitudes", tuple(float(a) for a in self.amplitudes))
         object.__setattr__(self, "frequencies", tuple(float(f) for f in self.frequencies))
         object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+        if not self.amplitudes and self.kind in _SCALED_KINDS:
+            raise ValueError(f"kind {self.kind!r} needs at least one amplitude")
         for f in self.frequencies:
             if f >= self.sample_rate / 2.0:
                 raise AliasedFrequency(
@@ -119,8 +123,7 @@ def synthesize(spec: SynthSpec) -> TimeSeries:
         if spec.kind == "damped_sine":
             y *= np.exp(-spec.decay * t)
     elif spec.kind == "poly_exp":
-        a = spec.amplitudes[0] if spec.amplitudes else 1.0
-        y = a * t**spec.degree * np.exp(-spec.decay * t)
+        y = spec.amplitudes[0] * t**spec.degree * np.exp(-spec.decay * t)
     elif spec.kind == "uniform_noise":
         y = lcg_uniform(spec.seed, spec.length)
     else:

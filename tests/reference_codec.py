@@ -12,7 +12,8 @@ import numpy as np
 
 from dynlaw.codec import AMPLITUDES, INITIAL_CONDITIONS, CompressionArtifact, StoredExponents
 from dynlaw.embedding import EmbeddingConfig, TimeSeries, embed
-from dynlaw.errors import SingularNormalMatrix, UnstableBasis, UnstableOverflow, ZeroRoot
+from dynlaw.errors import (NonRealCoefficients, SingularNormalMatrix, UnstableBasis,
+                           UnstableOverflow, ZeroRoot)
 from dynlaw.fitting import accuracy, exponent_basis, least_squares, mode_basis
 from dynlaw.lawforms import conjugate_pairs, roots_to_weights, weights_to_roots
 from dynlaw.spectral import correlation, eigendecompose, extract_law, extract_symmetric_law
@@ -43,10 +44,10 @@ def per_sample_roots(q, stride):
 def recursion_basis(weights, count):
     """Impulse responses (count, n) of one law's recursion, stepped one
     sample at a time: row k is the step's weights times rows k-n .. k-1.
-    A root at the origin (|w_0| <= 1e-12) fails as ZeroRoot."""
+    ValueError when |w_0| <= 1e-12 or a weight is not finite."""
     w = np.asarray(weights, dtype=np.float64)
     if abs(w[0]) <= 1e-12:
-        raise ZeroRoot("law has a root at the origin: recursion needs |w_0| > 1e-12")
+        raise ValueError("recursion needs |w_0| > 1e-12")
     if not np.all(np.isfinite(w)):
         raise ValueError("recursion needs finite weights")
     n = w.size - 1
@@ -60,21 +61,34 @@ def recursion_basis(weights, count):
     return basis
 
 
+def direct_basis(weights, count):
+    """The stored law's own recursion; one it cannot step has w_0 ~ 0."""
+    try:
+        return recursion_basis(weights, count)
+    except ValueError as exc:
+        raise ZeroRoot(f"law has a root at the origin: {exc}") from exc
+
+
 def block_basis(weights, params, count):
     if params.fit_mode == INITIAL_CONDITIONS and params.stride == 1:
-        return recursion_basis(weights, count)
+        return direct_basis(weights, count)
     try:
         roots = weights_to_roots(weights)
     except ValueError:  # no root: the law has no weight past lag 0
         if params.fit_mode == AMPLITUDES:
             return np.zeros((count, 0))
-        return recursion_basis(weights, count)
+        return direct_basis(weights, count)
     if params.stride > 1:
         roots = per_sample_roots(roots.roots, params.stride)
     if params.fit_mode == AMPLITUDES:
         return mode_basis(roots, count)
-    w = roots_to_weights(roots, 1.0)
-    return recursion_basis(w / np.linalg.norm(w), count)
+    # the per-sample law of the mapped roots, unit-scaled as a stored law is
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = roots_to_weights(roots, 1.0)
+            return recursion_basis(w / np.linalg.norm(w), count)
+    except (NonRealCoefficients, ValueError) as exc:
+        raise UnstableBasis(f"per-sample law of the stride map cannot be stepped: {exc}") from exc
 
 
 def stores_exponents(params):

@@ -317,6 +317,29 @@ def test_ic_law_with_a_root_at_the_origin_exits_3(tmp_path, capsys):
     assert "law has a root at the origin" in capsys.readouterr().err
 
 
+def _eight_tones(tmp_path):
+    wav = tmp_path / "tones.wav"
+    assert run(["synth", "--kind", "multi_sine", "--length", "4096", "--rate", "8000",
+                "--freq", "150,386,621,857,1093,1329,1564,1800", "--amp", "0.1",
+                "--output", str(wav)]) == 0
+    return wav
+
+
+@pytest.mark.parametrize("n, block", [(64, 1024), (700, 2048)])
+def test_ic_stride_map_that_cannot_step_exits_3_as_unstable_basis(tmp_path, capsys, n, block):
+    # the lattice roots of eight tones lie on the unit circle, but the
+    # per-sample law they expand to has a w_0 far below 1e-12 of its
+    # norm (n = 64), or leaves float range (n = 700): no root is at the
+    # origin, and no RuntimeWarning may escape
+    wav = _eight_tones(tmp_path)
+    capsys.readouterr()
+    assert run(["compress", "--input", str(wav), "--n", str(n), "--block", str(block),
+                "--stride", "2", "--mode", "ic", "--output", str(tmp_path / "out.dlaw")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: per-sample law of the stride map cannot be stepped")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("warn", ["error", "ignore"])
 @pytest.mark.parametrize("mode", ["amp", "ic"])
 def test_correlation_overflow_exits_3(tmp_path, capsys, monkeypatch, mode, warn):
@@ -367,6 +390,18 @@ def test_synth_writes_its_default_amplitude(tmp_path, argv):
     series = read_wav(out.read_bytes())
     assert series.samples.size == int(argv[3])
     assert 0.8 < np.max(np.abs(series.samples)) <= 0.9 + 0.5 / 32768
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "poly_exp", "--length", "16"],
+    ["--kind", "sine", "--length", "16", "--rate", "8000", "--freq", "440"],
+], ids=["poly_exp", "sine"])
+def test_synth_refuses_an_empty_amplitude_list(tmp_path, capsys, argv):
+    out = tmp_path / "silent.wav"
+    assert run(["synth", *argv, "--amp", "", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: kind {argv[1]!r} needs at least one amplitude\n"
+    assert not out.exists()
 
 
 def test_synth_refuses_a_constant_at_exactly_full_scale(tmp_path, capsys):

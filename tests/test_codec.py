@@ -871,6 +871,31 @@ def test_ic_law_with_a_root_at_the_origin_fails_as_zero_root():
             decode(deserialize(data))
 
 
+def test_ic_stride_map_that_cannot_step_fails_as_unstable_basis():
+    # eight tones have lattice roots on the unit circle, none at the
+    # origin; at stride 2 their per-sample law has a w_0 far below
+    # 1e-12 of its norm, so its recursion cannot step
+    tones = synthesize(SynthSpec(kind="multi_sine", length=4096, sample_rate=8000.0,
+                                 frequencies=(150, 386, 621, 857, 1093, 1329, 1564, 1800),
+                                 amplitudes=(0.1,)))
+    text = "per-sample law of the stride map cannot be stepped: recursion needs |w_0| > 1e-12"
+    params = CodecParams(order_n=64, block_size=1024, stride=2, fit_mode=INITIAL_CONDITIONS)
+    for encode in (compress, reference_codec.compress):
+        with pytest.raises(UnstableBasis) as info:
+            encode(tones, params)
+        assert str(info.value) == text
+    # a file storing those laws: amplitude mode encodes them, and a
+    # symmetric file keeps them as weights that an IC file can hold
+    stored = compress(tones, dataclasses.replace(params, fit_mode=AMPLITUDES, symmetric=True))
+    data = serialize(CompressionArtifact(params=dataclasses.replace(params, symmetric=True),
+                                         sample_rate=8000, weights=stored.weights,
+                                         payload=stored.payload))
+    for decode in (decompress, reference_codec.decompress):
+        with pytest.raises(UnstableBasis) as info:
+            decode(deserialize(data))
+        assert str(info.value) == text
+
+
 @st.composite
 def _structured_case(draw):
     n = draw(st.integers(1, 8))
@@ -1158,6 +1183,13 @@ def test_sweep_records_skipped_points():
     assert {(r.n, r.stride) for r in report.rows} == {(4, 1)}
 
 
+def test_sweep_skips_a_point_that_is_not_an_integer():
+    series = two_tone()
+    report = sweep(series, (2.5, 2), (1,), 64)
+    assert report.skipped == ((2.5, 1, "order_n must be an integer, not 2.5"),)
+    assert report.rows == sweep(series, (2,), (1,), 64).rows and len(report.rows) == 1
+
+
 def test_sweep_accuracy_decays_with_rate_on_noise():
     medians = []
     for n in (16, 8, 4):  # R = 2, 4, 8 at block 64
@@ -1211,6 +1243,12 @@ def test_codec_params_validation():
         CodecParams(order_n=5, block_size=8)
     with pytest.raises(ValueError):
         CodecParams(order_n=4, block_size=8, stride=2)
+    for value in (2.5, 2.0, np.float64(2.0), True):
+        for name in ("order_n", "block_size", "stride"):
+            fields = {"order_n": 2, "block_size": 64, "stride": 1, name: value}
+            with pytest.raises(ValueError, match=f"{name} must be an integer, not"):
+                CodecParams(**fields)
+    assert CodecParams(order_n=np.int64(2), block_size=np.int32(64), stride=np.uint8(2)).rate == 16.0
     assert CodecParams(order_n=4, block_size=160).rate == 20.0
 
 

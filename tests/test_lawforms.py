@@ -152,6 +152,10 @@ def test_unpaired_complex_root_rejected():
         roots_to_weights([1j], 1.0)
     with pytest.raises(NonRealCoefficients):
         conjugate_pairs(np.array([0.5 + 0.5j, 0.5 + 0.49j]))
+    # a root of infinite modulus has an infinite tolerance, but no root
+    # lies at a finite distance from its NaN conjugate
+    with pytest.raises(NonRealCoefficients):
+        conjugate_pairs(np.array([0.5 - 1j, 0.5 + 1j, complex(np.inf, np.nan)]))
 
 
 def test_conjugate_pairs_layout():
@@ -218,19 +222,25 @@ _UNIT = st.one_of(
 def _root_row(draw, d):
     """A row of d roots: units laid out as the (real, imag) sort leaves
     them, as built, or broken so that only the loop can pair them:
-    shuffled, a near-conjugate within or beyond 1e-8, an odd run or a
+    shuffled, a near-conjugate within or beyond 1e-8, a root moved to
+    0.4 of its imaginary part (a pair 2.5e-8 off the axis then pairs a
+    root that is not near-real with a near-real one), an odd run or a
     root with no partner (a unit cut at the end, or replaced)."""
     row = []
     for kind, re, im in draw(st.lists(_UNIT, min_size=1, max_size=d)):
         row += [complex(re, im)] if kind == "real" else [complex(re, -im), complex(re, im)]
     q = np.array((row + [0.5] * d)[:d])
-    edit = draw(st.sampled_from(["sorted", "as built", "shuffled", "near", "lonely"]))
+    edit = draw(st.sampled_from(["sorted", "as built", "shuffled", "near", "near-real partner",
+                                 "lonely"]))
     if edit == "sorted":
         q = q[np.lexsort((q.imag, q.real))]
     elif edit == "shuffled":
         q = q[draw(st.permutations(range(d)))]
     elif edit == "near":
         q[draw(st.integers(0, d - 1))] += draw(st.sampled_from([5e-9, -5e-9j, 3e-8, 3e-8j]))
+    elif edit == "near-real partner":
+        i = draw(st.integers(0, d - 1))
+        q[i] = complex(q[i].real, 0.4 * q[i].imag)
     elif edit == "lonely":
         q[draw(st.integers(0, d - 1))] = 0.2 + 0.6j
     return q
@@ -245,8 +255,14 @@ def _as_lists(partner, lead):
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda d: st.lists(_root_row(d), min_size=1, max_size=6)))
+# a root 2.5e-8 below the axis pairs with the near-real 0.9 + 1e-8j
+@example([np.array([0.9 - 2.5e-8j, 0.9 + 1e-8j, 0.5])])
 def test_stacked_pairs_follow_the_greedy_rule_row_by_row(rows):
-    partner, lead, errors = _pairs(np.stack(rows))
+    stack = np.stack(rows)
+    partner, lead, errors = _pairs(stack)
+    # each pair leads with its root above the axis
+    paired = stack[[pos not in errors for pos in range(len(rows))]]
+    assert np.array_equal(lead, (partner == np.arange(stack.shape[1])) | (paired.imag > 0))
     kept = iter(range(len(partner)))
     for pos, q in enumerate(rows):
         try:
