@@ -6,76 +6,21 @@ correlation matrix, converts losslessly between weight / root /
 recursion / continuous-exponential form, and doubles as a block codec
 whose accuracy-versus-rate behavior can be swept and compared against
 a seeded-noise baseline.
+
+Each module's ``__all__`` is the one declaration of its public names:
+the package re-exports every one of them, plus ``errors`` and
+``__version__``.
 """
 
-from .embedding import EmbeddedDataset, EmbeddingConfig, TimeSeries, embed
-from .spectral import (
-    CorrelationMatrix,
-    LinearLaw,
-    Spectrum,
-    correlation,
-    eigendecompose,
-    extract_law,
-    extract_symmetric_law,
-    law_residuals,
-)
-from .lawforms import (
-    ContinuousModel,
-    RootSet,
-    companion_matrix,
-    conjugate_pairs,
-    evaluate_model,
-    roots_to_model,
-    roots_to_weights,
-    run_recursion,
-    weights_to_roots,
-)
-from .fitting import (
-    AmplitudeFit,
-    InitialConditionFit,
-    accuracy,
-    exponent_basis,
-    fit_amplitudes,
-    fit_initial_conditions,
-    mode_basis,
-    reconstruct,
-)
-from .codec import (
-    AMPLITUDES,
-    INITIAL_CONDITIONS,
-    CodecParams,
-    CompressionArtifact,
-    StoredExponents,
-    SweepReport,
-    SweepRow,
-    compress,
-    decompress,
-    deserialize,
-    random_baseline,
-    rate_accuracy_slope,
-    serialize,
-    sweep,
-)
-from .signal_io import SynthSpec, lcg_uniform, read_wav, synthesize, write_wav
-from . import errors
+from . import codec, embedding, errors, fitting, lawforms, signal_io, spectral
+from .embedding import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+from .lawforms import *  # noqa: F401,F403
+from .fitting import *  # noqa: F401,F403
+from .codec import *  # noqa: F401,F403
+from .signal_io import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "TimeSeries", "EmbeddingConfig", "EmbeddedDataset", "embed",
-    "CorrelationMatrix", "Spectrum", "LinearLaw",
-    "correlation", "eigendecompose", "extract_law", "extract_symmetric_law",
-    "law_residuals",
-    "RootSet", "ContinuousModel", "weights_to_roots", "roots_to_weights",
-    "roots_to_model", "evaluate_model", "run_recursion", "companion_matrix",
-    "conjugate_pairs",
-    "AmplitudeFit", "InitialConditionFit", "fit_amplitudes",
-    "fit_initial_conditions", "mode_basis", "exponent_basis", "reconstruct", "accuracy",
-    "CodecParams", "CompressionArtifact", "StoredExponents",
-    "SweepRow", "SweepReport", "compress", "decompress",
-    "serialize", "deserialize", "sweep", "random_baseline", "rate_accuracy_slope",
-    "AMPLITUDES", "INITIAL_CONDITIONS",
-    "SynthSpec", "read_wav", "write_wav", "synthesize", "lcg_uniform",
-    "errors",
-    "__version__",
-]
+__all__ = [name for module in (embedding, spectral, lawforms, fitting, codec, signal_io)
+           for name in module.__all__] + ["errors", "__version__"]

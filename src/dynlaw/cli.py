@@ -68,11 +68,12 @@ def _write_bytes(path: str, data: bytes) -> None:
             handle.write(data)
 
 
-def _command(sub, name: str, text: str, reads=True, law=False, table=None):
-    """A subcommand parser with the options commands share: --input if it
-    ``reads``, --n and --stride for a ``law``, --format (default ``table``)
-    and --output, each declared anew, so no default leaks between commands."""
+def _command(sub, name: str, handler, text: str, reads=True, law=False, table=None):
+    """A subcommand parser bound to ``handler``, with the options commands
+    share: --input if it ``reads``, --n and --stride for a ``law``, --format
+    (default ``table``) and --output, each declared anew so no default leaks."""
     parser = sub.add_parser(name, help=text)
+    parser.set_defaults(handler=handler)
     if reads:
         parser.add_argument("--input", default="-")
     if law:
@@ -89,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dynlaw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = _command(sub, "synth", "generate a test signal as WAV", reads=False)
+    synth = _command(sub, "synth", _cmd_synth, "generate a test signal as WAV", reads=False)
     synth.add_argument("--kind", required=True, choices=_KINDS)
     synth.add_argument("--length", type=int, required=True)
     synth.add_argument("--rate", type=float, default=8000.0)
@@ -102,26 +103,29 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--value", type=float, default=0.0)
 
-    _command(sub, "spectrum", "eigenvalues of the correlation matrix", law=True, table="csv")
+    _command(sub, "spectrum", _cmd_spectrum, "eigenvalues of the correlation matrix", law=True,
+             table="csv")
 
-    extract = _command(sub, "extract", "best law in all representations", law=True, table="json")
+    extract = _command(sub, "extract", _cmd_extract, "best law in all representations", law=True,
+                       table="json")
     extract.add_argument("--symmetric", action="store_true")
 
-    comp = _command(sub, "compress", "WAV in, DLAW artifact out", law=True)
+    comp = _command(sub, "compress", _cmd_compress, "WAV in, DLAW artifact out", law=True)
     comp.add_argument("--block", type=int, required=True)
     comp.add_argument("--mode", choices=sorted(_MODES), default="amp")
     comp.add_argument("--symmetric", action="store_true")
 
-    _command(sub, "decompress", "DLAW artifact in, WAV out")
+    _command(sub, "decompress", _cmd_decompress, "DLAW artifact in, WAV out")
 
-    swp = _command(sub, "sweep", "accuracy vs rate over an (n, stride) grid", table="csv")
+    swp = _command(sub, "sweep", _cmd_sweep, "accuracy vs rate over an (n, stride) grid",
+                   table="csv")
     swp.add_argument("--grid-n", type=_parse_grid, required=True)
     swp.add_argument("--grid-stride", type=_parse_grid, default=(1,))
     swp.add_argument("--block", type=int, required=True)
     swp.add_argument("--symmetric", action="store_true")
 
-    base = _command(sub, "baseline", "noise baseline with log-log slope", reads=False,
-                    table="csv")
+    base = _command(sub, "baseline", _cmd_baseline, "noise baseline with log-log slope",
+                    reads=False, table="csv")
     base.add_argument("--length", type=int, required=True)
     base.add_argument("--seed", type=int, default=0)
     base.add_argument("--grid-n", type=_parse_grid, required=True)
@@ -272,17 +276,6 @@ def _cmd_baseline(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "spectrum": _cmd_spectrum,
-    "extract": _cmd_extract,
-    "compress": _cmd_compress,
-    "decompress": _cmd_decompress,
-    "sweep": _cmd_sweep,
-    "baseline": _cmd_baseline,
-}
-
-
 def run(argv) -> int:
     """Execute one command line; returns the process exit code."""
     parser = _build_parser()
@@ -291,7 +284,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (DataError, ValueError, LookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -131,6 +131,9 @@ __all__ = [
     "deserialize",
     "sweep",
     "random_baseline",
+    "rate_accuracy_slope",
+    "AMPLITUDES",
+    "INITIAL_CONDITIONS",
 ]
 
 _MAGIC = b"DLAW"
@@ -148,6 +151,14 @@ _ANGLE_UNIT = np.pi / 2**32  # a stored pair angle theta is this times a u32 in 
 def _in_f32_range(values: np.ndarray, axis=None) -> np.ndarray:
     """Whether values are finite and within float32 range (NaN is not)."""
     return np.all(np.abs(values) <= _F32_MAX, axis=axis)
+
+
+def _integer(name: str, value, low=None) -> None:
+    """ValueError unless ``value`` is a Python or numpy integer, not bool, of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass(frozen=True)
@@ -169,14 +180,9 @@ class CodecParams:
     symmetric: bool = False
 
     def __post_init__(self):
-        for name in ("order_n", "block_size", "stride"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.order_n < 1:
-            raise ValueError("order_n must be >= 1")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        _integer("order_n", self.order_n, 1)
+        _integer("block_size", self.block_size)
+        _integer("stride", self.stride, 1)
         if self.fit_mode not in (AMPLITUDES, INITIAL_CONDITIONS):
             raise ValueError(f"unknown fit_mode {self.fit_mode!r}")
         if self.block_size < 2 * self.order_n:
@@ -315,8 +321,9 @@ class CompressionArtifact:
     amplitude-mode artifact that is not symmetric, the block's share of
     ``exponents`` (DLAW v2), whose payload values past the block's
     degree are zero.  Omitted arrays mean no blocks.  Every value must be
-    finite and within float32 range, and every header field of the DLAW
-    layout must fit its width.  ``sample_rate`` must be a whole number of
+    finite and within float32 range, each row of ``weights`` must have a
+    norm within 1e-3 of 1, and every header field of the DLAW layout
+    must fit its width.  ``sample_rate`` must be a whole number of
     Hz; it is kept as an int, so 8000.0 becomes 8000.
     """
 
@@ -354,6 +361,9 @@ class CompressionArtifact:
             raise ValueError("symmetric weights must be exact palindromes")
         rate = _check_header(self.params, self.sample_rate, laws, self.tail.size)
         object.__setattr__(self, "sample_rate", rate)
+        off = np.abs(np.linalg.norm(self.weights.astype(np.float64), axis=1) - 1.0)
+        if np.any(off > 1e-3):
+            raise ValueError(f"stored weights have a norm off 1 by {off.max():.6f}")
 
     def _unused(self) -> np.ndarray:
         """Mask (blocks x n) of the payload values past each block's degree."""
@@ -749,10 +759,10 @@ def deserialize(data: bytes) -> CompressionArtifact:
     """Decode a DLAW byte string, version 1 or 2.
 
     The reader checks the layout: magic, version, flag bits, reserved
-    field, lengths, a v2 file's root counts and sign-bit padding, and a
-    v1 file's unit weight norm.  ``CodecParams``, ``StoredExponents`` and
-    ``CompressionArtifact`` validate the values (a v2 file must be in
-    amplitude mode and not symmetric); their ValueError becomes
+    field, lengths, and a v2 file's root counts and sign-bit padding.
+    ``CodecParams``, ``StoredExponents`` and ``CompressionArtifact``
+    validate the values (a v1 file's unit weight norm; a v2 file must be
+    in amplitude mode and not symmetric); their ValueError becomes
     InvariantViolation.  Raises BadMagic / UnsupportedVersion /
     TruncatedPayload / InvariantViolation; all are CorruptArtifact.
     """
@@ -796,13 +806,8 @@ def _read_v1(data: bytes, params: CodecParams, rate: int, block_count: int, tail
     if symmetric:
         lags = np.arange(n + 1)
         weights = weights[:, np.minimum(lags, n - lags)]
-    artifact = CompressionArtifact(params=params, sample_rate=rate, weights=weights,
-                                   payload=rows[:, count:],
-                                   tail=values[block_count * (count + n) :])
-    off = np.abs(np.linalg.norm(artifact.weights.astype(np.float64), axis=1) - 1.0)
-    if np.any(off > 1e-3):
-        raise InvariantViolation(f"stored weights have a norm off 1 by {off.max():.6f}")
-    return artifact
+    return CompressionArtifact(params=params, sample_rate=rate, weights=weights,
+                               payload=rows[:, count:], tail=values[block_count * (count + n) :])
 
 
 def _read_v2(data: bytes, params: CodecParams, rate: int, block_count: int, tail_len: int):
@@ -897,8 +902,10 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
     error's text as the reason, instead of aborting the sweep; a failure
     at one point leaves the other points measured.  Block accuracies are
     averaged weighted by block energy, matching a concatenated-signal
-    Euclidean accuracy when block errors are comparable.
+    Euclidean accuracy when block errors are comparable.  A
+    ``block_size`` that is not a positive integer raises ValueError.
     """
+    _integer("block_size", block_size, 1)
     blocks = _full_blocks(series.samples, block_size)
     if not series.samples.any():
         raise ValueError("sweep needs a nonzero signal")
@@ -958,7 +965,8 @@ def random_baseline(length: int, seed: int, n_grid, block_size: int) -> tuple[Sw
     R >= 2.  Structured signals are judged against this reference
     curve.  Tracing the full reference trend means holding n fixed and
     growing the block: calling this once per block size and pooling the
-    rows keeps each R estimate free of order effects.
+    rows keeps each R estimate free of order effects.  A ``block_size``
+    that is not a positive integer raises ValueError, as in ``sweep``.
     """
     noise = synthesize(
         SynthSpec(kind="uniform_noise", length=length, sample_rate=1.0, seed=seed)

@@ -216,6 +216,13 @@ def test_usage_errors_exit_1(capsys):
     assert "grid '1:5' is not a:b:step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "baseline"])
+def test_a_block_that_is_not_positive_exits_2(tmp_path, capsys, command):
+    source = {"sweep": ["--input", str(synth_sine(tmp_path))], "baseline": ["--length", "256"]}
+    assert run([command, *source[command], "--grid-n", "2", "--block", "0"]) == 2
+    assert capsys.readouterr().err == "error: block_size must be >= 1\n"
+
+
 def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
     # one parser serves every call of a process: neither the flags of an
     # earlier command nor a failed parse may reach a later one

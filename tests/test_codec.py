@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +337,25 @@ def test_reader_rejects_broken_weight_norm():
     struct.pack_into("<f", data, 32, 9.0)  # first stored weight
     with pytest.raises(InvariantViolation):
         deserialize(bytes(data))
+    golden = Path(__file__).resolve().parent / "data" / "amp_stride1.dlaw"
+    golden = bytearray(golden.read_bytes())
+    assert deserialize(bytes(golden)).version == 1
+    struct.pack_into("<f", golden, 32, 0.0)  # first stored weight of a v1 golden file
+    with pytest.raises(InvariantViolation, match="stored weights have a norm off 1 by 0.[0-9]{6}$"):
+        deserialize(bytes(golden))
+
+
+def test_artifact_rejects_a_law_off_unit_norm():
+    # an all-zero law would reach a divide by zero in decompress
+    with pytest.raises(ValueError, match="stored weights have a norm off 1 by 1.000000"):
+        CompressionArtifact(params=CodecParams(2, 8), sample_rate=8000, weights=np.zeros((1, 3)),
+                            payload=np.ones((1, 2)))
+    w = np.array([[0.6, 0.0, 0.8]])
+    CompressionArtifact(params=CodecParams(2, 8), sample_rate=8000, weights=w * 1.0005,
+                        payload=np.ones((1, 2)))
+    with pytest.raises(ValueError, match="norm off 1 by 0.002000"):
+        CompressionArtifact(params=CodecParams(2, 8), sample_rate=8000, weights=w * 1.002,
+                            payload=np.ones((1, 2)))
 
 
 @pytest.mark.parametrize("mode", [AMPLITUDES, INITIAL_CONDITIONS])
@@ -1250,6 +1270,14 @@ def test_codec_params_validation():
                 CodecParams(**fields)
     assert CodecParams(order_n=np.int64(2), block_size=np.int32(64), stride=np.uint8(2)).rate == 16.0
     assert CodecParams(order_n=4, block_size=160).rate == 20.0
+
+
+@pytest.mark.parametrize("block", [0, -64, 64.0, True])
+def test_sweep_and_baseline_refuse_a_block_size_that_is_not_a_positive_integer(block):
+    with pytest.raises(ValueError, match="^block_size must be (>= 1|an integer, not)"):
+        sweep(TimeSeries(_tone(512), 8000.0), (2,), (1,), block)
+    with pytest.raises(ValueError, match="^block_size must be (>= 1|an integer, not)"):
+        random_baseline(512, 0, (2,), block)
 
 
 def test_compress_and_sweep_reject_short_or_silent_input():
