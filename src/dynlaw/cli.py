@@ -30,7 +30,7 @@ from .codec import (
 from .embedding import EmbeddingConfig, embed
 from .errors import DataError, NumericalError
 from .lawforms import weights_to_roots, roots_to_weights
-from .signal_io import _KINDS, SynthSpec, clamped_samples, read_wav, synthesize, write_wav
+from .signal_io import _KINDS, SynthSpec, _wav, read_wav, synthesize
 from .spectral import correlation, eigendecompose, extract_law, extract_symmetric_law
 
 _MODES = {"amp": AMPLITUDES, "ic": INITIAL_CONDITIONS}
@@ -151,13 +151,13 @@ def _cmd_synth(args) -> int:
         value=args.value,
     )
     series = synthesize(spec)
+    data, clamped = _wav(series)
     # a lossy decode's overshoot is clamped (and reported); a synthesized signal may not clip
-    clamped = clamped_samples(series)
     if clamped:
         peak = float(np.max(np.abs(series.samples)))
         raise ValueError(f"signal peak {peak:g} clips {clamped} of {series.samples.size} samples "
                          "at 16-bit WAV full scale (32767/32768); lower --amp or --value")
-    _write_bytes(args.output, write_wav(series))
+    _write_bytes(args.output, data)
     return 0
 
 
@@ -236,8 +236,8 @@ def _cmd_compress(args) -> int:
 
 def _cmd_decompress(args) -> int:
     series = decompress(deserialize(_read_bytes(args.input)))
-    _write_bytes(args.output, write_wav(series))
-    clamped = clamped_samples(series)
+    data, clamped = _wav(series)
+    _write_bytes(args.output, data)
     if clamped:  # a lossy decode may overshoot full scale
         print(f"clamped {clamped} of {series.samples.size} samples to 16-bit full scale",
               file=sys.stderr)

@@ -95,6 +95,7 @@ symmetric).  Initial-condition mode is a storage mode of ``compress`` only.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -150,7 +151,7 @@ _ANGLE_UNIT = np.pi / 2**32  # a stored pair angle theta is this times a u32 in 
 
 def _in_f32_range(values: np.ndarray, axis=None) -> np.ndarray:
     """Whether values are finite and within float32 range (NaN is not)."""
-    return np.all(np.abs(values) <= _F32_MAX, axis=axis)
+    return (np.abs(values) <= _F32_MAX).all(axis=axis)
 
 
 def _integer(name: str, value, low=None) -> None:
@@ -264,7 +265,7 @@ class StoredExponents:
         object.__setattr__(self, "angle", angle.astype(np.uint32, copy=False))
         object.__setattr__(self, "negative", np.asarray(self.negative, dtype=bool))
 
-    @property
+    @functools.cached_property  # the checks, the reader, the writer and the decoder all read it
     def degrees(self) -> np.ndarray:
         """The number of basis columns, and payload values, of each block."""
         return 2 * self.pairs + self.reals
@@ -338,8 +339,9 @@ class CompressionArtifact:
         n = self.params.order_n
         for name, empty in (("weights", (0, n + 1)), ("payload", (0, n)), ("tail", 0)):
             value = getattr(self, name)
-            value = np.zeros(empty) if value is None else np.asarray(value)
-            if not _in_f32_range(value):
+            if value is None:  # no values to check
+                value = np.zeros(empty, dtype=np.float32)
+            elif not _in_f32_range(value := np.asarray(value)):
                 raise ValueError(f"{name} must be finite and within float32 range")
             object.__setattr__(self, name, np.asarray(value, dtype=np.float32))
         if self.weights.ndim != 2 or self.weights.shape[1] != n + 1:
@@ -355,16 +357,18 @@ class CompressionArtifact:
                 raise ValueError("a block's roots must fit in n payload columns")
         if self.payload.shape != (laws, n):
             raise ValueError("payload must hold n values per block")
-        if self.exponents is not None and self.payload[self._unused()].any():
+        if self.exponents is not None and self.payload[self._unused].any():
             raise ValueError("payload values past a block's degree must be zero")
         if self.params.symmetric and not np.array_equal(self.weights, self.weights[:, ::-1]):
             raise ValueError("symmetric weights must be exact palindromes")
         rate = _check_header(self.params, self.sample_rate, laws, self.tail.size)
         object.__setattr__(self, "sample_rate", rate)
-        off = np.abs(np.linalg.norm(self.weights.astype(np.float64), axis=1) - 1.0)
-        if np.any(off > 1e-3):
-            raise ValueError(f"stored weights have a norm off 1 by {off.max():.6f}")
+        if len(self.weights):
+            off = np.abs(np.linalg.norm(self.weights.astype(np.float64), axis=1) - 1.0)
+            if (off > 1e-3).any():
+                raise ValueError(f"stored weights have a norm off 1 by {off.max():.6f}")
 
+    @functools.cached_property  # read by the check above and by serialize
     def _unused(self) -> np.ndarray:
         """Mask (blocks x n) of the payload values past each block's degree."""
         return np.arange(self.params.order_n) >= self.exponents.degrees[:, None]
@@ -492,8 +496,10 @@ def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
     fail = Failures()
     pos = np.arange(len(weights))
     stride = np.full(len(weights), stride)
-    # the degree of the roots each basis needs: none in IC mode at stride 1
-    degrees = np.where(modes | (stride > 1), _degrees(weights), 0)
+    # the degree of the roots each basis needs: none in IC mode at stride 1,
+    # where no block takes roots and the trim is not computed
+    rooted = modes | (stride > 1)
+    degrees = np.where(rooted, _degrees(weights), 0) if rooted.any() else np.zeros_like(pos)
     groups = []
     at = pos[degrees < 1]  # the direct blocks
     if at.size and modes:
@@ -565,18 +571,18 @@ def _law_exponents(w: np.ndarray, stride):
     return (log_radius, angle, real, cosine), fail.first
 
 
-def _exponent_groups(columns, count: int, rows: np.ndarray):
-    """Per-sample bases of the given rows of a column layout (the first
-    output of ``_law_exponents``, or ``StoredExponents.columns``), built
-    straight from the exponents, as ``[(rows, bases)]``, one entry per
-    degree."""
-    log_radius, angle, real, cosine = columns
-    degrees = np.sum(real, axis=1) + 2 * np.sum(cosine, axis=1)
+def _exponent_groups(columns, degrees: np.ndarray, count: int, rows: np.ndarray):
+    """Per-sample bases of the given rows (sorted) of a column layout (the
+    first output of ``_law_exponents``, or ``StoredExponents.columns``)
+    whose blocks have the given degrees, built straight from the
+    exponents, as ``[(rows, bases)]``, one entry per degree."""
+    degrees = degrees[rows]
     groups = []
-    for d in sorted(set(degrees[rows].tolist())):
-        at = rows[degrees[rows] == d]
-        groups.append((at, _exponent_bases(log_radius[at, :d], angle[at, :d], real[at, :d],
-                                           cosine[at, :d], count)))
+    for d in sorted(set(degrees.tolist())):
+        at = rows[degrees == d]
+        # one degree over every block, as in most files: views, not gathers
+        sel = slice(None) if at.size == len(columns[0]) else at
+        groups.append((at, _exponent_bases(*(column[sel, :d] for column in columns), count)))
     return groups
 
 
@@ -637,7 +643,9 @@ def _encode(blocks: np.ndarray, points):
     pos = np.flatnonzero(survivors(size, fail.first))
     if exponents:
         stored, errors = _law_exponents(laws[pos], stride[pos])
-        groups = _exponent_groups(stored, blocks.shape[1], np.flatnonzero(fail.record(pos, errors)))
+        _, _, real, cosine = stored
+        groups = _exponent_groups(stored, real.sum(axis=1) + 2 * cosine.sum(axis=1), blocks.shape[1],
+                                  np.flatnonzero(fail.record(pos, errors)))
     else:
         stored = weights[pos]
         groups, errors = _block_bases(laws[pos], stride[pos], modes, blocks.shape[1])
@@ -712,7 +720,8 @@ def decompress(artifact: CompressionArtifact) -> TimeSeries:
                                       params.fit_mode == AMPLITUDES, block)
         fail.record(np.arange(block_count), errors)
     else:
-        groups = _exponent_groups(artifact.exponents.columns(params.order_n), block,
+        exponents = artifact.exponents
+        groups = _exponent_groups(exponents.columns(params.order_n), exponents.degrees, block,
                                   np.arange(block_count))
     for rows, basis in groups:
         coef = artifact.payload[rows, : basis.shape[1]].astype(np.float64)
@@ -751,7 +760,7 @@ def serialize(artifact: CompressionArtifact) -> bytes:
     return b"".join([
         head, (e.pairs | e.reals << 16).astype("<u4").tobytes(), pairs.tobytes(),
         e.log_magnitude.astype("<f4").tobytes(), signs.ljust(-(-len(signs) // 4) * 4, b"\0"),
-        artifact.payload[~artifact._unused()].astype("<f4").tobytes(), tail,
+        artifact.payload[~artifact._unused].astype("<f4").tobytes(), tail,
     ])
 
 
@@ -817,7 +826,7 @@ def _read_v2(data: bytes, params: CodecParams, rate: int, block_count: int, tail
     structure = np.frombuffer(data, dtype="<u4", count=block_count,
                               offset=_HEADER_SIZE).astype(np.int64)
     pairs, reals = structure & 0xFFFF, structure >> 16
-    if np.any(2 * pairs + reals > params.order_n):
+    if (2 * pairs + reals > params.order_n).any():
         raise InvariantViolation(f"a block's roots exceed its n = {params.order_n} columns")
     p, r = int(pairs.sum()), int(reals.sum())
     words = -(-r // 32)
@@ -829,7 +838,7 @@ def _read_v2(data: bytes, params: CodecParams, rate: int, block_count: int, tail
     offset += sections[1]
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=4 * words, offset=offset),
                          bitorder="little")
-    if np.any(bits[r:]):
+    if bits[r:].any():
         raise InvariantViolation("sign bits past the last real root must be zero")
     offset += sections[2]
     values = np.frombuffer(data, dtype="<f4", offset=offset)
@@ -966,8 +975,10 @@ def random_baseline(length: int, seed: int, n_grid, block_size: int) -> tuple[Sw
     curve.  Tracing the full reference trend means holding n fixed and
     growing the block: calling this once per block size and pooling the
     rows keeps each R estimate free of order effects.  A ``block_size``
-    that is not a positive integer raises ValueError, as in ``sweep``.
+    that is not a positive integer raises ValueError, as in ``sweep``,
+    before any noise is made.
     """
+    _integer("block_size", block_size, 1)
     noise = synthesize(
         SynthSpec(kind="uniform_noise", length=length, sample_rate=1.0, seed=seed)
     )

@@ -38,7 +38,7 @@ class TimeSeries:
         object.__setattr__(self, "samples", arr)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        if arr.size and not np.all(np.isfinite(arr)):
+        if arr.size and not np.isfinite(arr).all():
             raise ValueError("samples must be finite")
         if not (self.sample_rate > 0):
             raise ValueError("sample_rate must be positive")

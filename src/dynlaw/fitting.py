@@ -280,24 +280,24 @@ def _exponent_bases(log_radius: np.ndarray, angle: np.ndarray, real: np.ndarray,
         return np.zeros((g, d, 0))
     step = math.isqrt(count - 1) + 1  # L
     k = np.concatenate([np.arange(step), np.arange(0, count, step)])
-    own = real | cosine  # the columns that take a power of their own
-    sine = ~own
+    own = (real | cosine).ravel()  # the columns that take a power of their own
+    # each column's power among those: its own, or a sine column's that of
+    # the cosine column right before it
+    source = np.cumsum(own) - 1
     # overflow to inf or nan is expected for roots deep inside the unit
     # circle or at the origin; callers test finiteness and reject such bases
     with np.errstate(over="ignore", invalid="ignore"):
-        re, im = _powers(log_radius[own], angle[own], k)
-        im[real[own]] = 0.0  # (-1)^k is real; the phase k pi leaves sin(k pi) ~ 1e-16 k
+        re, im = _powers(log_radius.ravel()[own], angle.ravel()[own], k)
+        im[real.ravel()[own]] = 0.0  # (-1)^k is real; the phase k pi leaves sin(k pi) ~ 1e-16 k
         # [Re z^aL, -Im z^aL] @ [Re z^b; Im z^b] is Re z^k; a sine
-        # column takes [Im z^b; -Re z^b] instead, for Im z^k
-        rows = len(k) - step  # A
-        tail = np.empty((g, d, rows, 2))
-        tail[own, :, 0], tail[own, :, 1] = re[:, step:], -im[:, step:]
-        tail[sine] = tail[cosine]
-        head = np.empty((g, d, 2, step))
-        head[own, 0], head[own, 1] = re[:, :step], im[:, :step]
-        head[sine, 0], head[sine, 1] = head[cosine, 1], -head[cosine, 0]
-        out = tail @ head
-    return out.reshape(g, d, rows * step)[..., :count]
+        # column takes [Im z^b; -Re z^b] instead, for Im z^k.  Each
+        # column gathers both factors from those of its power.
+        tail = np.stack([re[:, step:], -im[:, step:]], axis=-1)[source]
+        low_re, low_im = re[:, None, :step], im[:, None, :step]
+        head = np.concatenate([np.concatenate([low_re, low_im], axis=1),  # own columns
+                               np.concatenate([low_im, -low_re], axis=1)])  # sine columns
+        out = tail @ head[np.where(own, source, source + len(re))]
+    return out.reshape(g, d, (len(k) - step) * step)[..., :count]
 
 
 def _powers(log_radius: np.ndarray, angle: np.ndarray, k: np.ndarray):
@@ -308,11 +308,20 @@ def _powers(log_radius: np.ndarray, angle: np.ndarray, k: np.ndarray):
     rounding error (Dekker's two-product), so the magnitude and the
     cosine and sine are those of the exact products: a rounded phase
     alone is off by up to half a unit in its last place, 9e-13 at
-    k = 4096."""
-    x, k = np.stack([log_radius, angle])[:, :, None], k.astype(np.float64)
+    k = 4096.
+
+    A whole k below 2^26 splits into (k, 0), so the terms a * e and
+    b * e of the two-product are zeros, taken only when some k has a low
+    half.  For finite x, a * c - products is never -0, and adding a zero
+    to a sum that is not -0 changes no bit: the error is the same either
+    way."""
+    x, k = np.concatenate((log_radius, angle)).reshape(2, -1, 1), k.astype(np.float64)
     products = x * k
     (a, b), (c, e) = _halves(x), _halves(k)
-    error = ((a * c - products) + a * e + b * c) + b * e
+    if e.any():  # a block longer than 2^26 samples
+        error = ((a * c - products) + a * e + b * c) + b * e
+    else:
+        error = (a * c - products) + b * c
     size = np.exp(-products[0]) * (1.0 - error[0])
     cos, sin = np.cos(products[1]), np.sin(products[1])
     return size * (cos - error[1] * sin), size * (sin + error[1] * cos)

@@ -3,7 +3,10 @@
 Only classic 16-bit integer PCM in a RIFF/WAVE container is read or
 written; the standard library's ``wave`` writes the container.  Stereo
 input collapses to mono by averaging the channels; sample values scale
-by 1/32768, so -32768 maps to -1.0 and +32767 to 32767/32768.
+by 1/32768, so -32768 maps to -1.0 and +32767 to 32767/32768.  A series
+is quantized to 16 bits once per file written: ``_quantize`` gives both
+the frames ``write_wav`` stores and the count ``clamped_samples``
+reports, and the command line takes the two together (``_wav``).
 
 Noise comes from a 64-bit linear congruential generator,
 
@@ -182,17 +185,35 @@ def read_wav(data: bytes) -> TimeSeries:
     return TimeSeries(samples=values, sample_rate=float(rate))
 
 
-def _pcm16_codes(series: TimeSeries) -> np.ndarray:
-    """The 16-bit code of each sample, rint(x * 32768), before
-    ``write_wav`` clamps it to -32768 .. 32767."""
-    return np.rint(np.asarray(series.samples, dtype=np.float64) * 32768.0)
+def _quantize(series: TimeSeries) -> tuple[np.ndarray, int]:
+    """The 16-bit frames of a series, each sample's code rint(x * 32768)
+    clamped to -32768 .. 32767, and how many samples clamp."""
+    codes = np.rint(np.asarray(series.samples, dtype=np.float64) * 32768.0)
+    frames = np.clip(codes, -32768, 32767)
+    # native int16: wave takes frames in the machine's byte order
+    return frames.astype(np.int16), int(np.count_nonzero(frames != codes))
 
 
 def clamped_samples(series: TimeSeries) -> int:
     """How many samples ``write_wav`` clamps: those whose code
-    (``_pcm16_codes``) falls outside -32768 .. 32767."""
-    codes = _pcm16_codes(series)
-    return int(np.count_nonzero((codes < -32768) | (codes > 32767)))
+    rint(x * 32768) falls outside -32768 .. 32767."""
+    return _quantize(series)[1]
+
+
+def _wav(series: TimeSeries) -> tuple[bytes, int]:
+    """``write_wav(series)`` and ``clamped_samples(series)`` from one
+    quantization, which is all the command line needs of a series."""
+    rate = int(round(series.sample_rate))
+    if not 1 <= rate < 1 << 31:  # the header stores the byte rate, 2 * rate, as u32
+        raise ValueError(f"sample rate rounds to {rate} Hz; a WAV file stores 1 .. 2^31 - 1 Hz")
+    frames, clamped = _quantize(series)
+    out = io.BytesIO()
+    with wave.open(out, "wb") as container:
+        container.setnchannels(1)
+        container.setsampwidth(2)
+        container.setframerate(rate)
+        container.writeframes(frames.tobytes())
+    return out.getvalue(), clamped
 
 
 def write_wav(series: TimeSeries) -> bytes:
@@ -203,15 +224,4 @@ def write_wav(series: TimeSeries) -> bytes:
     so read_wav(write_wav(s)) matches s to that tolerance.  An empty
     series yields a valid zero-frame file.
     """
-    rate = int(round(series.sample_rate))
-    if not 1 <= rate < 1 << 31:  # the header stores the byte rate, 2 * rate, as u32
-        raise ValueError(f"sample rate rounds to {rate} Hz; a WAV file stores 1 .. 2^31 - 1 Hz")
-    # native int16: wave takes frames in the machine's byte order
-    quantized = np.clip(_pcm16_codes(series), -32768, 32767).astype(np.int16)
-    out = io.BytesIO()
-    with wave.open(out, "wb") as container:
-        container.setnchannels(1)
-        container.setsampwidth(2)
-        container.setframerate(rate)
-        container.writeframes(quantized.tobytes())
-    return out.getvalue()
+    return _wav(series)[0]

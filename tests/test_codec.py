@@ -333,9 +333,9 @@ def test_reader_rejects_header_invariant_breaks():
 
 
 def test_reader_rejects_broken_weight_norm():
-    data = bytearray(serialize(_tiny_artifact()))
+    data = bytearray(serialize(_tiny_artifact(INITIAL_CONDITIONS)))  # a v1 file
     struct.pack_into("<f", data, 32, 9.0)  # first stored weight
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="stored weights have a norm off 1 by"):
         deserialize(bytes(data))
     golden = Path(__file__).resolve().parent / "data" / "amp_stride1.dlaw"
     golden = bytearray(golden.read_bytes())
@@ -646,6 +646,26 @@ def test_v2_decode_finds_no_roots(stride, monkeypatch):
     with pytest.raises(AssertionError):  # the patch holds for v1 files and for encoding
         compress(_decays(), CodecParams(order_n=6, block_size=96, stride=stride))
     assert decompress(deserialize(data)).samples.tobytes() == expected.tobytes()
+
+
+def test_v1_initial_condition_decode_at_stride_1_finds_no_roots(monkeypatch):
+    # every stride-1 IC block steps its stored law as it is: no degree
+    # trim, no roots, also for an all-zero block's law
+    silent = compress(sine_with_silent_block(),
+                      CodecParams(order_n=2, block_size=256, fit_mode=INITIAL_CONDITIONS))
+    files = [(Path(__file__).resolve().parent / "data" / "ic_stride1.dlaw").read_bytes(),
+             serialize(silent)]
+    expected = [decompress(deserialize(data)).samples for data in files]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stride-1 IC decode must not trim degrees or find roots")
+
+    for name in ("_degrees", "_roots"):
+        monkeypatch.setattr(dynlaw.codec, name, refuse)
+    for data, samples in zip(files, expected):
+        assert deserialize(data).params.stride == 1
+        assert decompress(deserialize(data)).samples.tobytes() == samples.tobytes()
+    assert not expected[1][256:512].any()
 
 
 def _outcome(fn):
@@ -1273,11 +1293,17 @@ def test_codec_params_validation():
 
 
 @pytest.mark.parametrize("block", [0, -64, 64.0, True])
-def test_sweep_and_baseline_refuse_a_block_size_that_is_not_a_positive_integer(block):
+def test_sweep_and_baseline_refuse_a_block_size_that_is_not_a_positive_integer(block, monkeypatch):
     with pytest.raises(ValueError, match="^block_size must be (>= 1|an integer, not)"):
         sweep(TimeSeries(_tone(512), 8000.0), (2,), (1,), block)
+
+    def refuse(spec):
+        raise AssertionError(f"made {spec.length} samples of noise for a block it refuses")
+
+    # the block is refused before any noise is made: 10^8 samples would take 800 MB
+    monkeypatch.setattr(dynlaw.codec, "synthesize", refuse)
     with pytest.raises(ValueError, match="^block_size must be (>= 1|an integer, not)"):
-        random_baseline(512, 0, (2,), block)
+        random_baseline(10**8, 0, (2,), block)
 
 
 def test_compress_and_sweep_reject_short_or_silent_input():
