@@ -102,7 +102,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._stack import Failures, drop, norms, survivors, with_cause
-from .embedding import TimeSeries, _delay_windows
+from .embedding import TimeSeries, _delay_windows, _integer
 from .errors import (
     BadMagic,
     InvariantViolation,
@@ -154,24 +154,16 @@ def _in_f32_range(values: np.ndarray, axis=None) -> np.ndarray:
     return (np.abs(values) <= _F32_MAX).all(axis=axis)
 
 
-def _integer(name: str, value, low=None) -> None:
-    """ValueError unless ``value`` is a Python or numpy integer, not bool, of at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}")
-
-
 @dataclass(frozen=True)
 class CodecParams:
     """Knobs of the block codec.
 
     ``order_n``, ``block_size`` and ``stride`` are integers (Python or
-    numpy; not bool).  ``block_size >= 2 * order_n`` keeps the nominal
-    rate at or above 1 (equality is the lossless point where the
-    correlation matrix is rank deficient), and ``stride * order_n <
-    block_size`` keeps at least one embedding window inside a block.
-    ValueError otherwise.
+    numpy; not bool), stored as Python ints.  ``block_size >= 2 *
+    order_n`` keeps the nominal rate at or above 1 (equality is the
+    lossless point where the correlation matrix is rank deficient), and
+    ``stride * order_n < block_size`` keeps at least one embedding window
+    inside a block.  ValueError otherwise.
     """
 
     order_n: int
@@ -181,9 +173,9 @@ class CodecParams:
     symmetric: bool = False
 
     def __post_init__(self):
-        _integer("order_n", self.order_n, 1)
-        _integer("block_size", self.block_size)
-        _integer("stride", self.stride, 1)
+        object.__setattr__(self, "order_n", _integer("order_n", self.order_n, 1))
+        object.__setattr__(self, "block_size", _integer("block_size", self.block_size))
+        object.__setattr__(self, "stride", _integer("stride", self.stride, 1))
         if self.fit_mode not in (AMPLITUDES, INITIAL_CONDITIONS):
             raise ValueError(f"unknown fit_mode {self.fit_mode!r}")
         if self.block_size < 2 * self.order_n:
@@ -913,6 +905,8 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
     averaged weighted by block energy, matching a concatenated-signal
     Euclidean accuracy when block errors are comparable.  A
     ``block_size`` that is not a positive integer raises ValueError.
+    Rows and skipped points give integer grid values as Python ints,
+    numpy grids included.
     """
     _integer("block_size", block_size, 1)
     blocks = _full_blocks(series.samples, block_size)
@@ -942,13 +936,19 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
         for s in stride_grid:
             params, result = points[n, s], measured.get((n, s))
             if isinstance(params, ValueError):
-                skipped.append((n, s, str(params)))
+                skipped.append((_plain(n), _plain(s), str(params)))
             elif isinstance(result, NumericalError):
-                skipped.append((n, s, f"{type(result).__name__}: {result}"))
+                reason = f"{type(result).__name__}: {result}"
+                skipped.append((params.order_n, params.stride, reason))
             else:
-                rows.append(SweepRow(n=n, stride=s, R=params.rate, A=result[0],
-                                     lambda_min=result[1]))
+                rows.append(SweepRow(n=params.order_n, stride=params.stride, R=params.rate,
+                                     A=result[0], lambda_min=result[1]))
     return SweepReport(rows=tuple(rows), skipped=tuple(skipped))
+
+
+def _plain(value):
+    """A numpy integer grid value as a Python int; any other value as it is."""
+    return int(value) if isinstance(value, np.integer) else value
 
 
 def rate_accuracy_slope(rows) -> float:

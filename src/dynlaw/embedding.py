@@ -73,6 +73,16 @@ class EmbeddedDataset:
         return int(self.rows.shape[0])
 
 
+def _integer(name: str, value, low=None) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` unless it is a
+    Python or numpy integer, not bool, of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return int(value)
+
+
 def embed(series: TimeSeries, config: EmbeddingConfig) -> EmbeddedDataset:
     """Slide a delay window over the series and stack the rows.
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import TimeSeries
+from .embedding import TimeSeries, _integer
 from .errors import AliasedFrequency, MalformedHeader, UnsupportedFormat
 
 __all__ = ["SynthSpec", "read_wav", "write_wav", "clamped_samples", "synthesize", "lcg_uniform"]
@@ -61,7 +61,9 @@ class SynthSpec:
     exp(-decay * t); ``poly_exp`` is amplitudes[0] * t^degree *
     exp(-decay * t); ``uniform_noise`` is seeded LCG noise; ``constant``
     repeats ``value``.  The tone kinds and ``poly_exp`` refuse an empty
-    ``amplitudes``.
+    ``amplitudes``.  ``length`` (at least 1), ``degree`` (at least 0) and
+    ``seed`` (any sign) are integers, Python or numpy but not bool, stored
+    as Python ints; ValueError naming the field otherwise.
     """
 
     kind: str
@@ -78,8 +80,7 @@ class SynthSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown signal kind {self.kind!r}; choose from {_KINDS}")
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
+        object.__setattr__(self, "length", _integer("length", self.length, 1))
         if not self.sample_rate > 0:
             raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "amplitudes", tuple(float(a) for a in self.amplitudes))
@@ -94,8 +95,8 @@ class SynthSpec:
                 )
             if f < 0:
                 raise ValueError("frequencies must be >= 0")
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+        object.__setattr__(self, "degree", _integer("degree", self.degree, 0))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
 
 
 def _tone_params(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

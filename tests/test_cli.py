@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, driven through run(argv)."""
 
 import json
+import os
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from dynlaw.codec import (
     decompress,
     deserialize,
     serialize,
+    sweep,
 )
 from dynlaw.embedding import TimeSeries
 from dynlaw.fitting import accuracy
@@ -371,6 +373,61 @@ def test_stdout_streaming(capsysbinary):
     assert code == 0
     series = read_wav(capsysbinary.readouterr().out)
     np.testing.assert_allclose(series.samples, 0.5, atol=1.0 / 32768.0)
+
+
+@pytest.mark.parametrize("stale", ["longer", "shorter"])
+def test_an_existing_output_ends_holding_exactly_the_new_bytes(tmp_path, stale):
+    # each output file already holds other bytes, 1 MiB more or half as many
+    wav = synth_sine(tmp_path, length=320)
+    series = read_wav(wav.read_bytes())
+    dlaw = serialize(compress(series, CodecParams(order_n=2, block_size=64)))
+    expected = {
+        "law.dlaw": dlaw,
+        "back.wav": write_wav(decompress(deserialize(dlaw))),
+        "sweep.csv": sweep(series, (2, 4), (1,), 64).to_csv().encode(),
+    }
+    for name, data in expected.items():
+        size = len(data) + 2**20 if stale == "longer" else len(data) // 2
+        (tmp_path / name).write_bytes(b"\xa5" * size)
+    assert run(["compress", "--input", str(wav), "--output", str(tmp_path / "law.dlaw"),
+                "--n", "2", "--block", "64"]) == 0
+    assert run(["decompress", "--input", str(tmp_path / "law.dlaw"),
+                "--output", str(tmp_path / "back.wav")]) == 0
+    assert run(["sweep", "--input", str(wav), "--grid-n", "2,4", "--block", "64",
+                "--format", "csv", "--output", str(tmp_path / "sweep.csv")]) == 0
+    for name, data in expected.items():
+        assert (tmp_path / name).read_bytes() == data, name
+
+
+def test_output_to_a_device_is_written_without_truncation(tmp_path):
+    # a device cannot be truncated; writing to it still succeeds
+    art = tmp_path / "law.dlaw"
+    assert run(["compress", "--input", str(synth_sine(tmp_path, length=320)),
+                "--output", str(art), "--n", "2", "--block", "64"]) == 0
+    assert run(["decompress", "--input", str(art), "--output", os.devnull]) == 0
+
+
+def test_an_existing_output_is_opened_without_truncating_it(tmp_path, monkeypatch):
+    # truncating a file to zero and rewriting it frees and reallocates its
+    # blocks; the writer overwrites it in place and cuts it to length instead
+    out = tmp_path / "tone.wav"
+    out.write_bytes(b"\0" * 100_000)
+    opened = []
+    real_open = os.open
+
+    def record(path, flags, *rest, **kwargs):
+        if os.fspath(path) == str(out):
+            opened.append(flags)
+        return real_open(path, flags, *rest, **kwargs)
+
+    monkeypatch.setattr(os, "open", record)
+    assert run(["synth", "--kind", "sine", "--length", "300", "--rate", "6", "--freq", "1",
+                "--output", str(out)]) == 0
+    monkeypatch.undo()
+    assert len(opened) == 1
+    assert opened[0] & os.O_CREAT and opened[0] & os.O_WRONLY
+    assert not opened[0] & os.O_TRUNC
+    assert out.read_bytes() == synth_sine(tmp_path).read_bytes()
 
 
 def test_synth_refuses_a_signal_past_full_scale(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 import struct
 import warnings
 from pathlib import Path
@@ -1230,6 +1231,22 @@ def test_sweep_skips_a_point_that_is_not_an_integer():
     assert report.rows == sweep(series, (2,), (1,), 64).rows and len(report.rows) == 1
 
 
+def test_sweep_reports_numpy_grid_values_as_python_numbers():
+    series = TimeSeries(np.sin(np.arange(512) * 0.3), 8000.0)
+    report = sweep(series, np.array([2, 4, 300]), np.array([1]), np.int64(64))
+    plain = sweep(series, [2, 4, 300], [1], 64)
+    assert report.to_csv() == plain.to_csv()
+    assert report.skipped == plain.skipped
+    assert [type(v) for v in report.skipped[0][:2]] == [int, int]
+    row = json.loads(json.dumps(dataclasses.asdict(report.rows[0])))
+    assert row == dataclasses.asdict(plain.rows[0])
+
+
+def test_random_baseline_refuses_a_length_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="^length must be an integer, not 2048.0$"):
+        random_baseline(2048.0, 0, (2,), 64)
+
+
 def test_sweep_accuracy_decays_with_rate_on_noise():
     medians = []
     for n in (16, 8, 4):  # R = 2, 4, 8 at block 64
@@ -1288,7 +1305,9 @@ def test_codec_params_validation():
             fields = {"order_n": 2, "block_size": 64, "stride": 1, name: value}
             with pytest.raises(ValueError, match=f"{name} must be an integer, not"):
                 CodecParams(**fields)
-    assert CodecParams(order_n=np.int64(2), block_size=np.int32(64), stride=np.uint8(2)).rate == 16.0
+    params = CodecParams(order_n=np.int64(2), block_size=np.int32(64), stride=np.uint8(2))
+    assert params.rate == 16.0
+    assert [type(v) for v in (params.order_n, params.block_size, params.stride)] == [int] * 3
     assert CodecParams(order_n=4, block_size=160).rate == 20.0
 
 

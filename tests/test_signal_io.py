@@ -180,6 +180,29 @@ def test_spec_validation():
             synthesize(spec)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("length", 100.5, "length must be an integer, not 100.5"),
+    ("length", True, "length must be an integer, not True"),
+    ("length", 0, "length must be >= 1"),
+    ("seed", 0.5, "seed must be an integer, not 0.5"),
+    ("seed", True, "seed must be an integer, not True"),
+    ("degree", 2.5, "degree must be an integer, not 2.5"),
+])
+def test_spec_refuses_an_integer_field_that_is_not_one(field, value, message):
+    fields = {"kind": "poly_exp", "length": 10, field: value}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SynthSpec(**fields)
+
+
+def test_spec_stores_integer_fields_as_python_ints():
+    # numpy integers and a negative seed are accepted; each field becomes an int
+    spec = SynthSpec(kind="uniform_noise", length=np.int64(64), seed=np.int32(-5),
+                     degree=np.uint8(2))
+    assert [type(v) for v in (spec.length, spec.seed, spec.degree)] == [int, int, int]
+    same = SynthSpec(kind="uniform_noise", length=64, seed=-5)
+    assert synthesize(spec).samples.tobytes() == synthesize(same).samples.tobytes()
+
+
 @pytest.mark.parametrize("stride", [1, 2, 3])
 def test_multi_sine_admits_exact_law_at_any_stride(stride):
     # a sum of l tones satisfies a 2l+1 weight recursion exactly,
