@@ -14,6 +14,7 @@ to disk: a failed write can leave the file partly rewritten.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -265,16 +266,8 @@ def _cmd_decompress(args) -> int:
 
 def _report_text(report, fmt: str, extra: dict | None = None) -> str:
     if fmt == "json":
-        doc = {
-            "rows": [
-                {"n": r.n, "stride": r.stride, "R": r.R, "A": r.A,
-                 "lambda_min": r.lambda_min}
-                for r in report.rows
-            ],
-            "skipped": [list(s) for s in report.skipped],
-        }
-        if extra:
-            doc.update(extra)
+        doc = {"rows": [dataclasses.asdict(row) for row in report.rows],
+               "skipped": [list(s) for s in report.skipped], **(extra or {})}
         return json.dumps(doc, indent=2) + "\n"
     return report.to_csv()
 

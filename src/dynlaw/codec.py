@@ -95,6 +95,7 @@ symmetric).  Initial-condition mode is a storage mode of ``compress`` only.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import struct
 from dataclasses import dataclass
@@ -154,16 +155,25 @@ def _in_f32_range(values: np.ndarray, axis=None) -> np.ndarray:
     return (np.abs(values) <= _F32_MAX).all(axis=axis)
 
 
+def _check_widths(fields: dict) -> None:
+    """ValueError unless each ``name: (value, bits)`` fits its header field."""
+    for name, (value, bits) in fields.items():
+        if value >= 1 << bits:
+            raise ValueError(f"{name} {value} does not fit its {bits}-bit header field")
+
+
 @dataclass(frozen=True)
 class CodecParams:
-    """Knobs of the block codec.
+    """Knobs of the block codec, each as a DLAW header stores it.
 
     ``order_n``, ``block_size`` and ``stride`` are integers (Python or
-    numpy; not bool), stored as Python ints.  ``block_size >= 2 *
+    numpy; not bool), stored as Python ints, and ``symmetric`` a bool
+    (Python or numpy), stored as a Python bool.  ``block_size >= 2 *
     order_n`` keeps the nominal rate at or above 1 (equality is the
-    lossless point where the correlation matrix is rank deficient), and
+    lossless point where the correlation matrix is rank deficient),
     ``stride * order_n < block_size`` keeps at least one embedding window
-    inside a block.  ValueError otherwise.
+    inside a block, and ``order_n`` and ``stride`` stay below 2^16 and
+    ``block_size`` below 2^32, their header widths.  ValueError otherwise.
     """
 
     order_n: int
@@ -176,34 +186,35 @@ class CodecParams:
         object.__setattr__(self, "order_n", _integer("order_n", self.order_n, 1))
         object.__setattr__(self, "block_size", _integer("block_size", self.block_size))
         object.__setattr__(self, "stride", _integer("stride", self.stride, 1))
+        if not isinstance(self.symmetric, (bool, np.bool_)):
+            raise ValueError(f"symmetric must be a bool, not {self.symmetric!r}")
+        object.__setattr__(self, "symmetric", bool(self.symmetric))
         if self.fit_mode not in (AMPLITUDES, INITIAL_CONDITIONS):
             raise ValueError(f"unknown fit_mode {self.fit_mode!r}")
         if self.block_size < 2 * self.order_n:
             raise ValueError("block_size must be >= 2 * order_n (rate >= 1)")
         if self.stride * self.order_n >= self.block_size:
             raise ValueError("stride * order_n must stay below block_size")
+        _check_widths({"order_n": (self.order_n, 16), "stride": (self.stride, 16),
+                       "block_size": (self.block_size, 32)})
 
     @property
     def rate(self) -> float:
         return self.block_size / (2.0 * self.order_n)
 
 
-def _check_header(params: CodecParams, sample_rate, block_count: int = 0,
-                  tail_length: int = 0) -> int:
+def _check_header(sample_rate, block_count: int = 0, tail_length: int = 0) -> int:
     """The sample rate as the int a DLAW header stores; ValueError unless
-    the header can store these fields: a whole number of Hz, at least 1,
-    and every field within its width."""
+    the header can store what a file adds to its ``CodecParams``: a
+    sample rate that is a whole number of Hz, at least 1, and a rate,
+    block count and tail length that each fit 32 bits."""
     if sample_rate < 1:
         raise ValueError("sample_rate must be >= 1")
     if not float(sample_rate).is_integer():  # NaN and inf fail here too
         raise ValueError(f"sample_rate {sample_rate} is not a whole number of Hz")
     rate = int(sample_rate)
-    widths = {"order_n": (params.order_n, 16), "stride": (params.stride, 16),
-              "block_size": (params.block_size, 32), "sample_rate": (rate, 32),
-              "block count": (block_count, 32), "tail length": (tail_length, 32)}
-    for name, (value, bits) in widths.items():
-        if value >= 1 << bits:
-            raise ValueError(f"{name} {value} does not fit its {bits}-bit header field")
+    _check_widths({"sample_rate": (rate, 32), "block count": (block_count, 32),
+                   "tail length": (tail_length, 32)})
     return rate
 
 
@@ -315,9 +326,9 @@ class CompressionArtifact:
     ``exponents`` (DLAW v2), whose payload values past the block's
     degree are zero.  Omitted arrays mean no blocks.  Every value must be
     finite and within float32 range, each row of ``weights`` must have a
-    norm within 1e-3 of 1, and every header field of the DLAW layout
-    must fit its width.  ``sample_rate`` must be a whole number of
-    Hz; it is kept as an int, so 8000.0 becomes 8000.
+    norm within 1e-3 of 1, and the header fields beyond ``params`` must
+    fit their widths.  ``sample_rate`` must be a whole number of Hz; it
+    is kept as an int, so 8000.0 becomes 8000.
     """
 
     params: CodecParams
@@ -353,7 +364,7 @@ class CompressionArtifact:
             raise ValueError("payload values past a block's degree must be zero")
         if self.params.symmetric and not np.array_equal(self.weights, self.weights[:, ::-1]):
             raise ValueError("symmetric weights must be exact palindromes")
-        rate = _check_header(self.params, self.sample_rate, laws, self.tail.size)
+        rate = _check_header(self.sample_rate, laws, self.tail.size)
         object.__setattr__(self, "sample_rate", rate)
         if len(self.weights):
             off = np.abs(np.linalg.norm(self.weights.astype(np.float64), axis=1) - 1.0)
@@ -393,11 +404,8 @@ class SweepReport:
     skipped: tuple[tuple[int, int, str], ...] = ()
 
     def to_csv(self) -> str:
-        lines = ["n,stride,R,A,lambda_min"]
-        for row in self.rows:
-            lines.append(
-                f"{row.n},{row.stride},{row.R!r},{row.A!r},{row.lambda_min!r}"
-            )
+        lines = [",".join(field.name for field in dataclasses.fields(SweepRow))]
+        lines += [",".join(map(repr, dataclasses.astuple(row))) for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -678,7 +686,7 @@ def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
     ValueError before any block is encoded.
     """
     blocks = _full_blocks(series.samples, params.block_size)
-    rate = _check_header(params, series.sample_rate)
+    rate = _check_header(series.sample_rate)
     stored, _, fits, fail = _encode(blocks, [params])
     payload = np.zeros((len(blocks), params.order_n), dtype=np.float32)
     for rows, _, coef in fits:
@@ -784,7 +792,6 @@ def deserialize(data: bytes) -> CompressionArtifact:
     try:
         params = CodecParams(n, block_size, stride, INITIAL_CONDITIONS if flags & 2 else AMPLITUDES,
                              bool(flags & 1))
-        _check_header(params, rate)
         return reader(data, params, rate, block_count, tail_len)
     except ValueError as exc:
         raise InvariantViolation(str(exc)) from exc

@@ -49,16 +49,15 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    """Window geometry: order ``n`` and lag ``stride`` (in samples)."""
+    """Window geometry: order ``n`` and lag ``stride`` (in samples),
+    integers (not bool) of at least 1, stored as Python ints."""
 
     n: int
     stride: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("order n must be >= 1")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        object.__setattr__(self, "n", _integer("n", self.n, 1))
+        object.__setattr__(self, "stride", _integer("stride", self.stride, 1))
 
 
 @dataclass(frozen=True)

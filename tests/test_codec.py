@@ -1149,17 +1149,44 @@ def test_artifact_stores_a_whole_sample_rate_as_int(rate):
     assert serialize(artifact) == serialize(CompressionArtifact(params=params, sample_rate=8000))
 
 
-@pytest.mark.parametrize("params, rate, field", [
-    (CodecParams(order_n=65536, block_size=131072), 8000, "order_n 65536"),
-    (CodecParams(order_n=1, block_size=65537, stride=65536), 8000, "stride 65536"),
-    (CodecParams(order_n=1, block_size=2**32), 8000, "block_size 4294967296"),
-    (CodecParams(order_n=1, block_size=8), 2**32, "sample_rate 4294967296"),
-])
-def test_artifact_rejects_header_fields_a_file_cannot_store(params, rate, field):
+@pytest.mark.parametrize("fields, message", [
+    ({"order_n": 65536, "block_size": 131072}, "order_n 65536 does not fit its 16-bit"),
+    ({"order_n": 1, "block_size": 65537, "stride": 65536}, "stride 65536 does not fit its 16-bit"),
+    ({"order_n": 1, "block_size": 2**32}, "block_size 4294967296 does not fit its 32-bit"),
+], ids=["order_n", "stride", "block_size"])
+def test_codec_params_reject_settings_a_header_cannot_store(fields, message):
+    with pytest.raises(ValueError, match=f"^{message} header field$"):
+        CodecParams(**fields)
+
+
+def test_artifact_rejects_a_sample_rate_a_header_cannot_store():
     # block count and tail length have the same 32-bit rule; an artifact
     # that breaks it needs 2^32 stored values, too large to build here
-    with pytest.raises(ValueError, match=f"{field} does not fit its"):
-        CompressionArtifact(params=params, sample_rate=rate)
+    with pytest.raises(ValueError, match="^sample_rate 4294967296 does not fit its 32-bit"):
+        CompressionArtifact(params=CodecParams(order_n=1, block_size=8), sample_rate=2**32)
+
+
+# sizes on both sides of the 16-bit and 32-bit header edges
+_SMALL_SIZES = st.one_of(st.integers(1, 8), st.integers(2**16 - 3, 2**16 + 3))
+_BLOCK_SIZES = st.one_of(st.integers(1, 2**17 + 8), st.integers(2**32 - 3, 2**32 + 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_SMALL_SIZES, block=_BLOCK_SIZES, stride=_SMALL_SIZES,
+       mode=st.sampled_from([AMPLITUDES, INITIAL_CONDITIONS]),
+       symmetric=st.sampled_from([False, True, np.True_, np.False_, 0, 1, 2, 3, "yes", None]))
+@example(n=2, block=64, stride=1, mode=AMPLITUDES, symmetric=3)
+@example(n=1, block=2**32, stride=1, mode=AMPLITUDES, symmetric=False)
+def test_every_codec_params_that_constructs_round_trips_through_a_file(n, block, stride, mode,
+                                                                       symmetric):
+    try:
+        params = CodecParams(order_n=n, block_size=block, stride=stride, fit_mode=mode,
+                             symmetric=symmetric)
+    except ValueError:
+        return
+    assert type(params.symmetric) is bool
+    back = deserialize(serialize(CompressionArtifact(params=params, sample_rate=8000)))
+    assert back.params == params
 
 
 def test_artifact_accepts_the_widest_header_fields():
@@ -1242,6 +1269,27 @@ def test_sweep_reports_numpy_grid_values_as_python_numbers():
     assert row == dataclasses.asdict(plain.rows[0])
 
 
+def test_sweep_skips_a_point_whose_stride_a_header_cannot_store():
+    # compress refuses this point, so sweep does not measure it
+    tone = np.cos(2 * np.pi * 440.0 * np.arange(65537) / 8000.0)
+    report = sweep(TimeSeries(tone, 8000.0), (1,), (1, 65536), 65537)
+    assert report.skipped == ((1, 65536, "stride 65536 does not fit its 16-bit header field"),)
+    assert [(row.n, row.stride) for row in report.rows] == [(1, 1)]
+
+
+def test_sweep_skips_every_point_of_a_symmetric_flag_that_is_not_a_bool():
+    report = sweep(two_tone(), (2, 3), (1,), 64, symmetric="yes")
+    assert report.rows == ()
+    assert report.skipped == tuple((n, 1, "symmetric must be a bool, not 'yes'") for n in (2, 3))
+
+
+def test_sweep_measures_a_series_slower_than_a_header_can_store():
+    # a file stores a whole number of Hz, at least 1; A does not depend on the rate
+    series = two_tone()
+    slow = TimeSeries(series.samples, sample_rate=0.5)
+    assert sweep(slow, (2,), (1,), 64) == sweep(series, (2,), (1,), 64)
+
+
 def test_random_baseline_refuses_a_length_that_is_not_an_integer():
     with pytest.raises(ValueError, match="^length must be an integer, not 2048.0$"):
         random_baseline(2048.0, 0, (2,), 64)
@@ -1305,9 +1353,15 @@ def test_codec_params_validation():
             fields = {"order_n": 2, "block_size": 64, "stride": 1, name: value}
             with pytest.raises(ValueError, match=f"{name} must be an integer, not"):
                 CodecParams(**fields)
-    params = CodecParams(order_n=np.int64(2), block_size=np.int32(64), stride=np.uint8(2))
+    for value in (0, 1, 3, "yes", None, np.int64(1)):
+        with pytest.raises(ValueError) as info:
+            CodecParams(order_n=2, block_size=64, symmetric=value)
+        assert str(info.value) == f"symmetric must be a bool, not {value!r}"
+    params = CodecParams(order_n=np.int64(2), block_size=np.int32(64), stride=np.uint8(2),
+                         symmetric=np.True_)
     assert params.rate == 16.0
     assert [type(v) for v in (params.order_n, params.block_size, params.stride)] == [int] * 3
+    assert params.symmetric is True
     assert CodecParams(order_n=4, block_size=160).rate == 20.0
 
 

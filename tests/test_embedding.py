@@ -78,6 +78,24 @@ def test_config_validation():
         EmbeddingConfig(n=2, stride=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n", 2.5), ("stride", 1.5), ("n", True), ("stride", np.float64(1.0)),
+], ids=["n-float", "stride-float", "n-bool", "stride-numpy-float"])
+def test_config_refuses_a_geometry_that_is_not_an_integer(name, value):
+    with pytest.raises(ValueError) as info:
+        EmbeddingConfig(**{"n": 2, "stride": 1, name: value})
+    assert str(info.value) == f"{name} must be an integer, not {value!r}"
+
+
+def test_config_stores_numpy_integers_as_python_ints():
+    cfg = EmbeddingConfig(n=np.int64(2), stride=np.uint8(3))
+    assert (cfg.n, cfg.stride) == (2, 3)
+    assert [type(cfg.n), type(cfg.stride)] == [int, int]
+    y = np.arange(11.0)
+    np.testing.assert_array_equal(embed(TimeSeries(y), cfg).rows,
+                                  embed(TimeSeries(y), EmbeddingConfig(n=2, stride=3)).rows)
+
+
 def test_series_validation():
     with pytest.raises(ValueError):
         TimeSeries([1.0, np.nan])

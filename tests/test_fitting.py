@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynlaw._stack import lapack_rows
@@ -484,3 +484,15 @@ def test_amplitude_model_reproduces_the_mode_basis_fit(pair, same_real, repeats,
     for i, j in pairs:
         assert c[j] == np.conj(c[i])
     assert np.all(c[real].imag == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(k1=st.integers(2**25, 2**26 - 1), k2=st.integers(2**25, 2**26 - 1),
+       log_radius=st.floats(-1e-9, 1e-9), angle=st.floats(1e-3, np.pi - 1e-3))
+def test_powers_past_2_26_samples_take_the_full_two_product(k1, k2, log_radius, angle):
+    # k1 + k2 is at least 2^26; an odd one has a low half, the branch of a
+    # block of 2^26 samples or more; z^k1 and z^k2 have none
+    assume((k1 + k2) % 2)
+    re, im = fitting._powers(np.array([log_radius]), np.array([angle]), np.array([k1, k2, k1 + k2]))
+    z = re[0] + 1j * im[0]
+    assert abs(z[2] - z[0] * z[1]) <= 1e-15 * abs(z[2])
