@@ -7,7 +7,10 @@ lowest-index failed block, which is what a pass over the blocks one by
 one raises.  Stacked kernels report failures as ``{position: exception}``
 and return outputs for the other rows only, in order.  A single-law
 function is such a kernel called with one row and unwrapped by
-``one_row``.
+``one_row``.  A stage whose rows need different shapes at a BLAS or
+LAPACK call takes them split by shape, in runs of rows of one degree
+(``runs``), and pads what it computes per run back into one stack
+(``padded``).
 """
 
 from __future__ import annotations
@@ -58,6 +61,35 @@ def survivors(count: int, errors: dict) -> np.ndarray:
     if errors:  # an empty fancy index costs more than the test
         ok[list(errors)] = False
     return ok
+
+
+def runs(shapes):
+    """The runs of a stack split by shape, given as ``(rows, d)`` per run,
+    whose rows are laid end to end and hold d columns each: per run, the
+    slice of its rows, the slice of its columns and d."""
+    start = col = 0
+    for count, d in shapes:
+        yield slice(start, start + count), slice(col, col + count * d), d
+        start, col = start + count, col + count * d
+
+
+def padded(parts: list, shapes, fill: float = 0.0) -> np.ndarray:
+    """The arrays of each run of a stack split by shape, (rows, d) or
+    (rows, d, d), as one stack padded with ``fill`` past each d to the
+    widest: the one array itself when there is one run."""
+    if len(parts) == 1:
+        return parts[0]
+    width = max(d for _, d in shapes)
+    out = np.full((sum(count for count, _ in shapes),) + (width,) * (parts[0].ndim - 1), fill)
+    for (rows, _, d), part in zip(runs(shapes), parts):
+        out[(rows,) + (slice(d),) * (part.ndim - 1)] = part
+    return out
+
+
+def kept_shapes(shapes, keep: np.ndarray) -> list:
+    """The ``(rows, d)`` runs of the rows of a stack split by shape that
+    ``keep`` masks."""
+    return [(int(np.count_nonzero(keep[rows])), d) for rows, _, d in runs(shapes)]
 
 
 def lapack_rows(call, stack: np.ndarray):

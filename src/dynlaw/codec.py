@@ -17,17 +17,24 @@ this scheme is
 
 counting 2n stored reals per block against block_size original ones.
 
-``compress`` and ``decompress`` make one pass over all blocks of a file,
-and ``sweep`` one pass over all blocks at every point of its grid (a
-long file, one pass per point): the windows of every block form one
+``compress`` and ``decompress`` make one pass over all blocks of a
+file, and ``sweep`` one pass over all blocks at every point of its grid
+(a long file, one pass per point): the windows of every block form one
 stacked array, and correlations, eigensolves, companion roots, bases
-and least-squares solves run as stacked numpy/LAPACK calls, grouped
-where blocks need different shapes (an order, a trimmed degree, the
-zero law); only the correlations are taken point by point, and the
-eigensolves order by order.  A block that fails drops out of the later
-stages with its first error kept (``_stack.Failures``), and the file,
-or the sweep point, raises the error of its lowest-index failed block,
-as a pass block by block would.  A block whose correlation leaves float
+and least-squares solves run as stacked numpy/LAPACK calls.  A stage
+splits by shape only at a BLAS or LAPACK call that needs one operand
+shape: the windows and correlations per point, the eigensolves per
+order, the companion eigensolves and their residual gates per degree,
+and a fit's peak-scaled columns and their products, Cholesky factors,
+solves and generated samples per degree, on bases split by shape
+(``_stack.runs``).  The rest runs once per pass, on (rows, n) stacks
+padded past each row's degree: the root pairing, the exponents and
+their rounding, one basis build over every used column, the gates, the
+Gram scaling and the accuracy, so a pass of several orders costs about
+what its rows cost.  A block that fails drops out of the later stages
+with its first error kept (``_stack.Failures``), and the file, or the
+sweep point, raises the error of its lowest-index failed block, as a
+pass block by block would.  A block whose correlation leaves float
 range (a sample beyond about 1e154) fails with UnstableOverflow before
 it yields a law.
 
@@ -102,7 +109,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stack import Failures, drop, norms, survivors, with_cause
+from ._stack import Failures, drop, norms, runs, survivors, with_cause
 from .embedding import TimeSeries, _delay_windows, _integer
 from .errors import (
     BadMagic,
@@ -420,23 +427,26 @@ def _unit(weights32: np.ndarray) -> np.ndarray:
     return w / norms(w)[:, None]
 
 
-def _root_groups(w: np.ndarray, degrees: np.ndarray, stride: np.ndarray, fail: Failures):
+def _lattice_roots(w: np.ndarray, degrees: np.ndarray, stride: np.ndarray, fail: Failures):
     """The lattice roots (``_roots``) of the laws of a stack (blocks x
-    (n + 1)) as ``(d, rows, roots)``, one group per degree d >= 1 of
-    ``degrees``.  At stride > 1 (per block) a root at the origin, which
-    has no fractional power, fails its block as ZeroRoot; failures go to
-    ``fail`` by block index."""
+    (n + 1)) of the given degrees, padded with +inf past each degree
+    (blocks x n): ``_pairs`` takes a pad as a real root and ``_columns``
+    puts it last.  The companion eigensolves and their residual gates run
+    once per degree d >= 1, on the laws of that degree alone.  At stride
+    > 1 (per block) a root at the origin, which has no fractional power,
+    fails its block as ZeroRoot; failures go to ``fail`` by block index,
+    and the roots of a failed block are not to be used."""
+    q = np.full((len(w), w.shape[1] - 1), np.inf, dtype=np.complex128)
     for d in sorted(set(degrees.tolist()) - {0}):
         at = np.flatnonzero(degrees == d)
-        q, _, errors = _roots(w[at, : d + 1])
-        at = at[fail.record(at, errors)]
-        far = stride[at] > 1
-        if far.any():
-            zero = far & np.any(np.abs(q) < 1e-300, axis=-1)
-            ok = fail.record(at, {int(i): ZeroRoot("cannot take a fractional power of a zero root")
-                                  for i in np.flatnonzero(zero)})
-            at, q = at[ok], q[ok]
-        yield d, at, q
+        roots, _, errors = _roots(w[at, : d + 1])
+        q[at[fail.record(at, errors)], :d] = roots
+    far = stride > 1
+    if far.any():
+        zero = far & np.any(np.abs(q) < 1e-300, axis=-1)
+        fail.record(np.arange(len(q)), {int(i): ZeroRoot("cannot take a fractional power of a zero root")
+                                        for i in np.flatnonzero(zero)})
+    return q
 
 
 def _per_sample_roots(q: np.ndarray, stride: np.ndarray) -> np.ndarray:
@@ -482,14 +492,15 @@ def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
     lag of the stored width n, which for y = 0 yields zeros after the
     seeds at any stride.  A direct IC block whose recursion cannot step
     (``_impulse_bases``), a stored law with w_0 ~ 0, fails as ZeroRoot.
-    The other blocks take their lattice roots from ``_root_groups``;
+    The other blocks take their lattice roots from ``_lattice_roots``;
     only those at stride > 1 are mapped (``_per_sample_roots``):
     exp(ln q / 1) is not q to the last bit.  In IC mode such a block
     steps the per-sample law its mapped roots expand to, unit-scaled as
     a stored law is; where that law leaves float range or cannot step,
     the block fails as UnstableBasis.
 
-    Returns ``[(positions, bases)]``, one entry per group of blocks
+    Returns the positions of the blocks that have a basis and their
+    bases split by shape (``_generate``), one stack per group of blocks
     whose bases were built together (direct, or of one degree), plus
     ``{position: error}`` for the blocks that have no basis.
     """
@@ -508,23 +519,28 @@ def _block_bases(weights: np.ndarray, stride, modes: bool, count: int):
         basis, errors = _impulse_bases(weights[at], count)
         errors = _relabel(errors, ZeroRoot, "law has a root at the origin")
         groups.append((at[fail.record(at, errors)], basis))
-    for _, at, roots in _root_groups(weights, degrees, stride, fail):
-        far = stride[at] > 1
+    if degrees.any():
+        q = _lattice_roots(weights, degrees, stride, fail)
+        alive = survivors(len(q), fail.first)
+        far = alive & (stride > 1)
         if far.any():
-            roots[far] = _per_sample_roots(roots[far], stride[at[far]])
-        if modes:
-            basis, errors = _mode_bases(roots, count)
-        else:
-            # the law of the mapped roots may leave float range, or have a
-            # w_0 too small against its norm to step
-            text = "per-sample law of the stride map cannot be stepped"
-            with np.errstate(over="ignore", invalid="ignore"):
-                w, errors = _expand(roots, 1.0)
-                at = at[fail.record(at, _relabel(errors, UnstableBasis, text))]
-                basis, errors = _impulse_bases(_unit(w), count)
-            errors = _relabel(errors, UnstableBasis, text)
-        groups.append((at[fail.record(at, errors)], basis))
-    return groups, fail.first
+            q[far] = _per_sample_roots(q[far], stride[far])
+        for d in sorted(set(degrees[alive].tolist()) - {0}):
+            at = np.flatnonzero(alive & (degrees == d))
+            if modes:
+                basis, errors = _mode_bases(q[at, :d], count)
+            else:
+                # the law of the mapped roots may leave float range, or have a
+                # w_0 too small against its norm to step
+                text = "per-sample law of the stride map cannot be stepped"
+                with np.errstate(over="ignore", invalid="ignore"):
+                    w, errors = _expand(q[at, :d], 1.0)
+                    at = at[fail.record(at, _relabel(errors, UnstableBasis, text))]
+                    basis, errors = _impulse_bases(_unit(w), count)
+                errors = _relabel(errors, UnstableBasis, text)
+            groups.append((at[fail.record(at, errors)], basis))
+    rows = np.concatenate([pos[:0]] + [at for at, _ in groups])
+    return (rows, [basis for _, basis in groups] or [np.zeros((0, 0, count))]), fail.first
 
 
 def _relabel(errors: dict, kind, text: str) -> dict:
@@ -538,13 +554,15 @@ def _law_exponents(w: np.ndarray, stride):
     per block), as a v2 file stores them, in the column layout of
     ``StoredExponents.columns``.
 
-    The exponents of a block's lattice roots (``_root_groups``) are
+    The exponents of a block's lattice roots (``_lattice_roots``) are
     those of ``_mode_exponents``, mapped to the principal stride-th root
     as ``_per_sample_roots`` maps roots, then the pairs moved first in
     the order of their lead roots.  Logs are rounded to float32 and pair
     angles to the nearest multiple of pi / 2^32 inside (0, pi).  A law
     with no weight past lag 0 (``_degrees``) has no columns, and at
-    stride > 1 a root at the origin fails as ZeroRoot.
+    stride > 1 a root at the origin fails as ZeroRoot.  Past the
+    companion eigensolves, every step runs once over all blocks, on
+    roots padded past each degree.
 
     Returns the layout (log_radius, angle, real, cosine), each
     (blocks x n) and empty in the rows of failed blocks, plus
@@ -552,22 +570,24 @@ def _law_exponents(w: np.ndarray, stride):
     """
     fail = Failures()
     g, n = w.shape[0], w.shape[1] - 1
-    stride = np.full(g, stride)
+    stride, degrees = np.full(g, stride), _degrees(w)
+    q = _lattice_roots(w, degrees, stride, fail)
+    at, q = drop(fail.first, np.arange(g), q)
+    (u, theta, single, cos), source, errors = _mode_exponents(q)
+    at = at[fail.record(at, errors)]
+    s = stride[at, None]  # dividing by 1 leaves a stride-1 block's exponents as they are
+    u, theta = u / s, np.where(single, theta, theta / s)
+    # pairs first, each at its lead root, then the real roots, then the
+    # pads; a pair's cosine column stays before its sine column
+    order = np.arange(len(u))[:, None], np.argsort(source + n * single, axis=-1, kind="stable")
+    u, theta, single, cos = u[order], theta[order], single[order], cos[order]
+    code = np.clip(np.rint(theta / _ANGLE_UNIT), 1, 2**32 - 1)
+    used = np.arange(n) < degrees[at, None]
     log_radius, angle = np.zeros((g, n)), np.zeros((g, n))
     real, cosine = np.zeros((g, n), dtype=bool), np.zeros((g, n), dtype=bool)
-    for d, at, q in _root_groups(w, _degrees(w), stride, fail):
-        (u, theta, single, cos), source, errors = _mode_exponents(q)
-        at = at[fail.record(at, errors)]
-        s = stride[at, None]  # dividing by 1 leaves a stride-1 block's exponents as they are
-        u, theta = u / s, np.where(single, theta, theta / s)
-        # pairs first, each at its lead root, then the real roots; a
-        # pair's cosine column stays before its sine column
-        order = np.arange(len(u))[:, None], np.argsort(source + d * single, axis=-1, kind="stable")
-        u, theta, single, cos = u[order], theta[order], single[order], cos[order]
-        code = np.clip(np.rint(theta / _ANGLE_UNIT), 1, 2**32 - 1)
-        log_radius[at, :d] = u.astype(np.float32)
-        angle[at, :d] = np.where(single, theta, code * _ANGLE_UNIT)
-        real[at, :d], cosine[at, :d] = single, cos
+    log_radius[at] = np.where(used, u.astype(np.float32), 0.0)
+    angle[at] = np.where(single, theta, code * _ANGLE_UNIT)  # a pad's angle is 0
+    real[at], cosine[at] = used & single, cos
     return (log_radius, angle, real, cosine), fail.first
 
 
@@ -575,15 +595,21 @@ def _exponent_groups(columns, degrees: np.ndarray, count: int, rows: np.ndarray)
     """Per-sample bases of the given rows (sorted) of a column layout (the
     first output of ``_law_exponents``, or ``StoredExponents.columns``)
     whose blocks have the given degrees, built straight from the
-    exponents, as ``[(rows, bases)]``, one entry per degree."""
+    exponents by one ``_exponent_bases`` call over every used column.
+    Returns the rows ordered by degree (stably) and their bases split by
+    shape (``_generate``), one stack per degree."""
     degrees = degrees[rows]
-    groups = []
-    for d in sorted(set(degrees.tolist())):
-        at = rows[degrees == d]
-        # one degree over every block, as in most files: views, not gathers
-        sel = slice(None) if at.size == len(columns[0]) else at
-        groups.append((at, _exponent_bases(*(column[sel, :d] for column in columns), count)))
-    return groups
+    if np.all(degrees == degrees[:1]):  # one degree, as in most files: views, not gathers
+        d = int(degrees[0]) if degrees.size else 0
+        sel = slice(None) if rows.size == len(columns[0]) else rows
+        return rows, [_exponent_bases(*(column[sel, :d] for column in columns), count)]
+    order = np.argsort(degrees, kind="stable")
+    rows, degrees = rows[order], degrees[order]
+    used = np.arange(columns[0].shape[1]) < degrees[:, None]
+    flat = _exponent_bases(*(column[rows][used][None] for column in columns), count)[0]
+    degree, size = np.unique(degrees, return_counts=True)
+    return rows, [flat[cols].reshape(at.stop - at.start, d, count)
+                  for at, cols, d in runs(zip(size.tolist(), degree.tolist()))]
 
 
 def _encode(blocks: np.ndarray, points):
@@ -600,18 +626,19 @@ def _encode(blocks: np.ndarray, points):
     correlations are taken point by point and laws order by order; each
     law is stored at its own width and only then padded with zero
     weights to the widest order, which leaves its degree, and so its
-    roots, as they are.  Every later stage runs once per degree over all
-    rows.
+    roots, as they are.  Every later stage runs once over all rows,
+    split by degree only at its BLAS and LAPACK calls.
 
-    Returns (stored, eigenvalues, fits, failures): the stored laws of
+    Returns (stored, eigenvalues, fit, failures): the stored laws of
     the rows that have one, in row order (the ``_law_exponents`` column
     layout when the file stores exponents, else float32 weights; a
     palindromic law stays palindromic under the rounding), padded to the
     widest order; the eigenvalue of each row's law (0 for a row with
-    none); ``[(rows, bases, payload)]`` for the rows fitted, one entry
-    per group of equal degree, the payload in float32; and the per-row
-    failure status.  A block whose payload leaves float32 range fails
-    with UnstableOverflow.
+    none); ``(rows, bases, payload)`` for the rows that have a basis, in
+    the order of their bases, split by shape (``_generate``), and their
+    float32 payload, zero past each row's degree and in a failed row;
+    and the per-row failure status.  A block whose payload leaves
+    float32 range fails with UnstableOverflow.
     """
     count, first = len(blocks), points[0]
     exponents, modes = _stores_exponents(first), first.fit_mode == AMPLITUDES
@@ -644,24 +671,23 @@ def _encode(blocks: np.ndarray, points):
     if exponents:
         stored, errors = _law_exponents(laws[pos], stride[pos])
         _, _, real, cosine = stored
-        groups = _exponent_groups(stored, real.sum(axis=1) + 2 * cosine.sum(axis=1), blocks.shape[1],
-                                  np.flatnonzero(fail.record(pos, errors)))
+        at, bases = _exponent_groups(stored, real.sum(axis=1) + 2 * cosine.sum(axis=1),
+                                     blocks.shape[1], np.flatnonzero(fail.record(pos, errors)))
     else:
         stored = weights[pos]
-        groups, errors = _block_bases(laws[pos], stride[pos], modes, blocks.shape[1])
+        (at, bases), errors = _block_bases(laws[pos], stride[pos], modes, blocks.shape[1])
         fail.record(pos, errors)
-    fits = []
-    for at, basis in groups:
-        rows = pos[at]
-        coef, errors = _least_squares(basis, blocks[rows % count], modes)
-        ok = fail.record(rows, errors)
-        wide = ~_in_f32_range(coef, axis=-1)
+    rows = pos[at]
+    coef, errors = _least_squares(bases, blocks[rows % count], modes)
+    if errors:  # a failed row keeps zero coefficients
+        coef, solved = np.zeros((rows.size, coef.shape[1])), coef
+        coef[fail.record(rows, errors)] = solved
+    wide = ~_in_f32_range(coef, axis=-1)
+    if wide.any():
         text = "payload coefficient beyond float32 range"
-        ok[ok] = fail.record(rows[ok], {int(i): UnstableOverflow(text) for i in np.flatnonzero(wide)})
-        if not ok.all():  # indexing copies the basis
-            rows, basis, coef = rows[ok], basis[ok], coef[~wide]
-        fits.append((rows, basis, coef.astype(np.float32)))
-    return stored, eigenvalues, fits, fail
+        fail.record(rows, {int(i): UnstableOverflow(text) for i in np.flatnonzero(wide)})
+        coef[wide] = 0.0
+    return stored, eigenvalues, (rows, bases, coef.astype(np.float32)), fail
 
 
 def _full_blocks(y: np.ndarray, block: int) -> np.ndarray:
@@ -687,10 +713,9 @@ def compress(series: TimeSeries, params: CodecParams) -> CompressionArtifact:
     """
     blocks = _full_blocks(series.samples, params.block_size)
     rate = _check_header(series.sample_rate)
-    stored, _, fits, fail = _encode(blocks, [params])
+    stored, _, (rows, _, coef), fail = _encode(blocks, [params])
     payload = np.zeros((len(blocks), params.order_n), dtype=np.float32)
-    for rows, _, coef in fits:
-        payload[rows, : coef.shape[1]] = coef
+    payload[rows, : coef.shape[1]] = coef
     fail.raise_first()
     tail = series.samples[blocks.size :]
     if not _in_f32_range(tail):
@@ -716,17 +741,15 @@ def decompress(artifact: CompressionArtifact) -> TimeSeries:
     blocks = out[: block_count * block].reshape(block_count, block)
     fail = Failures()
     if artifact.exponents is None:
-        groups, errors = _block_bases(_unit(artifact.weights), params.stride,
-                                      params.fit_mode == AMPLITUDES, block)
+        (rows, bases), errors = _block_bases(_unit(artifact.weights), params.stride,
+                                             params.fit_mode == AMPLITUDES, block)
         fail.record(np.arange(block_count), errors)
     else:
         exponents = artifact.exponents
-        groups = _exponent_groups(exponents.columns(params.order_n), exponents.degrees, block,
-                                  np.arange(block_count))
-    for rows, basis in groups:
-        coef = artifact.payload[rows, : basis.shape[1]].astype(np.float64)
-        y, errors = _generate(basis, coef)
-        blocks[rows[fail.record(rows, errors)]] = y
+        rows, bases = _exponent_groups(exponents.columns(params.order_n), exponents.degrees, block,
+                                       np.arange(block_count))
+    y, errors = _generate(bases, artifact.payload[rows].astype(np.float64))
+    blocks[rows[fail.record(rows, errors)]] = y
     fail.raise_first()
     out[block_count * block :] = artifact.tail
     return TimeSeries(samples=out, sample_rate=float(artifact.sample_rate))
@@ -869,16 +892,15 @@ def _measure(blocks: np.ndarray, energy: np.ndarray, points) -> list:
     Returns per point (A, lambda_min), or the error of its lowest-index
     failed block; a failure at one point leaves the others measured."""
     live = np.flatnonzero(energy != 0.0)  # a silent block's correlation matrix is zero
-    _, lam, fits, fail = _encode(blocks[live], points)
+    _, lam, (rows, bases, coef), fail = _encode(blocks[live], points)
+    simulated, errors = _generate(bases, coef.astype(np.float64))
+    rows = rows[fail.record(rows, errors)]
+    at = live[rows % live.size]
     acc = np.empty(len(lam))
-    for rows, basis, coef in fits:
-        simulated, errors = _generate(basis, coef.astype(np.float64))
-        rows = rows[fail.record(rows, errors)]
-        at = live[rows % live.size]
-        with np.errstate(over="ignore", invalid="ignore"):  # a sample past ~1e154 no window saw
-            acc[rows] = 1.0 - norms(blocks[at] - simulated) / np.sqrt(energy[at])
-        fail.record(rows, {int(i): UnstableOverflow("block norm beyond float range")
-                           for i in np.flatnonzero(~np.isfinite(acc[rows]))})
+    with np.errstate(over="ignore", invalid="ignore"):  # a sample past ~1e154 no window saw
+        acc[rows] = 1.0 - norms(blocks[at] - simulated) / np.sqrt(energy[at])
+    fail.record(rows, {int(i): UnstableOverflow("block norm beyond float range")
+                       for i in np.flatnonzero(~np.isfinite(acc[rows]))})
     failed = {}  # point index: the error of its lowest-index failed block
     for row in sorted(fail.first):
         failed.setdefault(row // live.size, fail.first[row])
@@ -911,9 +933,10 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
     at one point leaves the other points measured.  Block accuracies are
     averaged weighted by block energy, matching a concatenated-signal
     Euclidean accuracy when block errors are comparable.  A
-    ``block_size`` that is not a positive integer raises ValueError.
-    Rows and skipped points give integer grid values as Python ints,
-    numpy grids included.
+    ``block_size`` that is not a positive integer raises ValueError, as
+    does a series whose full blocks are all zero, or all so small that
+    their energy underflows float64.  Rows and skipped points give
+    integer grid values as Python ints, numpy grids included.
     """
     _integer("block_size", block_size, 1)
     blocks = _full_blocks(series.samples, block_size)
@@ -931,6 +954,9 @@ def sweep(series: TimeSeries, n_grid, stride_grid, block_size: int,
                 points[n, s] = exc
     feasible = [key for key, params in points.items() if isinstance(params, CodecParams)]
     if feasible and not energy.any():
+        if blocks.any():
+            raise ValueError("the energy of every full block underflows float64 "
+                             "(every sample lies below about 1.6e-162)")
         raise ValueError("every full block is identically zero")
     per_pass = max(1, _ROW_BUDGET // max(np.count_nonzero(energy), 1))
     measured = {}

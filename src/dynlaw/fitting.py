@@ -17,10 +17,15 @@ returned coefficients solve the raw normal equations.
 
 A stack of blocks is fitted at once (``_least_squares``), the ridge
 retry only for the blocks whose first solve fails; the fits below call
-it with one row.  Stacked bases are column-major, (blocks, columns,
-samples), so each pass reads a column's samples in a row; the public
-bases are (samples, columns).  One pass reads the column peaks, which
-give the basis gate and the first scaling (squares of peak-scaled
+it with one row.  Bases of several degrees come split by shape, one
+stack per degree: each stack's columns are scaled and multiplied on
+their own, where they stay in cache, and the Cholesky factors and
+solves run per degree, as LAPACK takes one shape; the gate, the Gram
+scaling, the pivot check and the coefficients run once, on stacks
+padded past each degree.  Stacked bases are column-major, (blocks,
+columns, samples), so each pass reads a column's samples in a row; the
+public bases are (samples, columns).  One pass reads the column peaks,
+which give the basis gate and the first scaling (squares of peak-scaled
 columns cannot overflow); one Gram product of the peak-scaled columns
 follows, and its diagonal gives the column norms.  Scaling a Gram
 matrix to unit diagonal is the near-optimal diagonal scaling (van der
@@ -51,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stack import drop, lapack_rows, one_row, survivors
+from ._stack import drop, kept_shapes, lapack_rows, one_row, padded, runs, survivors
 from .errors import SingularNormalMatrix, UnstableBasis, ZeroSignal
 from .lawforms import (
     ContinuousModel,
@@ -96,25 +101,47 @@ class InitialConditionFit:
     rms_error: float
 
 
+# below this norm a vector's sum of squares is subnormal or zero in float64
+_SMALLEST_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
 def _samples_of(segment) -> np.ndarray:
     return np.asarray(getattr(segment, "samples", segment), dtype=np.float64)
 
 
-def _solve_spd(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each system of a stack, (g, d, d) by (g, d): Cholesky gates, one solve solves.
+def _solve_spd(gram: np.ndarray, rhs: np.ndarray, shapes: list):
+    """Each system of a stack, (g, n, n) by (g, n), split by shape into
+    runs of ``shapes`` (``_stack.runs``), a system of a run of degree d
+    in the leading d rows and columns: Cholesky gates, one solve solves,
+    each one LAPACK call per run.
 
-    Returns the solutions of the systems that pass, in order, and the
-    mask of those: a system fails when Cholesky fails or a pivot falls
-    below 1e-12 of the largest diagonal entry."""
-    (lower,), failed = lapack_rows(lambda a: (np.linalg.cholesky(a),), gram)
-    ok = survivors(len(gram), failed)
-    (passed,) = drop(failed, gram)
-    ceiling = np.maximum(np.max(np.diagonal(passed, axis1=-2, axis2=-1), axis=-1), 1e-300)
-    pivots = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
-    ok[ok] = np.all(pivots > 1e-12 * ceiling[:, None], axis=-1)
-    if not ok.all():
-        gram, rhs = gram[ok], rhs[ok]
-    return np.linalg.solve(gram, rhs[..., None])[..., 0], ok
+    Returns the solutions, zero past each degree and for the systems
+    that fail, and the mask of those that pass: a system fails when
+    Cholesky fails or a pivot falls below 1e-12 of the largest diagonal
+    entry."""
+    ok, pivots = np.ones(len(gram), dtype=bool), []
+    for rows, _, d in runs(shapes):
+        (lower,), failed = lapack_rows(lambda a: (np.linalg.cholesky(a),), gram[rows, :d, :d])
+        pivot = np.diagonal(lower, axis1=-2, axis2=-1) ** 2
+        if failed:  # a system that fails has no pivots
+            ok[rows] = passed = survivors(rows.stop - rows.start, failed)
+            pivot, pivots_of_passed = np.full((passed.size, d), np.inf), pivot
+            pivot[passed] = pivots_of_passed
+        pivots.append(pivot)
+    # 1e-300 floors the largest diagonal entry; a max is exact in any order
+    ceiling = np.maximum.reduce(np.diagonal(gram, axis1=-2, axis2=-1), axis=-1, initial=1e-300)
+    ok &= np.all(padded(pivots, shapes, np.inf) > 1e-12 * ceiling[:, None], axis=-1)
+    solutions = []
+    for rows, _, d in runs(shapes):
+        at = ok[rows]
+        if at.all():
+            x = np.linalg.solve(gram[rows, :d, :d], rhs[rows, :d, None])[..., 0]
+        else:
+            x = np.zeros((at.size, d))
+            if at.any():
+                x[at] = np.linalg.solve(gram[rows, :d, :d][at], rhs[rows, :d, None][at])[..., 0]
+        solutions.append(x)
+    return padded(solutions, shapes), ok
 
 
 def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -124,21 +151,34 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     return one_row(_least_squares(np.asarray(basis).T[None], np.asarray(y)[None]))[0]
 
 
-def _least_squares(basis: np.ndarray, y: np.ndarray, modes: bool | None = None):
-    """``least_squares`` of each basis (g, d, N), one column per row,
-    against its samples (g, N), scaled as the module docstring says: the
-    coefficients of the fits that solve, in order, plus ``{position:
-    error}`` for the others.  Given ``modes``, the column peaks first
-    gate each basis: a mode basis (``modes``) must be finite, else
-    SingularNormalMatrix; an impulse-response basis must stay within
+def _least_squares(bases, y: np.ndarray, modes: bool | None = None):
+    """``least_squares`` of each basis of a stack split by shape against
+    its samples (g, N), scaled as the module docstring says: ``bases`` is
+    one stack (g, d, N) or a list of them, one column per row, whose rows
+    stack in order.  Returns the coefficients of the fits that solve, in
+    order, zero past each basis's columns up to the widest, plus
+    ``{position: error}`` for the others.  Given ``modes``, the column
+    peaks first gate each basis: a mode basis (``modes``) must be finite,
+    else SingularNormalMatrix; an impulse-response basis must stay within
     1e100, else UnstableBasis.  A NaN entry fails both."""
-    if basis.shape[1] == 0:
-        return np.zeros((len(basis), 0)), {}
-    # rows of samples, so each pass below reads contiguous memory, and
-    # every product sums in the same order whatever layout came in
-    basis = np.ascontiguousarray(basis)
-    peak = np.max(np.abs(basis), axis=-1)
-    pos, errors = np.arange(len(basis)), {}
+    bases = [bases] if isinstance(bases, np.ndarray) else bases
+    shapes = [basis.shape[:2] for basis in bases]
+    peak, gram, rhs = [], [], []
+    # a basis the gate below fails may overflow here, and its products are
+    # dropped; with no gate, such a warning is the caller's
+    quiet = None if modes is None else "ignore"
+    with np.errstate(over=quiet, invalid=quiet):
+        for (rows, _, d), basis in zip(runs(shapes), bases):
+            # rows of samples, so each pass below reads contiguous memory, and
+            # every product sums in the same order whatever layout came in
+            basis = np.ascontiguousarray(basis)
+            peak.append(np.max(np.abs(basis), axis=-1))
+            peak[-1][peak[-1] == 0.0] = 1.0
+            scaled = basis / peak[-1][..., None]
+            gram.append(scaled @ np.swapaxes(scaled, -1, -2))
+            rhs.append((scaled @ y[rows, :, None])[..., 0])
+    peak, gram, rhs = padded(peak, shapes, 1.0), padded(gram, shapes), padded(rhs, shapes)
+    pos, errors = np.arange(len(peak)), {}
     if modes is not None:
         if modes:
             bad = ~np.all(np.isfinite(peak), axis=-1)
@@ -149,25 +189,23 @@ def _least_squares(basis: np.ndarray, y: np.ndarray, modes: bool | None = None):
             kind, text = UnstableBasis, "impulse-response basis overflowed"
         if bad.any():
             errors = {int(i): kind(text) for i in pos[bad]}
-            pos, basis, y, peak = pos[~bad], basis[~bad], y[~bad], peak[~bad]
-    peak[peak == 0.0] = 1.0
-    scaled = basis / peak[..., None]
-    gram = scaled @ np.swapaxes(scaled, -1, -2)
+            pos, peak, gram, rhs = pos[~bad], peak[~bad], gram[~bad], rhs[~bad]
+            shapes = kept_shapes(shapes, ~bad)
     norm = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))
     norm[norm == 0.0] = 1.0
     gram = gram / (norm[:, :, None] * norm[:, None, :])
     gram = (gram + np.swapaxes(gram, -1, -2)) / 2.0
-    rhs = (scaled @ y[..., None])[..., 0] / norm
-    x = np.empty(rhs.shape)
-    solved, ok = _solve_spd(gram, rhs)
-    x[ok] = solved
+    rhs = rhs / norm
+    x, ok = _solve_spd(gram, rhs, shapes)
     retry = np.flatnonzero(~ok)
     kept = np.ones(len(x), dtype=bool)
     if retry.size:
-        ridge = 1e-10 * np.trace(gram[retry], axis1=-2, axis2=-1)
-        ridged = gram[retry] + ridge[:, None, None] * np.eye(gram.shape[-1])
-        solved, ok = _solve_spd(ridged, rhs[retry])
-        x[retry[ok]] = solved
+        ridged, shapes = gram[retry], kept_shapes(shapes, ~ok)
+        for rows, _, d in runs(shapes):
+            part = np.ascontiguousarray(ridged[rows, :d, :d])
+            ridge = 1e-10 * np.trace(part, axis1=-2, axis2=-1)
+            ridged[rows, :d, :d] = part + ridge[:, None, None] * np.eye(d)
+        x[retry], ok = _solve_spd(ridged, rhs[retry], shapes)
         kept[retry[~ok]] = False
         text = "normal equations singular even after ridge retry"
         errors.update({int(i): SingularNormalMatrix(text) for i in pos[retry[~ok]]})
@@ -426,13 +464,20 @@ def accuracy(original, simulated) -> float:
 
     A = 1 is exact reproduction; 0 means the error norm matches the
     signal norm; negative values mean the surrogate is worse than
-    silence.
+    silence.  A reference so small that its sum of squares leaves
+    float64's normal range (a peak below about 1e-154) is first scaled
+    by its peak, so its accuracy does not round away or read as that of
+    an all-zero reference.
     """
     x = _samples_of(original)
     x_sim = _samples_of(simulated)
     if x.shape != x_sim.shape:
         raise ValueError("accuracy needs equal-length signals")
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        raise ZeroSignal("accuracy is undefined for an all-zero reference")
-    return float(1.0 - np.linalg.norm(x - x_sim) / norm)
+    error, norm = x - x_sim, np.linalg.norm(x)
+    if norm < _SMALLEST_NORM:
+        peak = np.max(np.abs(x), initial=0.0)
+        if peak == 0.0:
+            raise ZeroSignal("accuracy is undefined for an all-zero reference")
+        with np.errstate(over="ignore"):  # an error beyond float range reads as A = -inf
+            error, norm = error / peak, np.linalg.norm(x / peak)
+    return float(1.0 - np.linalg.norm(error) / norm)

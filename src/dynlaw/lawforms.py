@@ -436,13 +436,19 @@ def _impulse_bases(w: np.ndarray, count: int):
     return basis.transpose(1, 2, 0), errors
 
 
-def _generate(basis: np.ndarray, coef: np.ndarray):
-    """Samples ``coef @ basis`` of each block of a stack, bases (g, d, N)
-    and coefficients (g, d), for the blocks whose samples all stay
-    within 1e100 and finite, plus ``{position: UnstableOverflow}`` for
-    the others."""
+def _generate(bases, coef: np.ndarray):
+    """Samples ``coef @ basis`` of each block of a stack split by shape:
+    ``bases`` is a list of stacks (g, d, N) whose rows stack in order, one
+    matrix product per stack, and ``coef`` (rows, >= d) holds each
+    block's coefficients, those past its basis's d unused.  Returns the
+    samples of the blocks whose samples all stay within 1e100 and
+    finite, plus ``{position: UnstableOverflow}`` for the others."""
+    parts, start = [], 0
     with np.errstate(over="ignore", invalid="ignore"):
-        y = (coef[:, None, :] @ basis)[:, 0]
+        for basis in bases:
+            parts.append((coef[start : start + len(basis), None, : basis.shape[1]] @ basis)[:, 0])
+            start += len(basis)
+    y = parts[0] if len(parts) == 1 else np.concatenate(parts)
     bad = ~(np.abs(y) <= 1e100)
     failed = np.flatnonzero(bad.any(axis=-1))
     errors = {
@@ -473,7 +479,7 @@ def run_recursion(law, initial, count: int) -> np.ndarray:
     init = np.asarray(initial, dtype=np.float64)
     if init.size != n:
         raise ValueError(f"need {n} initial values, got {init.size}")
-    out = one_row(_generate(impulse_basis(w, count).T[None], init[None]))[0]
+    out = one_row(_generate([impulse_basis(w, count).T[None]], init[None]))[0]
     out[: min(n, count)] = init[:count]
     return out
 

@@ -43,7 +43,7 @@ from dynlaw.errors import (
     ZeroRoot,
 )
 from dynlaw.fitting import accuracy
-from dynlaw.signal_io import SynthSpec, synthesize
+from dynlaw.signal_io import SynthSpec, lcg_uniform, synthesize
 
 import reference_codec
 
@@ -845,11 +845,10 @@ def test_one_pass_over_mixed_orders_stores_what_compress_stores(symmetric):
     points = [CodecParams(order_n=n, block_size=128, stride=s, symmetric=symmetric)
               for n, s in ((4, 2), (2, 1), (6, 3), (2, 2), (6, 1))]
     blocks = series.samples.reshape(-1, 128)
-    stored, _, fits, fail = dynlaw.codec._encode(blocks, points)
+    stored, _, (rows, _, coef), fail = dynlaw.codec._encode(blocks, points)
     assert not fail.first
     payload = np.zeros((len(points) * len(blocks), 6), dtype=np.float32)
-    for rows, _, coef in fits:
-        payload[rows, : coef.shape[1]] = coef
+    payload[rows, : coef.shape[1]] = coef
     for i, params in enumerate(points):
         n, rows = params.order_n, slice(i * len(blocks), (i + 1) * len(blocks))
         laws = {"payload": payload[rows, :n]}
@@ -862,6 +861,122 @@ def test_one_pass_over_mixed_orders_stores_what_compress_stores(symmetric):
             laws["weights"] = stored[rows, : n + 1]
         one = CompressionArtifact(params=params, sample_rate=8000, **laws)
         assert serialize(one) == serialize(compress(series, params))
+
+
+@st.composite
+def _pass_case(draw):
+    """A seeded signal of a few full blocks and points of a random subset
+    of n in 1..8 x stride in 1..3, at block 64 or 128."""
+    block = draw(st.sampled_from([64, 128]))
+    size = block * draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    k = np.arange(size)
+    kind = draw(st.sampled_from(["tones", "noise", "ramp", "silent block", "zero-root block"]))
+    if kind == "noise":
+        samples = 0.9 * lcg_uniform(seed, size)
+    elif kind == "ramp":
+        samples = k / size - 0.5
+    else:
+        samples = sum(rng.uniform(0.1, 0.4) * np.exp(-rng.uniform(0.0, 0.01) * k)
+                      * np.sin(rng.uniform(0.05, 3.0) * k + rng.uniform(0.0, 6.0))
+                      for _ in range(draw(st.integers(1, 4))))
+        at = slice(draw(st.integers(0, size // block - 1)) * block, None)
+        if kind == "silent block":
+            samples[at][:block] = 0.0
+        elif block == 64:  # a block whose n = 2 law fails at one stride (ZeroRoot at 2)
+            samples[at][:block] = _zero_root_block(draw(st.integers(1, 2))).samples
+    grid = draw(st.lists(st.tuples(st.integers(1, 8), st.integers(1, 3)), min_size=1, max_size=6,
+                         unique=True))
+    points = [CodecParams(order_n=n, block_size=block, stride=s) for n, s in grid]
+    series = TimeSeries(np.round(samples * 32767.0) / 32767.0, 8000.0)
+    return series, points
+
+
+def _pass_rows(blocks, points):
+    """Per row of ``_encode(blocks, points)``: the eigenvalue, the stored
+    column layout, the float32 payload bytes and the failure's class and
+    message (None for a row that encodes), each cut to its point's n."""
+    stored, lam, (rows, _, coef), fail = dynlaw.codec._encode(blocks, points)
+    size, widest = len(points) * len(blocks), max(p.order_n for p in points)
+    assert all(len(column) == size for column in stored)  # no row fails before its exponents
+    payload = np.zeros((size, widest), dtype=np.float32)
+    payload[rows, : coef.shape[1]] = coef
+    out = []
+    for row in range(size):
+        n = points[row // len(blocks)].order_n
+        assert not payload[row, n:].any() and not any(column[row, n:].any() for column in stored)
+        error = fail.first.get(row)
+        out.append((lam[row], [column[row, :n].tobytes() for column in stored],
+                    payload[row, :n].tobytes(), error and (type(error), str(error))))
+    return out
+
+
+def _block_artifact(artifact, b):
+    """Block b of a DLAW v2 artifact as an artifact of its own."""
+    e = artifact.exponents
+    p, r = int(e.pairs[:b].sum()), int(e.reals[:b].sum())
+    pairs, reals = slice(p, p + int(e.pairs[b])), slice(r, r + int(e.reals[b]))
+    exponents = StoredExponents(pairs=e.pairs[b : b + 1], reals=e.reals[b : b + 1],
+                                log_radius=e.log_radius[pairs], angle=e.angle[pairs],
+                                log_magnitude=e.log_magnitude[reals], negative=e.negative[reals])
+    return CompressionArtifact(params=artifact.params, sample_rate=artifact.sample_rate,
+                               payload=artifact.payload[b : b + 1], exponents=exponents)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pass_case())
+def test_a_rows_outputs_do_not_depend_on_its_pass(case):
+    # a stacked pass runs each stage once over rows of several degrees;
+    # every row must come out as a pass of its point alone encodes it
+    series, points = case
+    block = points[0].block_size
+    blocks = series.samples.reshape(-1, block)
+    alone = [row for point in points for row in _pass_rows(blocks, [point])]
+    assert _pass_rows(blocks, points) == alone
+    n_grid = sorted({p.order_n for p in points})
+    stride_grid = sorted({p.stride for p in points})
+    if series.samples.any():
+        rows, skipped = [], []
+        for n in n_grid:
+            for s in stride_grid:
+                one = sweep(series, (n,), (s,), block)
+                rows += one.rows
+                skipped += one.skipped
+        report = sweep(series, n_grid, stride_grid, block)
+        assert repr(report) == repr(SweepReport(rows=tuple(rows), skipped=tuple(skipped)))
+    # a silent block's law has degree 0, so its file mixes degrees
+    artifact = _outcome(lambda: compress(series, points[0]))
+    if isinstance(artifact, CompressionArtifact):
+        decoded = decompress(artifact).samples.reshape(-1, block)
+        for b in range(len(blocks)):
+            one = _outcome(lambda: decompress(_block_artifact(artifact, b)).samples)
+            assert one.tobytes() == decoded[b].tobytes()
+
+
+def test_a_pass_runs_its_roots_to_bases_stages_once(monkeypatch):
+    # a baseline pass holds four orders, so four degrees; the exponents
+    # and the bases of all its rows each take one call
+    calls = {"_mode_exponents": 0, "_exponent_bases": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(dynlaw.codec, name)):
+            calls[_name] += 1
+            return _call(*args)
+
+        monkeypatch.setattr(dynlaw.codec, name, counted)
+    report, _ = random_baseline(2048, 0, (2, 4, 6, 8), 64)
+    assert len(report.rows) == 4
+    assert calls == {"_mode_exponents": 1, "_exponent_bases": 1}
+
+
+def test_sweep_says_when_every_block_energy_underflows():
+    # below a peak of about 1e-162 each squared sample underflows to 0:
+    # the blocks are not silent, but their energies read as if they were
+    tiny = TimeSeries(1e-170 * np.sin(0.3 * np.arange(512)), 8000.0)
+    with pytest.raises(ValueError, match="^the energy of every full block underflows float64"):
+        sweep(tiny, (4,), (1,), 128)
+    with pytest.raises(ValueError, match="^every full block is identically zero"):
+        sweep(TimeSeries(np.r_[np.zeros(512), 1.0], 8000.0), (4,), (1,), 128)
 
 
 def _ramp_tone(length=768):

@@ -172,6 +172,18 @@ def test_accuracy_trivial_values():
     assert abs(accuracy(x, np.array([3.0, 0.0])) - 0.2) < 1e-15
 
 
+def test_accuracy_of_a_reference_whose_energy_underflows():
+    # below a peak of about 1e-162 the squared norm underflows to 0; such
+    # a reference is not all zero, and its accuracy is that of the same
+    # signal at unit scale
+    x = np.sin(0.3 * np.arange(512))
+    y = x + 1e-3 * np.cos(np.arange(512))
+    assert accuracy(1e-170 * x, 1e-170 * y) == pytest.approx(accuracy(x, y), rel=1e-12)
+    assert accuracy(1e-170 * x, 0 * x) == 0.0
+    with pytest.raises(ZeroSignal):
+        accuracy(np.zeros(3), np.full(3, 1e-170))
+
+
 def test_accuracy_guards():
     with pytest.raises(ZeroSignal):
         accuracy(np.zeros(3), np.zeros(3))
@@ -437,8 +449,8 @@ def test_planted_twin_column_takes_the_ridge_retry(monkeypatch):
     calls = []
     solve = fitting._solve_spd
 
-    def spy(gram, rhs):
-        solved, ok = solve(gram, rhs)
+    def spy(*args):
+        solved, ok = solve(*args)
         calls.append(ok.copy())
         return solved, ok
 
